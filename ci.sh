@@ -121,6 +121,19 @@ cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
 cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
     --bin bench_report -- --smoke --out - > /dev/null
 
+echo "==> benchmark smoke (BENCHMARK.json workloads)"
+# The repository benchmark is a package of its own (benchmark/, its own
+# workspace): run its helper unit tests, then one short untraced run of
+# each workload. A run's last stdout line is its JSON verdict; the lane
+# fails unless every workload reports "correct":true.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+for workload in corpus-cold scale-cold edit-session serve-mix; do
+    verdict=$(cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    [[ "$verdict" == *'"correct":true'* ]] \
+        || { echo "benchmark $workload: not correct: $verdict"; exit 1; }
+done
+
 echo "==> bench regression gate (FM row-reduction floors)"
 # Deterministic counters from the fm_redundancy suite must stay above the
 # pinned floors (≥5× peak-row reduction on the FM-heavy corpus entry,

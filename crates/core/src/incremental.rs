@@ -805,13 +805,6 @@ impl std::fmt::Debug for SccCache {
     }
 }
 
-/// FNV-1a64 of a byte string (bucket hash and disk file name).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl SccCache {
@@ -887,7 +880,7 @@ impl SccCache {
     /// Look up `key`, consulting memory then disk. A disk hit is promoted
     /// into memory.
     pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
-        let hash = fnv1a64(key.as_bytes());
+        let hash = Fnv64::digest(key.as_bytes());
         if let Ok(mut inner) = self.inner.lock() {
             inner.clock += 1;
             let clock = inner.clock;
@@ -920,7 +913,7 @@ impl SccCache {
 
     /// Publish an entry (first insert wins in memory; disk is best-effort).
     pub fn put(&self, key: &str, body: &[u8]) {
-        let hash = fnv1a64(key.as_bytes());
+        let hash = Fnv64::digest(key.as_bytes());
         let arc: Arc<[u8]> = body.into();
         self.insert_mem(hash, key, arc);
         if let Some(dir) = &self.disk {
@@ -991,7 +984,7 @@ fn disk_load(dir: &Path, hash: u64, key: &str) -> Option<Vec<u8>> {
     let payload_len = u64::from_le_bytes(data[12..20].try_into().ok()?);
     let checksum = u64::from_le_bytes(data[20..28].try_into().ok()?);
     let payload = data.get(header..)?;
-    if payload.len() as u64 != payload_len || fnv1a64(payload) != checksum {
+    if payload.len() as u64 != payload_len || Fnv64::digest(payload) != checksum {
         return None;
     }
     let mut d = Dec::new(payload);
@@ -1016,7 +1009,7 @@ fn disk_store(dir: &Path, hash: u64, key: &str, body: &[u8]) {
     file.extend_from_slice(MAGIC);
     file.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
     file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    file.extend_from_slice(&Fnv64::digest(&payload).to_le_bytes());
     file.extend_from_slice(&payload);
     let tmp = dir.join(format!(
         ".{hash:016x}.tmp.{}.{}",
@@ -1061,6 +1054,21 @@ mod tests {
         assert!(cache.get("cccc").is_some());
     }
 
+    /// On-disk entries written by earlier builds must stay readable: the
+    /// file name and checksum are `Fnv64` digests, pinned here against
+    /// values computed outside this code base.
+    #[test]
+    fn disk_entry_name_and_checksum_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("argus-scc-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        SccCache::with_disk(usize::MAX, &dir).put("key-a", b"body-a");
+        let path = dir.join("bced874e95f22d16.argusscc");
+        let data = std::fs::read(&path).expect("entry file named by the digest of the key");
+        assert_eq!(data[12..20], 19u64.to_le_bytes(), "payload length");
+        assert_eq!(data[20..28], 0x329f_8ddb_5218_ba3bu64.to_le_bytes(), "payload checksum");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disk_roundtrip_and_corruption() {
         let dir = std::env::temp_dir().join(format!("argus-scc-test-{}", std::process::id()));
@@ -1076,7 +1084,7 @@ mod tests {
         assert!(cache.get("key-b").is_none());
         // Corrupt every byte position in turn: must never panic, and a
         // fresh instance must treat the damaged file as a miss.
-        let path = entry_path(&dir, fnv1a64(b"key-a"));
+        let path = entry_path(&dir, Fnv64::digest(b"key-a"));
         let original = std::fs::read(&path).unwrap();
         for i in 0..original.len() {
             let mut bad = original.clone();

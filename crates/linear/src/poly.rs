@@ -15,13 +15,17 @@
 //!   the old polyhedron that the new one still entails), which guarantees
 //!   fixpoint termination.
 //!
+//! Implication batches against one fixed system (widening, inclusion, the
+//! weak join) share a warm-started [`simplex::ImplicationProbe`], so phase
+//! 1 of the simplex runs once per system rather than once per row.
+//!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
 
-use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
+use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
 use crate::fm::{self, FmResult};
 use crate::rat::Rat;
-use crate::simplex;
+use crate::simplex::{self, ImplicationProbe};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -34,19 +38,33 @@ pub const HULL_ROW_CAP: usize = 120;
 ///
 /// An explicitly-empty polyhedron is represented by `empty = true`; the
 /// constraint system is then irrelevant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Poly {
     dim: usize,
     sys: ConstraintSystem,
     empty: bool,
+    /// The rows are known to be exactly what [`Poly::minimized`] returns
+    /// for them: deduplicated and irredundant. Set by the LP path of
+    /// `minimized` and kept by [`Poly::widen`] (a row subset of such a
+    /// system is one too); every other constructor clears it. A cache of a
+    /// derived property, so equality ignores it.
+    minimal: bool,
 }
+
+impl PartialEq for Poly {
+    fn eq(&self, other: &Poly) -> bool {
+        self.dim == other.dim && self.sys == other.sys && self.empty == other.empty
+    }
+}
+
+impl Eq for Poly {}
 
 impl Poly {
     /// The full space ℚ₊ⁿ restricted by nothing (note: *not* restricted to
     /// nonnegatives; callers wanting size semantics should use
     /// [`Poly::nonneg_universe`]).
     pub fn universe(dim: usize) -> Poly {
-        Poly { dim, sys: ConstraintSystem::new(), empty: false }
+        Poly { dim, sys: ConstraintSystem::new(), empty: false, minimal: false }
     }
 
     /// The nonnegative orthant `xᵢ ≥ 0` for all dimensions — the natural
@@ -57,18 +75,18 @@ impl Poly {
         for v in 0..dim {
             sys.push(Constraint::nonneg(v));
         }
-        Poly { dim, sys, empty: false }
+        Poly { dim, sys, empty: false, minimal: false }
     }
 
     /// The empty polyhedron.
     pub fn empty(dim: usize) -> Poly {
-        Poly { dim, sys: ConstraintSystem::new(), empty: true }
+        Poly { dim, sys: ConstraintSystem::new(), empty: true, minimal: false }
     }
 
     /// Build from constraints (variables must be `< dim`).
     pub fn from_constraints(dim: usize, sys: ConstraintSystem) -> Poly {
         debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        let mut p = Poly { dim, sys, empty: false };
+        let mut p = Poly { dim, sys, empty: false, minimal: false };
         if p.compute_is_empty() {
             p.empty = true;
         }
@@ -83,7 +101,7 @@ impl Poly {
     /// `empty` flag yields a polyhedron that misreports emptiness.
     pub fn from_raw_parts(dim: usize, sys: ConstraintSystem, empty: bool) -> Poly {
         debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        Poly { dim, sys, empty }
+        Poly { dim, sys, empty, minimal: false }
     }
 
     /// Number of dimensions.
@@ -99,6 +117,13 @@ impl Poly {
     /// True iff the polyhedron has no points.
     pub fn is_empty(&self) -> bool {
         self.empty
+    }
+
+    /// True iff the rows are known to be minimal: [`Poly::minimized`] would
+    /// return them unchanged, without solving an LP. Holds for the output of
+    /// `minimized`'s LP path and for a [`Poly::widen`] of such a polyhedron.
+    pub fn is_minimal(&self) -> bool {
+        self.minimal
     }
 
     /// True iff the polyhedron is all of ℚⁿ.
@@ -154,7 +179,11 @@ impl Poly {
         if other.empty {
             return false;
         }
-        other.sys.constraints().iter().all(|c| simplex::is_implied(&self.sys, &BTreeSet::new(), c))
+        if other.sys.is_empty() {
+            return true;
+        }
+        let mut probe = ImplicationProbe::new(&self.sys, &BTreeSet::new());
+        other.sys.constraints().iter().all(|c| probe.implies(c))
     }
 
     /// Semantic equality (mutual inclusion).
@@ -171,7 +200,7 @@ impl Poly {
         }
         let keep: BTreeSet<Var> = (0..self.dim).filter(|v| !drop.contains(v)).collect();
         match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly { dim: self.dim, sys, empty: false },
+            FmResult::Projected(sys) => Poly { dim: self.dim, sys, empty: false, minimal: false },
             FmResult::Infeasible => Poly::empty(self.dim),
         }
     }
@@ -185,7 +214,7 @@ impl Poly {
         }
         let keep: BTreeSet<Var> = (0..new_dim).collect();
         match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly { dim: new_dim, sys, empty: false },
+            FmResult::Projected(sys) => Poly { dim: new_dim, sys, empty: false, minimal: false },
             FmResult::Infeasible => Poly::empty(new_dim),
         }
     }
@@ -193,12 +222,12 @@ impl Poly {
     /// Embed into a larger space (new trailing dimensions unconstrained).
     pub fn extend_dim(&self, new_dim: usize) -> Poly {
         assert!(new_dim >= self.dim);
-        Poly { dim: new_dim, sys: self.sys.clone(), empty: self.empty }
+        Poly { dim: new_dim, sys: self.sys.clone(), empty: self.empty, minimal: false }
     }
 
     /// Rename dimensions through `map` (entries absent map to themselves).
     pub fn rename(&self, map: &BTreeMap<Var, Var>, new_dim: usize) -> Poly {
-        Poly { dim: new_dim, sys: self.sys.rename(map), empty: self.empty }
+        Poly { dim: new_dim, sys: self.sys.rename(map), empty: self.empty, minimal: false }
     }
 
     /// Closed convex hull of the union (the abstract `join`), with the
@@ -292,39 +321,44 @@ impl Poly {
             return self.clone();
         }
         let mut rows = ConstraintSystem::new();
-        for c in self.sys.constraints() {
-            if simplex::is_implied(&other.sys, &BTreeSet::new(), c) {
-                rows.push(c.clone());
-            }
+        for c in self.rows_implied_by(other).chain(other.rows_implied_by(self)) {
+            rows.push(c.clone());
         }
-        for c in other.sys.constraints() {
-            if simplex::is_implied(&self.sys, &BTreeSet::new(), c) {
-                rows.push(c.clone());
-            }
-        }
-        Poly { dim: self.dim, sys: rows.dedup(), empty: false }
+        Poly { dim: self.dim, sys: rows.dedup(), empty: false, minimal: false }
     }
 
     /// Standard widening: keep those constraints of `self` (the previous
-    /// iterate) that `other` (the next iterate) still satisfies. Requires
-    /// `self ⊆ other` to be meaningful, which the fixpoint engine ensures by
-    /// joining first.
+    /// iterate) that `other` (the next iterate) still satisfies.
+    ///
+    /// `other` need not contain `self`: a row of `self` holds on the closed
+    /// hull of `self ∪ other` iff it holds on `other`, and the same goes for
+    /// the [`Poly::weak_join`] that stands in for an over-cap hull. So
+    /// `self.widen(other)` equals `self.widen(&self.hull(other))`, and a
+    /// fixpoint engine widens against the next iterate without joining
+    /// first. The kept rows are a subset of `self`'s, in order, so a
+    /// [`Poly::is_minimal`] `self` gives a minimal result.
     pub fn widen(&self, other: &Poly) -> Poly {
         assert_eq!(self.dim, other.dim, "dimension mismatch in widen");
         if self.empty {
             return other.clone();
         }
         if other.empty {
-            // Should not happen after a join, but be safe.
             return self.clone();
         }
-        let mut kept = ConstraintSystem::new();
-        for c in self.sys.constraints() {
-            if simplex::is_implied(&other.sys, &BTreeSet::new(), c) {
-                kept.push(c.clone());
-            }
+        let kept = self.rows_implied_by(other).cloned().collect();
+        Poly {
+            dim: self.dim,
+            sys: ConstraintSystem::from_constraints(kept),
+            empty: false,
+            minimal: self.minimal,
         }
-        Poly { dim: self.dim, sys: kept, empty: false }
+    }
+
+    /// The rows of `self`, in order, that `other`'s system implies, all
+    /// answered by one warm-started probe.
+    fn rows_implied_by<'a>(&'a self, other: &Poly) -> impl Iterator<Item = &'a Constraint> {
+        let mut probe = ImplicationProbe::new(&other.sys, &BTreeSet::new());
+        self.sys.constraints().iter().filter(move |c| probe.implies(c))
     }
 
     /// Remove redundant constraints (each one implied by the others) to get
@@ -332,30 +366,84 @@ impl Poly {
     ///
     /// LP-based minimization is quadratic in the row count; beyond a
     /// threshold only the cheap syntactic dedup is applied (the result is
-    /// the same set, just less canonical).
+    /// the same set, just less canonical). A [`Poly::is_minimal`] input is
+    /// returned as is.
+    ///
+    /// An inequality that is the only remaining row bounding some variable
+    /// in its direction, with no equality on that variable, is kept
+    /// without an LP: from any point of the other rows, a ray along that
+    /// axis violates it and no other row, so the others cannot imply it.
     pub fn minimized(&self) -> Poly {
-        if self.empty {
+        if self.empty || self.minimal {
             return self.clone();
         }
         let deduped = self.sys.dedup();
         if deduped.len() > 160 {
-            return Poly { dim: self.dim, sys: deduped, empty: false };
+            return Poly { dim: self.dim, sys: deduped, empty: false, minimal: false };
         }
-        let rows = deduped.constraints().to_vec();
-        let mut kept: Vec<Constraint> = rows.clone();
+        let mut kept: Vec<Constraint> = deduped.constraints().to_vec();
+        let mut bounds = AxisBounds::default();
+        for c in &kept {
+            bounds.count(c, 1);
+        }
         let mut i = 0;
         while i < kept.len() {
-            let candidate = kept[i].clone();
+            if bounds.sole_bound(&kept[i]) {
+                i += 1;
+                continue;
+            }
             let others = ConstraintSystem::from_constraints(
                 kept.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, c)| c.clone()).collect(),
             );
-            if simplex::is_implied(&others, &BTreeSet::new(), &candidate) {
+            if simplex::is_implied(&others, &BTreeSet::new(), &kept[i]) {
+                bounds.count(&kept[i], -1);
                 kept.remove(i);
             } else {
                 i += 1;
             }
         }
-        Poly { dim: self.dim, sys: ConstraintSystem::from_constraints(kept), empty: false }
+        Poly {
+            dim: self.dim,
+            sys: ConstraintSystem::from_constraints(kept),
+            empty: false,
+            minimal: true,
+        }
+    }
+}
+
+/// Per-variable row counts for [`Poly::minimized`]'s LP-free keep test:
+/// how many inequalities bound each variable from above (positive
+/// coefficient) and from below (negative), and how many equalities
+/// mention it.
+#[derive(Default)]
+struct AxisBounds {
+    upper: BTreeMap<Var, i64>,
+    lower: BTreeMap<Var, i64>,
+    eqs: BTreeMap<Var, i64>,
+}
+
+impl AxisBounds {
+    /// Add (`delta = 1`) or remove (`-1`) one row's contribution.
+    fn count(&mut self, c: &Constraint, delta: i64) {
+        for (v, a) in c.expr.terms() {
+            let side = match c.rel {
+                Rel::Eq => &mut self.eqs,
+                Rel::Le if a.is_positive() => &mut self.upper,
+                Rel::Le => &mut self.lower,
+            };
+            *side.entry(v).or_insert(0) += delta;
+        }
+    }
+
+    /// Is the counted inequality `c` the sole row bounding one of its
+    /// variables in its direction, with no equality on that variable?
+    fn sole_bound(&self, c: &Constraint) -> bool {
+        let counted = |side: &BTreeMap<Var, i64>, v: Var| side.get(&v).copied().unwrap_or(0);
+        c.rel == Rel::Le
+            && c.expr.terms().any(|(v, a)| {
+                let side = if a.is_positive() { &self.upper } else { &self.lower };
+                counted(side, v) == 1 && counted(&self.eqs, v) == 0
+            })
     }
 }
 

@@ -206,6 +206,14 @@ impl ImplicationProbe {
         self.infeasible
     }
 
+    /// Does the system imply `candidate`? The batch form of [`is_implied`],
+    /// with the same answer: an equality is implied iff both of its
+    /// inequality halves are.
+    pub fn implies(&mut self, candidate: &Constraint) -> bool {
+        self.implies_le(&candidate.expr)
+            && (candidate.rel == Rel::Le || self.implies_le(&-&candidate.expr))
+    }
+
     /// Does the system imply `expr ≤ 0`? Exact: maximizes `expr` over the
     /// system by re-pricing the warm tableau and checks the optimum.
     pub fn implies_le(&mut self, expr: &LinExpr) -> bool {

@@ -1,0 +1,205 @@
+//! Randomized property tests for the polyhedral shortcuts the size-relation
+//! fixpoint relies on: widening against the next iterate instead of its
+//! join with the previous one, the batched implication probe behind
+//! `widen`/`includes_in`/`weak_join`, and the LP-free paths of
+//! `minimized`. Each is checked against the plain per-row LP formulation
+//! on seeded random systems that mix equalities and inequalities, empty
+//! and universe operands, and hulls over `HULL_ROW_CAP`.
+
+use argus_linear::poly::HULL_ROW_CAP;
+use argus_linear::simplex;
+use argus_linear::{Constraint, ConstraintSystem, FmConfig, FmStats, LinExpr, Poly, Rat, Rel};
+use argus_prng::Rng64;
+use std::collections::BTreeSet;
+
+/// A row through `anchor`: random small coefficients, with the constant
+/// chosen so the row holds there (with random slack for an inequality).
+fn row_through(r: &mut Rng64, anchor: &[i64], rel: Rel) -> Constraint {
+    let mut e = LinExpr::zero();
+    let mut at = 0;
+    for (v, &x) in anchor.iter().enumerate() {
+        let a = r.range_i64(-3, 3);
+        e.add_term(v, Rat::from_int(a));
+        at += a * x;
+    }
+    let slack = if rel == Rel::Le { r.range_i64(0, 4) } else { 0 };
+    e.add_constant(&Rat::from_int(-at - slack));
+    Constraint { expr: e, rel }
+}
+
+/// A random polyhedron over `dim` dimensions: now and then empty or the
+/// universe, usually rows through a random anchor point (so nonempty, with
+/// the odd equality), sometimes unanchored rows that may be infeasible.
+fn gen_poly(r: &mut Rng64, dim: usize, max_rows: usize) -> Poly {
+    match r.below(10) {
+        0 => return Poly::empty(dim),
+        1 => return Poly::universe(dim),
+        _ => {}
+    }
+    let anchored = r.below(5) != 0;
+    let anchor: Vec<i64> = (0..dim).map(|_| r.range_i64(0, 6)).collect();
+    let mut sys = ConstraintSystem::new();
+    for _ in 0..r.range_usize(1, max_rows) {
+        let rel = if r.below(5) == 0 { Rel::Eq } else { Rel::Le };
+        let c = if anchored {
+            row_through(r, &anchor, rel)
+        } else {
+            let other: Vec<i64> = (0..dim).map(|_| r.range_i64(-4, 8)).collect();
+            row_through(r, &other, rel)
+        };
+        sys.push(c);
+    }
+    if r.bool() {
+        for v in 0..dim {
+            sys.push(Constraint::nonneg(v));
+        }
+    }
+    Poly::from_constraints(dim, sys)
+}
+
+/// An `(old, new)` pair shaped like a fixpoint step: `old` is minimized
+/// half the time (as the fixpoint keeps it), and `new` is either
+/// unrelated or `old`'s hull with a random polyhedron.
+fn gen_pair(r: &mut Rng64, dim: usize, max_rows: usize) -> (Poly, Poly) {
+    let mut old = gen_poly(r, dim, max_rows);
+    if r.bool() {
+        old = old.minimized();
+    }
+    let other = gen_poly(r, dim, max_rows);
+    let new = if r.bool() { old.hull(&other) } else { other };
+    (old, new)
+}
+
+/// The rows of `of` that `by`'s system implies, one LP per row.
+fn implied_rows(of: &Poly, by: &Poly) -> Vec<Constraint> {
+    of.constraints()
+        .constraints()
+        .iter()
+        .filter(|c| simplex::is_implied(by.constraints(), &BTreeSet::new(), c))
+        .cloned()
+        .collect()
+}
+
+/// `minimized` as plain LP redundancy removal: dedup, then drop each row
+/// the remaining others imply, one LP per row.
+fn reference_minimized(p: &Poly) -> Vec<Constraint> {
+    let mut kept = p.constraints().dedup().constraints().to_vec();
+    let mut i = 0;
+    while i < kept.len() {
+        let others: Vec<Constraint> =
+            kept.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, c)| c.clone()).collect();
+        let others = ConstraintSystem::from_constraints(others);
+        if simplex::is_implied(&others, &BTreeSet::new(), &kept[i]) {
+            kept.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    kept
+}
+
+/// Widening against the next iterate equals widening against its closed
+/// hull with the previous one — and against the weak join that stands in
+/// for a hull over the row cap.
+#[test]
+fn widen_against_new_equals_widen_against_hull() {
+    let mut r = Rng64::new(0x51DE);
+    let over_cap = FmConfig { max_rows: 0, ..FmConfig::default() };
+    for _ in 0..300 {
+        let dim = r.range_usize(1, 4);
+        let (old, new) = gen_pair(&mut r, dim, 6);
+        let direct = old.widen(&new);
+        assert_eq!(direct, old.widen(&old.hull(&new)), "old:\n{old}\nnew:\n{new}");
+        let weak = old.hull_with(&new, &over_cap, &mut FmStats::default());
+        assert_eq!(direct, old.widen(&weak), "weak join; old:\n{old}\nnew:\n{new}");
+    }
+}
+
+/// The same identity where the production hull itself runs over
+/// [`HULL_ROW_CAP`]: dense operands make the lifted FM projection blow up,
+/// so `hull` falls back to `weak_join`. A case counts as over the cap when
+/// the capped hull differs from one computed under a much larger cap (FM
+/// is deterministic, so below the cap the two agree).
+#[test]
+fn widen_identity_holds_when_hull_exceeds_row_cap() {
+    let mut r = Rng64::new(0xCA9);
+    let roomy = FmConfig { max_rows: 8 * HULL_ROW_CAP, ..FmConfig::default() };
+    let mut over_cap = 0;
+    for _ in 0..8 {
+        let old = gen_poly_dense(&mut r, 3, 8).minimized();
+        let new = gen_poly_dense(&mut r, 3, 8);
+        let joined = old.hull(&new);
+        if joined != old.hull_with(&new, &roomy, &mut FmStats::default()) {
+            over_cap += 1;
+        }
+        assert_eq!(old.widen(&new), old.widen(&joined), "old:\n{old}\nnew:\n{new}");
+    }
+    assert!(over_cap >= 2, "only {over_cap} hulls ran over the row cap");
+}
+
+/// Dense inequality rows through a common anchor: nonempty, and with every
+/// coefficient nonzero, so FM pairs nearly every row with every other.
+fn gen_poly_dense(r: &mut Rng64, dim: usize, rows: usize) -> Poly {
+    let anchor: Vec<i64> = (0..dim).map(|_| r.range_i64(0, 6)).collect();
+    let mut sys = ConstraintSystem::new();
+    for _ in 0..rows {
+        let mut e = LinExpr::zero();
+        let mut at = 0;
+        for (v, &x) in anchor.iter().enumerate() {
+            let a = *r.pick(&[-3, -2, -1, 1, 2, 3]);
+            e.add_term(v, Rat::from_int(a));
+            at += a * x;
+        }
+        e.add_constant(&Rat::from_int(-at - r.range_i64(1, 5)));
+        sys.push(Constraint { expr: e, rel: Rel::Le });
+    }
+    Poly::from_constraints(dim, sys)
+}
+
+/// The probe-based batches answer exactly what one LP per row answers:
+/// `widen` keeps the rows `is_implied` keeps, `includes_in` holds iff
+/// every row is implied, and `weak_join` keeps the mutually implied rows.
+#[test]
+fn probe_batches_match_per_row_lps() {
+    let mut r = Rng64::new(0x9E0B);
+    for _ in 0..300 {
+        let dim = r.range_usize(1, 4);
+        let (old, new) = gen_pair(&mut r, dim, 6);
+        if old.is_empty() || new.is_empty() {
+            continue;
+        }
+        let widened = old.widen(&new);
+        assert_eq!(widened.constraints().constraints(), &implied_rows(&old, &new)[..]);
+        assert_eq!(widened.is_minimal(), old.is_minimal());
+        let rows = new.constraints().len();
+        assert_eq!(old.includes_in(&new), implied_rows(&new, &old).len() == rows);
+        let mut both = implied_rows(&old, &new);
+        both.extend(implied_rows(&new, &old));
+        let weak = old.weak_join(&new);
+        assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup());
+    }
+}
+
+/// `minimized` (with its LP-free keep test) equals plain LP redundancy
+/// removal, and a widening of a minimized polyhedron is already minimal:
+/// minimizing it from scratch changes nothing.
+#[test]
+fn minimized_matches_lp_reference() {
+    let mut r = Rng64::new(0x3141);
+    for _ in 0..400 {
+        let dim = r.range_usize(1, 5);
+        let p = gen_poly(&mut r, dim, 9);
+        if p.is_empty() {
+            continue;
+        }
+        let m = p.minimized();
+        assert!(m.is_minimal());
+        assert_eq!(m.constraints().constraints(), &reference_minimized(&p)[..], "p:\n{p}");
+
+        let new = gen_poly(&mut r, dim, 9);
+        let w = m.widen(&new);
+        let fresh = Poly::from_raw_parts(dim, w.constraints().clone(), w.is_empty());
+        assert!(!fresh.is_minimal());
+        assert_eq!(fresh.minimized(), w, "m:\n{m}\nnew:\n{new}");
+    }
+}

@@ -365,8 +365,9 @@ impl IdSubst {
 }
 
 fn node_hash(node: &Node, args: &[TermId]) -> u64 {
-    // FNV-1a over the node's shape. Sym ids are stable within a process,
-    // which is all a private dedup table needs.
+    // FNV-1a-style over the node's shape. Sym ids are stable within a
+    // process, which is all a private dedup table needs. It mixes whole
+    // words, not bytes, so it is not `hash::Fnv64` and stays separate.
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
         h ^= v;

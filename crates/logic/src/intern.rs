@@ -18,6 +18,7 @@
 //! and append-only by design, and the population is bounded by the
 //! distinct names in the programs a process analyzes.
 
+use crate::hash::Fnv64;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -173,12 +174,7 @@ fn interner() -> &'static Interner {
 
 fn shard_of(s: &str) -> usize {
     // FNV-1a over the bytes; independent of the map's own hasher.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % NSHARDS
+    (Fnv64::digest(s.as_bytes()) as usize) % NSHARDS
 }
 
 impl Interner {

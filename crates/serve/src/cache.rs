@@ -16,19 +16,10 @@
 //! single lock — the critical section is a hash-map probe, no analysis
 //! work ever happens while it's held.
 
+use argus_logic::hash::Fnv64;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// 64-bit FNV-1a — the content address of a canonical request key.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 struct Entry {
     key: String,
@@ -72,7 +63,7 @@ impl ReportCache {
 
     /// The cached response body for `key`, refreshing its LRU stamp.
     pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
-        let hash = fnv1a64(key.as_bytes());
+        let hash = Fnv64::digest(key.as_bytes());
         let mut inner = self.inner.lock().expect("report cache poisoned");
         inner.clock += 1;
         let stamp = inner.clock;
@@ -99,7 +90,7 @@ impl ReportCache {
     /// Insert a response body for `key` (first insert wins on a race),
     /// evicting least-recently-used entries past the byte budget.
     pub fn put(&self, key: &str, body: Arc<[u8]>) {
-        let hash = fnv1a64(key.as_bytes());
+        let hash = Fnv64::digest(key.as_bytes());
         let bytes = key.len() + body.len() + std::mem::size_of::<Entry>();
         let mut inner = self.inner.lock().expect("report cache poisoned");
         inner.clock += 1;

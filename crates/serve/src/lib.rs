@@ -39,7 +39,7 @@ pub mod jsonval;
 pub mod metrics;
 pub mod server;
 
-pub use cache::{fnv1a64, ReportCache};
+pub use cache::ReportCache;
 pub use http::{client, Limits, Request, Response};
 pub use metrics::{Metrics, METRICS_SCHEMA};
 pub use server::{

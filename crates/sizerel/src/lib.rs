@@ -491,14 +491,25 @@ fn infer_scc_inner(
                 let rp = rule_poly_ids(&program.rules[ri], ids.get(ri), rels, rule_cfg, stats, ctx);
                 new = new.hull_with(&rp, hull_cfg, stats);
             }
-            // Join with previous to enforce monotonicity, then widen.
-            let joined = old.hull_with(&new, hull_cfg, stats);
+            // Before the widening delay, join with the previous iterate to
+            // keep the sequence monotone. After it, widen `old` against
+            // `new` directly: a row of `old` holds on their join iff it
+            // holds on `new` (see `Poly::widen`), so the join is not built.
+            let widening = iteration >= options.widening_delay;
             let next =
-                if iteration >= options.widening_delay { old.widen(&joined) } else { joined };
-            if !next.same_set(&old) {
+                if widening { old.widen(&new) } else { old.hull_with(&new, hull_cfg, stats) };
+            let grew = if widening && old.is_minimal() {
+                // `next` keeps a subset of the rows of an irredundant
+                // `old`, so it is a strictly larger set iff it lost one.
+                next.constraints().len() < old.constraints().len()
+            } else {
+                !next.same_set(&old)
+            };
+            if grew {
                 // Keep representations minimal between iterations:
                 // redundant rows compound across hulls and can trip
-                // the FM row caps.
+                // the FM row caps. (A widening of a minimal `old` is
+                // minimal already, and `minimized` returns it as is.)
                 rels.insert(p.clone(), next.minimized());
                 changed = true;
             }

@@ -458,7 +458,10 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         let content = std::fs::read_to_string(path);
         let sig: WatchSig = (
             mtime,
-            content.as_ref().ok().map(|s| (s.len() as u64, argus::serve::fnv1a64(s.as_bytes()))),
+            content
+                .as_ref()
+                .ok()
+                .map(|s| (s.len() as u64, argus::logic::hash::Fnv64::digest(s.as_bytes()))),
         );
         let changed = last_render.is_none() || last_sig.as_ref() != Some(&sig);
         if changed {

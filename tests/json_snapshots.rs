@@ -156,3 +156,75 @@ fn fuzz_json_snapshot() {
     assert_has_keys(&json, &["seed", "cases", "verdicts", "shape", "violations", "warnings"]);
     check_golden("fuzz/seed1-cases20.json", &json);
 }
+
+/// The size-relation fixpoint's output for one program, as text: the
+/// rendered (minimized) [`SizeRelations`] of the whole-program pass, then
+/// every SCC's raw work-state polyhedra from the per-SCC pass — the rows,
+/// in order, that the incremental memo stores and downstream fixpoints
+/// consume. Both are pinned byte for byte, so a fixpoint shortcut that
+/// changes a row's order, its coefficients, or which redundant rows
+/// survive shows up as a diff.
+fn sizerel_snapshot(program: &Program) -> String {
+    use argus::logic::program::ProcIndex;
+    use argus::logic::DepGraph;
+    let options = InferOptions::default();
+    let mut out = String::from("== relations\n");
+    out.push_str(&infer_size_relations(program, &options).to_string());
+    out.push_str("== work state\n");
+    let graph = DepGraph::build(program);
+    let index = ProcIndex::build(program);
+    let mut work = SizeRelations::new();
+    for scc in graph.sccs_bottom_up() {
+        let members: Vec<PredKey> =
+            graph.scc(scc).into_iter().filter(|p| !index.rule_indices(p).is_empty()).collect();
+        if members.is_empty() {
+            continue;
+        }
+        let recursive = members.iter().any(|p| graph.is_recursive(p));
+        argus::sizerel::infer_scc_sizes(program, &index, &members, recursive, &mut work, &options);
+        for p in &members {
+            let poly = work.get(p).expect("inferred");
+            let state = if poly.is_empty() { "empty" } else { "rows" };
+            out.push_str(&format!("{p}{}: {state}\n", if recursive { " (rec)" } else { "" }));
+            if !poly.is_empty() {
+                for c in poly.constraints().constraints() {
+                    out.push_str(&format!("  {c}\n"));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The raw program and its query-adorned copy (the program the analyzer
+/// actually infers size relations for), one golden file per input.
+fn sizerel_snapshot_raw_and_adorned(
+    program: &Program,
+    query: &PredKey,
+    adornment: Adornment,
+) -> String {
+    let adorned = argus::logic::adorn_program(program, query, adornment);
+    format!(
+        "# raw\n{}# adorned {}\n{}",
+        sizerel_snapshot(program),
+        adorned.query,
+        sizerel_snapshot(&adorned.program)
+    )
+}
+
+#[test]
+fn sizerel_snapshots_on_corpus() {
+    for entry in argus::corpus::corpus() {
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let text = sizerel_snapshot_raw_and_adorned(&program, &query, adornment);
+        check_golden(&format!("sizerel/{}.txt", entry.name), &text);
+    }
+}
+
+#[test]
+fn sizerel_snapshot_on_scale_case() {
+    let case = argus::fuzz::gen::scale_case(0xA11CE, 250);
+    let text = sizerel_snapshot_raw_and_adorned(&case.program, &case.query, case.adornment);
+    check_golden("sizerel/scale_a11ce_250.txt", &text);
+}
