@@ -3,31 +3,7 @@
 //! module. The bench crate writes `BENCH_argus.json` and the experiment
 //! logs without a serialization dependency.
 
-use std::fmt::Write as _;
-
-/// Escape a string for a JSON string literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A quoted, escaped JSON string.
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
+pub use argus_logic::json::json_str;
 
 /// A JSON array of already-rendered items.
 pub fn json_array(items: &[String]) -> String {
@@ -68,12 +44,6 @@ pub fn scan_num_field(line: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_controls_and_quotes() {
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn scan_roundtrip() {

@@ -367,32 +367,30 @@ pub fn fm_redundancy_suite(scale: Scale) -> Vec<Sample> {
     }
 
     // (c) End-to-end analysis of the ring at the feasible tiers, with the
-    // per-SCC projection cache on and off. (Tiers 0–1 are omitted: on this
+    // per-run projection cache's totals. (Tiers 0–1 are omitted: on this
     // entry their pair projections run for minutes — the blowup the tiers
     // exist to prevent.)
     let (query, adornment) = entry.query_key();
     for tier in [FmTier::Chernikov, FmTier::Lp] {
-        for (label, fm_cache) in [("cache", true), ("nocache", false)] {
-            let options = AnalysisOptions { fm_tier: tier, fm_cache, ..AnalysisOptions::default() };
-            let report = analyze(&program, &query, adornment.clone(), &options);
-            let mut stats = fm::FmStats::default();
-            for scc in &report.sccs {
-                stats.merge(&scc.stats.fm);
-            }
-            let mut counters = fm_counters(&stats);
-            counters.push(("cache_requests", report.run_stats.cache_requests));
-            counters.push(("cache_hits", report.run_stats.cache_hits()));
-            out.push(
-                bench_case(
-                    "fm_redundancy",
-                    &format!("analyze/mutual_fib_ring/tier{}/{label}", tier.index()),
-                    1,
-                    scale.iters(),
-                    || black_box(analyze(black_box(&program), &query, adornment.clone(), &options)),
-                )
-                .with_counters(counters.clone()),
-            );
+        let options = AnalysisOptions { fm_tier: tier, ..AnalysisOptions::default() };
+        let report = analyze(&program, &query, adornment.clone(), &options);
+        let mut stats = fm::FmStats::default();
+        for scc in &report.sccs {
+            stats.merge(&scc.stats.fm);
         }
+        let mut counters = fm_counters(&stats);
+        counters.push(("cache_requests", report.run_stats.cache_requests));
+        counters.push(("cache_hits", report.run_stats.cache_hits()));
+        out.push(
+            bench_case(
+                "fm_redundancy",
+                &format!("analyze/mutual_fib_ring/tier{}", tier.index()),
+                1,
+                scale.iters(),
+                || black_box(analyze(black_box(&program), &query, adornment.clone(), &options)),
+            )
+            .with_counters(counters),
+        );
     }
     out
 }

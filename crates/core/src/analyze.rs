@@ -88,9 +88,6 @@ pub struct AnalysisOptions {
     /// (debug knob; the analysis result is byte-identical at every tier,
     /// only the work done differs).
     pub fm_tier: FmTier,
-    /// Share structurally identical per-pair projections through a per-run
-    /// cache (on by default; another bytes-identical knob).
-    pub fm_cache: bool,
     /// Wall-clock deadline for the whole analysis. Threaded into the
     /// Fourier–Motzkin engine ([`argus_linear::FmConfig::deadline`]) so a
     /// runaway projection aborts mid-elimination, and checked before the
@@ -114,7 +111,6 @@ impl Default for AnalysisOptions {
             restrict_imports_to_binary_orders: false,
             parallelism: 0,
             fm_tier: FmTier::default(),
-            fm_cache: true,
             deadline: None,
         }
     }
@@ -501,33 +497,17 @@ pub fn analyze(
     adornment: Adornment,
     options: &AnalysisOptions,
 ) -> TerminationReport {
-    analyze_with_cache(program, query, adornment, options, None)
+    analyze_with_caches(program, query, adornment, options, None, None)
 }
 
-/// [`analyze`] with an externally owned projection cache.
+/// [`analyze`] with caller-supplied caches.
 ///
 /// When `shared_cache` is `Some`, per-pair dual projections are looked up
-/// in — and published to — the supplied cache instead of a cache created
-/// for this run, letting a long-lived process (the `argus serve` worker
-/// pool) reuse projections across analyses. The cache is keyed on
-/// canonical renamed rows plus the FM tier and row cap, and entries are
-/// pure functions of their key, so sharing cannot change any report byte;
-/// only [`RunStats`] (which then snapshots the shared cache's lifetime
-/// totals) differs from the per-run configuration. With `None` this is
-/// exactly [`analyze`].
-pub fn analyze_with_cache(
-    program: &Program,
-    query: &PredKey,
-    adornment: Adornment,
-    options: &AnalysisOptions,
-    shared_cache: Option<&ProjectionCache>,
-) -> TerminationReport {
-    analyze_with_caches(program, query, adornment, options, shared_cache, None)
-}
-
-/// [`analyze_with_cache`] with an additional per-SCC memo (the incremental
-/// mode behind `argus analyze --incremental`, `argus watch`, and the serve
-/// layer's SCC cache).
+/// in — and published to — the supplied cache instead of one created for
+/// this call, so the probes of one inference run share their projections.
+/// Entries are pure functions of their key, so sharing cannot change any
+/// report byte; only [`RunStats`] (which then snapshots the shared cache's
+/// totals) differs.
 ///
 /// With `scc_memo` supplied, both per-SCC computations of the pipeline —
 /// the size-relation fixpoint and the θ analysis — are keyed on a content
@@ -632,13 +612,9 @@ fn analyze_prepared(
     // parallelism.
     //
     // One projection cache per run, shared by every SCC and every worker —
-    // unless the caller supplied a longer-lived one.
-    let own_cache = match shared_cache {
-        Some(_) => None,
-        None if options.fm_cache => Some(ProjectionCache::new()),
-        None => None,
-    };
-    let cache = shared_cache.or(own_cache.as_ref());
+    // unless the caller supplied one.
+    let own_cache = ProjectionCache::new();
+    let cache = shared_cache.unwrap_or(&own_cache);
     let mut slots: Vec<Option<SccAnalysis>> = (0..graph.scc_count()).map(|_| None).collect();
     for level in graph.scc_levels() {
         // Skip SCCs not reachable from the query (no adornment) and
@@ -685,10 +661,7 @@ fn analyze_prepared(
         sccs.push(analysis);
     }
 
-    let run_stats = match cache {
-        Some(c) => RunStats { cache_requests: c.requests(), cache_entries: c.entries() },
-        None => RunStats::default(),
-    };
+    let run_stats = RunStats { cache_requests: cache.requests(), cache_entries: cache.entries() };
     TerminationReport {
         program,
         query: query.clone(),
@@ -720,7 +693,7 @@ fn analyze_one_scc_memo(
     rels: &SizeRelations,
     rel_digests: &std::collections::HashMap<PredKey, u64>,
     options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
+    cache: &ProjectionCache,
     memo: &SccCache,
 ) -> (SccAnalysis, u8) {
     let started = std::time::Instant::now();
@@ -769,7 +742,7 @@ fn analyze_one_scc(
     modes: &ModeMap,
     rels: &SizeRelations,
     options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
+    cache: &ProjectionCache,
 ) -> SccAnalysis {
     let started = std::time::Instant::now();
     let mut analysis = (|| {
@@ -858,7 +831,7 @@ fn analyze_scc(
     modes: &ModeMap,
     rels: &SizeRelations,
     options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
+    cache: &ProjectionCache,
 ) -> SccAnalysis {
     // θ space: one variable per bound argument of each member.
     let mut space = ThetaSpace::new();

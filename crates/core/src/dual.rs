@@ -131,18 +131,19 @@ pub fn dual_fm_config(tier: FmTier) -> FmConfig {
 /// *every* θ (which would mean this pair admits no linear decrease at all).
 pub fn project_pair(sys: &ConstraintSystem, w_vars: &[Var]) -> Option<ConstraintSystem> {
     let mut stats = FmStats::default();
-    project_pair_with(sys, w_vars, &dual_fm_config(FmTier::default()), None, &mut stats)
+    let cache = ProjectionCache::new();
+    project_pair_with(sys, w_vars, &dual_fm_config(FmTier::default()), &cache, &mut stats)
 }
 
-/// [`project_pair`] with an explicit FM configuration, an optional shared
-/// projection cache, and FM counters accumulated into `stats`.
+/// [`project_pair`] with an explicit FM configuration, a shared projection
+/// cache, and FM counters accumulated into `stats`.
 ///
 /// The projection is computed in *canonically renamed* space (the system's
 /// variables mapped monotonically to `0..k`) and renamed back. The rename
 /// is order-preserving, so the result is identical to projecting directly —
 /// but structurally identical pair systems that differ only in variable
-/// numbering now share one cache entry, and cache on/off cannot change any
-/// output byte.
+/// numbering share one cache entry, and a hit cannot change any output
+/// byte.
 ///
 /// The output is normalized so every tier produces the same bytes: an
 /// infeasible projection returns `None` at every tier (tier 0 surfaces the
@@ -153,7 +154,7 @@ pub fn project_pair_with(
     sys: &ConstraintSystem,
     w_vars: &[Var],
     cfg: &FmConfig,
-    cache: Option<&ProjectionCache>,
+    cache: &ProjectionCache,
     stats: &mut FmStats,
 ) -> Option<ConstraintSystem> {
     // Monotone rename: sorted distinct variables → 0..k.
@@ -200,29 +201,23 @@ pub fn project_pair_with(
         (ProjectionEntry { result, stats: st }, timed_out)
     };
 
-    let entry = match cache {
-        None => compute().0,
-        Some(cache) => {
-            let key = ProjectionKey {
-                rows: renamed.constraints().iter().map(IntRow::of_constraint).collect(),
-                eliminate: eliminate.clone(),
-                tier: cfg.tier.index() as u8,
-                max_rows: cfg.max_rows,
-            };
-            match cache.get(&key) {
-                Some(entry) => entry,
-                None => {
-                    let (entry, timed_out) = compute();
-                    if timed_out {
-                        // A deadline abort is a property of this run's wall
-                        // clock, not of the key: publishing it would poison
-                        // every later (possibly unhurried) analysis that
-                        // shares the cache.
-                        entry
-                    } else {
-                        cache.publish(key, entry)
-                    }
-                }
+    let key = ProjectionKey {
+        rows: renamed.constraints().iter().map(IntRow::of_constraint).collect(),
+        eliminate: eliminate.clone(),
+        tier: cfg.tier.index() as u8,
+        max_rows: cfg.max_rows,
+    };
+    let entry = match cache.get(&key) {
+        Some(entry) => entry,
+        None => {
+            let (entry, timed_out) = compute();
+            if timed_out {
+                // A deadline abort is a property of this run's wall clock,
+                // not of the key: publishing it would poison every later
+                // lookup of the key in the same cache.
+                entry
+            } else {
+                cache.publish(key, entry)
             }
         }
     };

@@ -22,7 +22,7 @@
 
 use crate::analyze::{AnalysisOptions, Verdict};
 use crate::incremental::SccCache;
-use crate::json::esc;
+use crate::json::json_str;
 use argus_logic::modes::Adornment;
 use argus_logic::{PredKey, Program};
 use std::fmt;
@@ -159,9 +159,9 @@ impl PortfolioReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema\":\"argus-engine/v1\",\"query\":\"{}\",\"adornment\":\"{}\",",
-            esc(&self.query.to_string()),
-            esc(&self.adornment.to_string()),
+            "{{\"schema\":\"argus-engine/v1\",\"query\":{},\"adornment\":{},",
+            json_str(&self.query.to_string()),
+            json_str(&self.adornment.to_string()),
         );
         let _ = write!(out, "\"verdict\":\"{}\",", verdict_label(self.verdict));
         match self.winner_id() {
@@ -177,11 +177,11 @@ impl PortfolioReport {
             }
             let _ = write!(
                 out,
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"verdict\":\"{}\",\"detail\":\"{}\"",
+                "{{\"id\":\"{}\",\"name\":{},\"verdict\":\"{}\",\"detail\":{}",
                 e.id,
-                esc(e.name),
+                json_str(e.name),
                 e.run.verdict.label(),
-                esc(&e.run.detail),
+                json_str(&e.run.detail),
             );
             if stats {
                 out.push_str(",\"stats\":{");

@@ -6,30 +6,7 @@
 //! provided — reports are produced, not consumed, by this library.
 
 use crate::analyze::{SccOutcome, TerminationReport, Verdict};
-use std::fmt::Write as _;
-
-/// Escape a string for a JSON literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
+pub(crate) use argus_logic::json::json_str;
 
 fn json_array(items: impl IntoIterator<Item = String>) -> String {
     let inner: Vec<String> = items.into_iter().collect();
@@ -281,11 +258,5 @@ mod tests {
         let plain = report.to_json();
         assert!(!plain.contains("small_combs"), "{plain}");
         assert!(!plain.contains("run_stats"), "{plain}");
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(super::esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::esc("\u{1}"), "\\u0001");
     }
 }

@@ -50,8 +50,8 @@ pub mod par;
 pub mod theta;
 
 pub use analyze::{
-    analyze, analyze_source, analyze_with_cache, analyze_with_caches, AnalysisOptions, BlameKind,
-    DeltaMode, PairBlame, RunStats, SccAnalysis, SccOutcome, SccStats, TerminationReport, Verdict,
+    analyze, analyze_source, analyze_with_caches, AnalysisOptions, BlameKind, DeltaMode, PairBlame,
+    RunStats, SccAnalysis, SccOutcome, SccStats, TerminationReport, Verdict,
 };
 pub use argus_linear::{FmStats, FmTier};
 pub use backwards::{

@@ -299,98 +299,33 @@ pub struct ProjectionEntry {
     pub stats: argus_linear::FmStats,
 }
 
-/// One resident cache entry with its LRU stamp and size estimate.
-struct Slot {
-    entry: ProjectionEntry,
-    stamp: u64,
-    bytes: usize,
-}
-
 /// One independently locked shard of the cache.
-#[derive(Default)]
-struct Shard {
-    map: std::collections::HashMap<ProjectionKey, Slot>,
-    bytes: usize,
-}
+type Shard = std::collections::HashMap<ProjectionKey, ProjectionEntry>;
 
 /// Shared cache of per-pair dual projections, safe to use from the `par`
 /// worker pool. Entries are pure functions of their key, and fills are
 /// first-insert-wins (a racing second insert is discarded), so contents —
 /// and therefore every analysis artifact — are deterministic at any
-/// `--jobs` setting.
-///
-/// Two lifetimes use this type:
-///
-/// * **per-run** ([`ProjectionCache::new`], unbounded): one cache per
-///   [`crate::analyze`] call, dropped with the report. The deterministic
-///   identity `hits = requests − entries` holds because nothing is ever
-///   evicted.
-/// * **process-lifetime** ([`ProjectionCache::with_byte_budget`]): shared
-///   across analyses (the `argus serve` path) and bounded by an approximate
-///   resident-byte budget with least-recently-used eviction. Hit accounting
-///   uses the explicit [`ProjectionCache::lookup_hits`] counter, since a
-///   re-computed evicted key breaks the per-run identity.
+/// `--jobs` setting. One cache lives as long as one [`crate::analyze`]
+/// call (or one inference run) and never evicts, so the deterministic
+/// identity `hits = requests − entries` holds.
 pub struct ProjectionCache {
     shards: Vec<std::sync::Mutex<Shard>>,
-    /// Per-shard byte budget (`usize::MAX`: unbounded).
-    shard_budget: usize,
     requests: std::sync::atomic::AtomicU64,
-    lookup_hits: std::sync::atomic::AtomicU64,
     computed: std::sync::atomic::AtomicU64,
-    evictions: std::sync::atomic::AtomicU64,
-    /// Global LRU clock; every touch stamps the slot with the next tick.
-    clock: std::sync::atomic::AtomicU64,
 }
 
 const PROJECTION_SHARDS: usize = 16;
 
-/// Rough resident size of a key/entry pair. Counts the vectors and their
-/// elements at `size_of` granularity; inline big-integer limbs and small
-/// strings are not chased, so this undercounts by a small constant factor —
-/// fine for a budget knob, not an allocator audit.
-fn approx_slot_bytes(key: &ProjectionKey, entry: &ProjectionEntry) -> usize {
-    use std::mem::size_of;
-    let row = |r: &argus_linear::IntRow| {
-        size_of::<argus_linear::IntRow>()
-            + r.coeffs.len() * size_of::<(Var, argus_linear::BigInt)>()
-    };
-    let mut n = size_of::<ProjectionKey>() + size_of::<ProjectionEntry>() + size_of::<Slot>();
-    n += key.rows.iter().map(row).sum::<usize>();
-    n += key.eliminate.len() * size_of::<Var>();
-    if let Some(sys) = &entry.result {
-        for c in sys.constraints() {
-            n += size_of::<argus_linear::Constraint>()
-                + c.expr.terms().count() * size_of::<(Var, Rat)>();
-        }
-    }
-    n
-}
-
 impl ProjectionCache {
-    /// An empty, unbounded cache (the per-run configuration).
+    /// An empty cache.
     pub fn new() -> ProjectionCache {
-        ProjectionCache::with_shard_budget(usize::MAX)
-    }
-
-    /// An empty cache that evicts least-recently-used entries once the
-    /// resident-size estimate exceeds `budget` bytes (the process-lifetime
-    /// configuration). The budget is split evenly across the shards, so
-    /// occupancy can undershoot it when keys hash unevenly.
-    pub fn with_byte_budget(budget: usize) -> ProjectionCache {
-        ProjectionCache::with_shard_budget((budget / PROJECTION_SHARDS).max(1))
-    }
-
-    fn with_shard_budget(shard_budget: usize) -> ProjectionCache {
         ProjectionCache {
             shards: (0..PROJECTION_SHARDS)
                 .map(|_| std::sync::Mutex::new(Shard::default()))
                 .collect(),
-            shard_budget,
             requests: std::sync::atomic::AtomicU64::new(0),
-            lookup_hits: std::sync::atomic::AtomicU64::new(0),
             computed: std::sync::atomic::AtomicU64::new(0),
-            evictions: std::sync::atomic::AtomicU64::new(0),
-            clock: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -401,52 +336,21 @@ impl ProjectionCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Look up `key`, counting the request and refreshing the LRU stamp on
-    /// a hit.
+    /// Look up `key`, counting the request.
     pub fn get(&self, key: &ProjectionKey) -> Option<ProjectionEntry> {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.requests.fetch_add(1, Relaxed);
-        let stamp = self.tick();
-        let mut shard = self.shard(key).lock().expect("shard poisoned");
-        let slot = shard.map.get_mut(key)?;
-        slot.stamp = stamp;
-        self.lookup_hits.fetch_add(1, Relaxed);
-        Some(slot.entry.clone())
+        self.requests.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.shard(key).lock().expect("shard poisoned").get(key).cloned()
     }
 
     /// Publish a computed entry; returns the entry that ends up cached
-    /// (an earlier racer's identical value, if one beat us to it). May
-    /// evict least-recently-used entries from the key's shard to stay
-    /// within the byte budget.
+    /// (an earlier racer's identical value, if one beat us to it).
     pub fn publish(&self, key: ProjectionKey, entry: ProjectionEntry) -> ProjectionEntry {
-        use std::sync::atomic::Ordering::Relaxed;
-        let stamp = self.tick();
-        let bytes = approx_slot_bytes(&key, &entry);
         let mut shard = self.shard(&key).lock().expect("shard poisoned");
-        if let Some(slot) = shard.map.get(&key) {
-            return slot.entry.clone();
+        if let Some(cached) = shard.get(&key) {
+            return cached.clone();
         }
-        self.computed.fetch_add(1, Relaxed);
-        shard.bytes += bytes;
-        shard.map.insert(key, Slot { entry: entry.clone(), stamp, bytes });
-        while shard.bytes > self.shard_budget && shard.map.len() > 1 {
-            // The fresh insert carries the newest stamp, so min-by-stamp
-            // never selects it while anything older remains.
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("nonempty shard");
-            if let Some(gone) = shard.map.remove(&victim) {
-                shard.bytes -= gone.bytes;
-                self.evictions.fetch_add(1, Relaxed);
-            }
-        }
+        self.computed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        shard.insert(key, entry.clone());
         entry
     }
 
@@ -455,40 +359,22 @@ impl ProjectionCache {
         self.requests.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Entries currently resident.
+    /// Entries resident.
     pub fn entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().expect("shard poisoned").map.len() as u64).sum()
+        self.shards.iter().map(|s| s.lock().expect("shard poisoned").len() as u64).sum()
     }
 
     /// Lookups answered from the cache, as the deterministic identity
-    /// `requests − entries`. Exact for unbounded per-run caches (requests =
-    /// pairs projected, entries = distinct keys — both independent of
-    /// thread interleaving); meaningless once eviction is possible, where
-    /// [`ProjectionCache::lookup_hits`] is the right counter.
+    /// `requests − entries` (requests = pairs projected, entries = distinct
+    /// keys — both independent of thread interleaving).
     pub fn hits(&self) -> u64 {
         self.requests().saturating_sub(self.entries())
-    }
-
-    /// Lookups that found a resident entry (exact, but dependent on timing
-    /// once entries can be evicted — use for observability, not tests).
-    pub fn lookup_hits(&self) -> u64 {
-        self.lookup_hits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Distinct projection computations published (first-insert wins, so
     /// racing duplicate computations count once).
     pub fn computed(&self) -> u64 {
         self.computed.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Entries evicted to honor the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Estimated resident bytes across all shards.
-    pub fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().expect("shard poisoned").bytes as u64).sum()
     }
 }
 

@@ -20,27 +20,7 @@ use crate::{Diagnostic, Severity};
 use argus_logic::span::LineIndex;
 use std::fmt::Write as _;
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
+pub(crate) use argus_logic::json::json_str;
 
 /// Render one diagnostic as caret-annotated text over `src`.
 pub fn render_diagnostic(d: &Diagnostic, src: &str, file: &str, index: &LineIndex) -> String {

@@ -35,6 +35,7 @@ pub mod shrink;
 
 use argus_core::par::{effective_workers, par_map_indexed};
 use argus_core::{analyze, Verdict};
+use argus_logic::json::json_str;
 use argus_logic::program::Program;
 use argus_prng::Rng64;
 use gen::{generate, GenCase, GenOptions};
@@ -192,23 +193,6 @@ impl FuzzReport {
     /// Deterministic JSON rendering (no timing, no host information), so
     /// output is byte-identical across runs and `--jobs` settings.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut s = String::new();
         let _ = write!(
             s,
@@ -231,16 +215,16 @@ impl FuzzReport {
             }
             let _ = write!(
                 s,
-                "{{\"case\":{},\"case_seed\":{},\"kind\":\"{}\",\"detail\":\"{}\",\"query\":\"{}\",\"adornment\":\"{}\",\"shrunk_clauses\":{},\"program\":\"{}\",\"shrunk\":\"{}\"}}",
+                "{{\"case\":{},\"case_seed\":{},\"kind\":\"{}\",\"detail\":{},\"query\":{},\"adornment\":{},\"shrunk_clauses\":{},\"program\":{},\"shrunk\":{}}}",
                 v.case_index,
                 v.case_seed,
                 v.kind.label(),
-                esc(&v.detail),
-                esc(&v.query),
-                esc(&v.adornment),
+                json_str(&v.detail),
+                json_str(&v.query),
+                json_str(&v.adornment),
                 v.shrunk_clauses,
-                esc(&v.program),
-                esc(&v.shrunk)
+                json_str(&v.program),
+                json_str(&v.shrunk)
             );
         }
         s.push_str("],\"warnings\":[");
@@ -250,10 +234,10 @@ impl FuzzReport {
             }
             let _ = write!(
                 s,
-                "{{\"case\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
+                "{{\"case\":{},\"kind\":\"{}\",\"detail\":{}}}",
                 w.case_index,
                 w.kind,
-                esc(&w.detail)
+                json_str(&w.detail)
             );
         }
         s.push_str("]}");

@@ -35,6 +35,7 @@ pub mod depgraph;
 pub mod groundness;
 pub mod hash;
 pub mod intern;
+pub mod json;
 pub mod modes;
 pub mod norm;
 pub mod parser;

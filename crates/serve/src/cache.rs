@@ -1,8 +1,8 @@
 //! Content-addressed response cache: canonical request → full report body.
 //!
 //! The first cache level of the server (the second being the shared
-//! [`argus_core::ProjectionCache`], which accelerates *near*-repeat
-//! submissions that share per-SCC projections). The key is a canonical
+//! [`argus_core::SccCache`], which accelerates *near*-repeat submissions
+//! that share SCCs). The key is a canonical
 //! string rendering of everything that determines the response bytes —
 //! program text, query, adornment, and every semantic option — built by
 //! the request handler; two requests with equal keys are guaranteed to

@@ -17,9 +17,8 @@
 //! content-addressed report cache ([`cache`]), and the metrics registry
 //! ([`metrics`]). Two cache levels make repeat submissions cheap —
 //! exact repeats hit the report cache and skip analysis entirely, while
-//! near-repeats (edited programs sharing SCC structure) reuse per-pair
-//! dual projections through a process-lifetime
-//! [`argus_core::ProjectionCache`] with LRU byte-budget eviction.
+//! near-repeats (edited programs sharing SCC structure) reuse per-SCC
+//! results through the incremental [`argus_core::SccCache`].
 //!
 //! Hostile inputs are bounded on every axis: head/body caps (413 with
 //! the limit echoed), slow-loris read deadlines (408), malformed JSON

@@ -9,15 +9,15 @@
 //! dependencies.
 
 use crate::cache::ReportCache;
-use argus_core::{ProjectionCache, SccCache};
+use argus_core::SccCache;
 use argus_linear::FmStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Schema identifier pinned by the golden test. v2 added the `/v1/infer`
 /// counters and the condition cache; v4 added the per-SCC incremental
-/// cache gauges.
-pub const METRICS_SCHEMA: &str = "argus-serve-metrics/v4";
+/// cache gauges; v5 dropped the process-lifetime projection cache block.
+pub const METRICS_SCHEMA: &str = "argus-serve-metrics/v5";
 
 /// Histogram bucket upper bounds, in microseconds. The last bucket is
 /// unbounded (rendered as `"inf"`).
@@ -161,7 +161,6 @@ impl Metrics {
         uptime: Duration,
         reports: &ReportCache,
         conditions: &ReportCache,
-        projections: &ProjectionCache,
         scc: &SccCache,
     ) -> String {
         use std::fmt::Write as _;
@@ -228,17 +227,6 @@ impl Metrics {
         );
         let _ = write!(
             out,
-            ",\"projection_cache\":{{\"requests\":{},\"hits\":{},\"computed\":{},\
-             \"evictions\":{},\"entries\":{},\"resident_bytes\":{}}}",
-            projections.requests(),
-            projections.lookup_hits(),
-            projections.computed(),
-            projections.evictions(),
-            projections.entries(),
-            projections.resident_bytes(),
-        );
-        let _ = write!(
-            out,
             ",\"scc_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
              \"entries\":{},\"resident_bytes\":{}}}",
             scc.hits(),
@@ -299,10 +287,8 @@ mod tests {
         m.count_status(200);
         let reports = ReportCache::new(1024);
         let conditions = ReportCache::new(1024);
-        let projections = ProjectionCache::new();
         let scc = SccCache::new(1024);
-        let snap =
-            m.snapshot_json(Duration::from_millis(5), &reports, &conditions, &projections, &scc);
+        let snap = m.snapshot_json(Duration::from_millis(5), &reports, &conditions, &scc);
         let v = crate::jsonval::parse(&snap).expect("snapshot parses");
         assert_eq!(v.get("schema").and_then(crate::jsonval::Json::as_str), Some(METRICS_SCHEMA));
         assert_eq!(

@@ -23,7 +23,7 @@ use crate::metrics::Metrics;
 use argus_core::par::{effective_workers, par_map_indexed};
 use argus_core::{
     analyze_with_caches, infer_conditions_for, AnalysisOptions, BackwardsOptions, DeltaMode,
-    ProjectionCache, SccCache,
+    SccCache,
 };
 use argus_diag::render::{render_json, render_text};
 use argus_diag::{lint_source, Diagnostic, LintOptions, Severity};
@@ -49,9 +49,8 @@ pub struct ServeOptions {
     /// Worker threads (0 = one per available core).
     pub jobs: usize,
     /// Combined byte budget for the caches, in MiB (half to the report
-    /// cache, a quarter to the condition cache, an eighth each to the
-    /// projection and per-SCC caches; `0` keeps at most one resident
-    /// entry per cache).
+    /// cache, a quarter to the condition cache, an eighth to the per-SCC
+    /// cache; `0` keeps at most one resident entry per cache).
     pub cache_mb: usize,
     /// Directory for the persistent per-SCC cache, shared with `argus
     /// analyze --incremental --cache-dir`. `None` keeps the SCC memo
@@ -87,7 +86,6 @@ pub struct ServerState {
     pub metrics: Metrics,
     reports: ReportCache,
     conditions: ReportCache,
-    projections: ProjectionCache,
     scc: SccCache,
     started: Instant,
     draining: AtomicBool,
@@ -106,7 +104,7 @@ enum AnalyzeOutcome {
 }
 
 /// Top-level keys accepted by `/v1/analyze` (and batch items).
-const ANALYZE_KEYS: [&str; 12] = [
+const ANALYZE_KEYS: [&str; 11] = [
     "program",
     "query",
     "adornment",
@@ -116,7 +114,6 @@ const ANALYZE_KEYS: [&str; 12] = [
     "lexicographic",
     "jobs",
     "fm_tier",
-    "no_fm_cache",
     "stats",
     "engine",
 ];
@@ -132,7 +129,7 @@ fn default_analyze_key(query: &PredKey, adornment: &Adornment, src: &str) -> Str
     let defaults = AnalysisOptions::default();
     format!(
         "argus/v1\u{1}q={query}\u{1}a={adornment}\u{1}norm=structural\u{1}\
-         delta=paper\u{1}transform={}\u{1}lex=0\u{1}tier={}\u{1}fmcache=1\u{1}\
+         delta=paper\u{1}transform={}\u{1}lex=0\u{1}tier={}\u{1}\
          engine=theta\u{1}\n{src}",
         defaults.transform_phases,
         defaults.fm_tier.index(),
@@ -151,8 +148,6 @@ struct Prepared {
     engine: &'static str,
     /// Canonical content address (everything that determines the bytes).
     cache_key: String,
-    /// Whether to use the process-lifetime projection cache.
-    share_projections: bool,
 }
 
 /// Resolve a validated engine tag to the engine list and race flag, as
@@ -179,7 +174,6 @@ impl ServerState {
             metrics: Metrics::default(),
             reports: ReportCache::new((budget / 2).max(1)),
             conditions: ReportCache::new((budget / 4).max(1)),
-            projections: ProjectionCache::with_byte_budget((budget / 8).max(1)),
             scc,
             started: Instant::now(),
             draining: AtomicBool::new(false),
@@ -200,11 +194,6 @@ impl ServerState {
     /// The content-addressed termination-condition cache.
     pub fn conditions(&self) -> &ReportCache {
         &self.conditions
-    }
-
-    /// The process-lifetime projection cache.
-    pub fn projections(&self) -> &ProjectionCache {
-        &self.projections
     }
 
     /// The per-SCC incremental memo (persistent when `--cache-dir` is
@@ -229,7 +218,6 @@ impl ServerState {
             self.started.elapsed(),
             &self.reports,
             &self.conditions,
-            &self.projections,
             &self.scc,
         )
     }
@@ -547,8 +535,7 @@ impl ServerState {
         if prepared.engine != "theta" {
             // Engine-selected requests render `argus-engine/v1` bodies;
             // they share the report cache (the engine tag is part of the
-            // cache key) but not the FM projection cache, which only the
-            // θ pipeline reads.
+            // cache key).
             let (engines, race) = engines_for(prepared.engine);
             let memo = if prepared.stats { None } else { Some(&self.scc) };
             let report = argus_core::run_portfolio_with_memo(
@@ -581,21 +568,15 @@ impl ServerState {
             self.reports.put(&prepared.cache_key, Arc::from(body.clone().into_boxed_slice()));
             return AnalyzeOutcome::Report { body, cache: "miss" };
         }
-        // `stats` requests always get a fresh per-run cache (and no SCC
-        // memo) so their `run_stats` are byte-identical to `argus analyze
-        // --stats --json`.
-        let shared = if prepared.share_projections && !prepared.stats {
-            Some(&self.projections)
-        } else {
-            None
-        };
+        // `stats` requests get no SCC memo, so their `run_stats` are
+        // byte-identical to `argus analyze --stats --json`.
         let memo = if prepared.stats { None } else { Some(&self.scc) };
         let report = analyze_with_caches(
             &prepared.program,
             &prepared.query,
             prepared.adornment,
             &options,
-            shared,
+            None,
             memo,
         );
         for scc in &report.sccs {
@@ -713,7 +694,6 @@ impl ServerState {
                 None => return Err(bad(format!("\"fm_tier\" wants 0..=3, got {tier}"))),
             };
         }
-        options.fm_cache = !bool_field("no_fm_cache")?;
         let stats = bool_field("stats")?;
         let engine: &'static str = match str_field("engine")? {
             None | Some("theta") => "theta",
@@ -771,29 +751,19 @@ impl ServerState {
         }
 
         // The content address: every input that determines the response
-        // bytes. `jobs`, `fm_tier`, and `fm_cache` are bytes-identical
-        // knobs by construction, but the latter two are cheap to include
-        // and make the key self-evidently sound.
+        // bytes. `jobs` and `fm_tier` are bytes-identical knobs by
+        // construction, but the tier is cheap to include and makes the key
+        // self-evidently sound.
         let cache_key = format!(
             "argus/v1\u{1}q={query_spec}\u{1}a={adn_spec}\u{1}norm={norm_tag}\u{1}\
-             delta={delta_tag}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}fmcache={}\u{1}\
+             delta={delta_tag}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}\
              engine={engine}\u{1}\n{src}",
             options.transform_phases,
             options.lexicographic as u8,
             options.fm_tier.index(),
-            options.fm_cache as u8,
         );
 
-        Ok(Prepared {
-            program,
-            query,
-            adornment,
-            share_projections: options.fm_cache,
-            options,
-            stats,
-            engine,
-            cache_key,
-        })
+        Ok(Prepared { program, query, adornment, options, stats, engine, cache_key })
     }
 }
 
@@ -1185,12 +1155,14 @@ mod tests {
     #[test]
     fn unknown_key_is_rejected() {
         let s = state();
-        let resp = s.handle(&post(
-            "/v1/analyze",
-            "{\"program\":\"p.\",\"query\":\"p/0\",\"adornment\":\"\",\"bogus\":1}",
-        ));
-        assert_eq!(resp.status, 400);
-        assert!(String::from_utf8(resp.body).unwrap().contains("unknown key \\\"bogus\\\""));
+        for key in ["bogus", "no_fm_cache"] {
+            let body =
+                format!("{{\"program\":\"p.\",\"query\":\"p/0\",\"adornment\":\"\",\"{key}\":1}}");
+            let resp = s.handle(&post("/v1/analyze", &body));
+            assert_eq!(resp.status, 400, "{key}");
+            let text = String::from_utf8(resp.body).unwrap();
+            assert!(text.contains(&format!("unknown key \\\"{key}\\\"")), "{text}");
+        }
     }
 
     #[test]

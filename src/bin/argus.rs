@@ -4,7 +4,7 @@
 //! argus analyze <file.pl> <name/arity> <adornment> [--norm list-length]
 //!               [--delta appendix-c] [--no-transform] [--certify]
 //!               [--lexicographic] [--json] [--jobs N] [--stats]
-//!               [--fm-tier 0..3] [--no-fm-cache] [--engine ID]
+//!               [--fm-tier 0..3] [--engine ID]
 //!               [--incremental] [--cache-dir DIR]
 //! argus watch   <file.pl> <name/arity> <adornment> [--cache-dir DIR]
 //!               [--jobs N] [--poll-ms N] [--iterations N]
@@ -60,7 +60,7 @@ fn usage() -> ExitCode {
         "usage:\n  argus analyze <file.pl> <name/arity> <adornment> \
          [--norm structural|list-length] [--delta paper|appendix-c] \
          [--no-transform] [--certify] [--lexicographic] [--jobs N] \
-         [--stats] [--fm-tier 0..3] [--no-fm-cache] \
+         [--stats] [--fm-tier 0..3] \
          [--engine theta|sct|bs|uvg|naish|portfolio] \
          [--incremental] [--cache-dir DIR]\n  \
          argus watch <file.pl> <name/arity> <adornment> [--cache-dir DIR] \
@@ -128,7 +128,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             "--lexicographic" => options.lexicographic = true,
             "--json" => json = true,
             "--stats" => stats = true,
-            "--no-fm-cache" => options.fm_cache = false,
             "--incremental" => incremental = true,
             "--cache-dir" => {
                 i += 1;

@@ -30,17 +30,14 @@ fn replay(path: &Path) -> Result<(), String> {
 
     let opts = analysis_options();
     let report = analyze(&program, &query, adornment.clone(), &opts);
-    // FM redundancy tiers (and the projection cache) must be invisible in
-    // the report — replay each reproducer at every tier and with the cache
-    // off, and demand byte-identical JSON.
+    // FM redundancy tiers must be invisible in the report — replay each
+    // reproducer at every tier and demand byte-identical JSON.
     let baseline = report.to_json();
     for tier in FmTier::ALL {
-        for fm_cache in [true, false] {
-            let variant = AnalysisOptions { fm_tier: tier, fm_cache, ..opts.clone() };
-            let tiered = analyze(&program, &query, adornment.clone(), &variant);
-            if tiered.to_json() != baseline {
-                return Err(format!("fm tier {tier:?} (cache {fm_cache}) changed the report"));
-            }
+        let variant = AnalysisOptions { fm_tier: tier, ..opts.clone() };
+        let tiered = analyze(&program, &query, adornment.clone(), &variant);
+        if tiered.to_json() != baseline {
+            return Err(format!("fm tier {tier:?} changed the report"));
         }
     }
     if report.verdict == Verdict::Terminates {

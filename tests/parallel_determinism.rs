@@ -59,9 +59,10 @@ fn variant_options_identical_across_worker_counts() {
     }
 }
 
-/// The FM redundancy tiers and the projection cache are performance knobs,
-/// not semantic ones: every corpus entry must render the identical report
-/// at every tier, with the cache on or off, at any worker count.
+/// The FM redundancy tiers are performance knobs, not semantic ones: every
+/// corpus entry must render the identical report at every tier, at any
+/// worker count (so whichever worker publishes a projection first cannot
+/// show either).
 ///
 /// `mutual_fib_ring` exists precisely because tiers 0–1 cannot finish its
 /// pair projections in useful time (minutes-plus where tier 2 takes
@@ -75,21 +76,15 @@ fn corpus_reports_identical_across_fm_tiers_and_cache() {
             if entry.name == "mutual_fib_ring" && tier.index() < FmTier::default().index() {
                 continue;
             }
-            for fm_cache in [true, false] {
-                for jobs in [1, 4] {
-                    let options = AnalysisOptions {
-                        fm_tier: tier,
-                        fm_cache,
-                        parallelism: jobs,
-                        ..Default::default()
-                    };
-                    let got = analyze_with_jobs(&entry, &options);
-                    assert_eq!(
-                        base, got,
-                        "{}: report differs at fm tier {tier:?}, cache {fm_cache}, --jobs {jobs}",
-                        entry.name
-                    );
-                }
+            for jobs in [1, 4] {
+                let options =
+                    AnalysisOptions { fm_tier: tier, parallelism: jobs, ..Default::default() };
+                let got = analyze_with_jobs(&entry, &options);
+                assert_eq!(
+                    base, got,
+                    "{}: report differs at fm tier {tier:?}, --jobs {jobs}",
+                    entry.name
+                );
             }
         }
     }
@@ -143,18 +138,18 @@ fn certificates_survive_parallel_analysis() {
     }
 }
 
-/// The process-lifetime shared projection cache (the `argus serve`
-/// configuration) must be invisible too: hammer one cache from many
-/// threads analyzing overlapping programs concurrently, and every report
-/// must stay byte-identical to the isolated sequential run.
+/// Concurrent publishes into one projection cache (what the `--jobs` pool
+/// and `infer`'s parallel probes do) must be invisible: hammer one cache
+/// from many threads analyzing overlapping programs concurrently, and every
+/// report must stay byte-identical to the isolated sequential run.
 ///
-/// With an unbounded cache this also checks publish-race accounting: each
-/// distinct key is computed-and-inserted exactly once no matter how many
-/// threads race on it, so `computed == entries` — a lost update (insert
-/// overwritten or dropped) would break the equality.
+/// This also checks publish-race accounting: each distinct key is
+/// computed-and-inserted exactly once no matter how many threads race on
+/// it, so `computed == entries` — a lost update (insert overwritten or
+/// dropped) would break the equality.
 #[test]
 fn shared_projection_cache_hammer() {
-    use argus::core::{analyze_with_cache, ProjectionCache};
+    use argus::core::{analyze_with_caches, ProjectionCache};
     let entries: Vec<_> = argus::corpus::corpus()
         .into_iter()
         .filter(|e| e.name != "mutual_fib_ring") // heavy; the others cover the races
@@ -169,7 +164,7 @@ fn shared_projection_cache_hammer() {
         })
         .collect();
 
-    let shared = ProjectionCache::new(); // unbounded: serve's budget knob off
+    let shared = ProjectionCache::new();
     std::thread::scope(|scope| {
         for worker in 0..8 {
             let entries = &entries;
@@ -182,12 +177,13 @@ fn shared_projection_cache_hammer() {
                         let entry = &entries[idx];
                         let program = entry.program().unwrap();
                         let (query, adornment) = entry.query_key();
-                        let report = analyze_with_cache(
+                        let report = analyze_with_caches(
                             &program,
                             &query,
                             adornment,
                             &AnalysisOptions { parallelism: 1, ..Default::default() },
                             Some(shared),
+                            None,
                         );
                         assert_eq!(
                             report.to_json(),
@@ -203,41 +199,9 @@ fn shared_projection_cache_hammer() {
     assert_eq!(
         shared.computed(),
         shared.entries(),
-        "unbounded shared cache lost an update: computed != resident entries"
+        "shared cache lost an update: computed != resident entries"
     );
-    assert!(shared.lookup_hits() > 0, "hammer never hit the shared cache");
-
-    // Same hammer against a tiny budget, so eviction races constantly
-    // against lookup and publish: reports must still be byte-identical.
-    let tiny = ProjectionCache::with_byte_budget(64 * 1024);
-    std::thread::scope(|scope| {
-        for worker in 0..8 {
-            let entries = &entries;
-            let baselines = &baselines;
-            let tiny = &tiny;
-            scope.spawn(move || {
-                for i in 0..entries.len() {
-                    let idx = (i + worker) % entries.len();
-                    let entry = &entries[idx];
-                    let program = entry.program().unwrap();
-                    let (query, adornment) = entry.query_key();
-                    let report = analyze_with_cache(
-                        &program,
-                        &query,
-                        adornment,
-                        &AnalysisOptions { parallelism: 1, ..Default::default() },
-                        Some(tiny),
-                    );
-                    assert_eq!(
-                        report.to_json(),
-                        baselines[idx].1,
-                        "{}: eviction-pressure report diverges (worker {worker})",
-                        baselines[idx].0
-                    );
-                }
-            });
-        }
-    });
+    assert!(shared.hits() > 0, "hammer never hit the shared cache");
 }
 
 /// Backwards condition inference schedules whole-SCC analysis jobs across
