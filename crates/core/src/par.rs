@@ -13,17 +13,25 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// The machine's core count (`available_parallelism`, or 1 when it cannot
+/// be determined), resolved once per process. On Linux the query reads
+/// cgroup files on every call, and the analyzer asks once per topological
+/// level; worker counts never affect output bytes, so one answer serves
+/// the whole process.
+#[allow(clippy::disallowed_methods)] // the one place the core count is queried
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Resolve a requested parallelism degree: `0` means "use the machine"
-/// (`available_parallelism`), anything else is taken literally. The result
-/// is additionally clamped to the number of work items.
+/// ([`available_cores`], resolved once per process), anything else is
+/// taken literally. The result is additionally clamped to the number of
+/// work items.
 pub fn effective_workers(requested: usize, items: usize) -> usize {
-    let base = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    };
+    let base = if requested == 0 { available_cores() } else { requested };
     base.clamp(1, items.max(1))
 }
 
@@ -188,6 +196,18 @@ mod tests {
         assert_eq!(effective_workers(4, 2), 2, "clamped to item count");
         assert_eq!(effective_workers(4, 0), 1, "no items still means one worker");
         assert!(effective_workers(0, 100) >= 1, "auto resolves to at least one");
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the reference value for the cached count
+    fn auto_workers_are_the_cached_core_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(available_cores(), cores);
+        for n in [1, 2, 3, 100] {
+            let first = effective_workers(0, n);
+            assert_eq!(effective_workers(0, n), first, "repeated calls agree");
+            assert_eq!(first, cores.clamp(1, n), "clamped to {n} items");
+        }
     }
 
     #[test]

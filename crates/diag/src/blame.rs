@@ -2,8 +2,9 @@
 //!
 //! When the θ-search fails for an SCC, the analyzer's bare "not proved"
 //! hides *which recursive call* defeats every argument-size measure. This
-//! pass reruns the termination analysis (preprocessing disabled, so rule
-//! spans survive untransformed) and surfaces the failure explanation as
+//! pass reads the lint run's shared raw analysis
+//! ([`LintContext::raw_report`]: preprocessing disabled, so rule spans
+//! survive untransformed) and surfaces the failure explanation as
 //! ordinary diagnostics:
 //!
 //! * **L010** — a zero-weight recursion cycle (§6.1 step 3): strong
@@ -17,7 +18,7 @@
 //! is silent.
 
 use crate::{Diagnostic, LintContext, LintPass, Severity};
-use argus_core::{analyze_with_caches, AnalysisOptions, SccOutcome};
+use argus_core::SccOutcome;
 use argus_logic::span::Span;
 use argus_logic::PredKey;
 
@@ -40,26 +41,7 @@ impl LintPass for TerminationBlame {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some((root, adornment)) = ctx.query else { return };
-        if !ctx.program.idb_predicates().contains(root) {
-            return; // L002 already covers the undefined query
-        }
-        // Preprocessing rewrites rules (losing their source spans), so run
-        // the analysis on the program exactly as written.
-        let options = AnalysisOptions {
-            transform_phases: 0,
-            parallelism: ctx.jobs,
-            ..AnalysisOptions::default()
-        };
-        let report = analyze_with_caches(
-            ctx.program,
-            root,
-            adornment.clone(),
-            &options,
-            None,
-            ctx.memo.as_deref(),
-        );
-        ctx.record_incremental(report.incremental);
+        let Some(report) = ctx.raw_report() else { return };
         for scc in &report.sccs {
             match &scc.outcome {
                 SccOutcome::ZeroWeightCycle(cycle) => {

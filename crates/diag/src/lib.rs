@@ -29,9 +29,11 @@
 //!
 //! L007–L011 are *moded* lints: they need a query predicate and adornment
 //! ([`LintOptions::query`]). Without one, L007/L008 fall back to assuming
-//! every head argument bound, and L009–L011 are skipped. L011 runs the
-//! backwards condition inference of `argus_core::backwards` and suggests
-//! the disjunct closest to the queried adornment.
+//! every head argument bound, and L009–L011 are skipped. L009–L011 share
+//! one raw analysis of the query per lint run. When it fails, L011 runs
+//! the full pipeline and the backwards condition inference of
+//! `argus_core::backwards`, and suggests the disjunct closest to the
+//! queried adornment.
 //!
 //! ```
 //! use argus_diag::{lint_source, LintOptions};
@@ -51,11 +53,12 @@ pub mod render;
 pub mod suggest;
 
 use argus_core::incremental::{IncrementalRunStats, SccCache};
+use argus_core::{analyze_with_caches, AnalysisOptions, TerminationReport};
 use argus_logic::modes::Adornment;
 use argus_logic::parser::parse_program;
 use argus_logic::span::Span;
 use argus_logic::{DepGraph, PredKey, Program};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::sync::Arc;
 
@@ -149,9 +152,44 @@ pub struct LintContext<'a> {
     /// passes, populated when `memo` is set (passes merge via
     /// [`LintContext::record_incremental`]).
     pub incremental: Cell<Option<IncrementalRunStats>>,
+    /// The shared raw analysis behind [`LintContext::raw_report`], run at
+    /// most once per lint run.
+    raw_report: OnceCell<Option<TerminationReport>>,
 }
 
 impl LintContext<'_> {
+    /// The termination analysis of the query on the program exactly as
+    /// written (preprocessing disabled, so rule spans survive
+    /// untransformed), computed on first use and shared by every
+    /// analysis-backed pass of this lint run. Its memo counters are
+    /// recorded once. `None` without a query, or when the query predicate
+    /// has no clauses (L002 already covers that).
+    pub(crate) fn raw_report(&self) -> Option<&TerminationReport> {
+        self.raw_report
+            .get_or_init(|| {
+                let (root, adornment) = self.query?;
+                if !self.program.idb_predicates().contains(root) {
+                    return None;
+                }
+                let options = AnalysisOptions {
+                    transform_phases: 0,
+                    parallelism: self.jobs,
+                    ..AnalysisOptions::default()
+                };
+                let report = analyze_with_caches(
+                    self.program,
+                    root,
+                    adornment.clone(),
+                    &options,
+                    None,
+                    self.memo.as_deref(),
+                );
+                self.record_incremental(report.incremental);
+                Some(report)
+            })
+            .as_ref()
+    }
+
     /// Merge one analysis run's memo counters into the accumulated
     /// per-lint-run total.
     pub fn record_incremental(&self, stats: Option<IncrementalRunStats>) {
@@ -234,6 +272,7 @@ pub fn lint_program_memo(
         memo,
         jobs,
         incremental: Cell::new(None),
+        raw_report: OnceCell::new(),
     };
     let mut out = Vec::new();
     for pass in default_passes() {

@@ -21,13 +21,19 @@ impl LintPass for SingletonVariables {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Lexer-level occurrences give per-occurrence spans; bucket them
-        // into clauses by rule span.
+        // Lexer-level occurrences give per-occurrence spans, in source
+        // order; bucket them into clauses by rule span. Each rule's bucket
+        // is a binary search to its first occurrence plus a scan to its
+        // end, so the pass stays linear in the file.
         let occurrences = variable_spans(ctx.src);
         for rule in &ctx.program.rules {
             let Some(rule_span) = rule.span.get() else { continue };
-            let in_rule: Vec<&(String, Span)> =
-                occurrences.iter().filter(|(_, s)| s.within(&rule_span)).collect();
+            let first = occurrences.partition_point(|(_, s)| s.start < rule_span.start);
+            let in_rule: Vec<&(String, Span)> = occurrences[first..]
+                .iter()
+                .take_while(|(_, s)| s.start < rule_span.end)
+                .filter(|(_, s)| s.within(&rule_span))
+                .collect();
             let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
             for (name, _) in &in_rule {
                 *counts.entry(name.as_str()).or_insert(0) += 1;
@@ -332,6 +338,37 @@ mod tests {
         assert_eq!(l001.len(), 1, "{diags:?}");
         assert!(l001[0].message.contains("`Len`"));
         assert_eq!(l001[0].span.unwrap().slice(src), Some("Len"));
+    }
+
+    #[test]
+    fn singleton_scan_matches_a_per_rule_filter() {
+        let src = "p(X, Y) :- q(Y).  q(Z).\nr(A, _B, A) :- s(C).\n\
+                   s(W) :- t(V, W).\nt(K, L) :- q(K), u(M).\nu(a).\n";
+        let mut program = argus_logic::parser::parse_program(src).unwrap();
+        program.rules[4].span = argus_logic::span::SpanSlot::none();
+        // Brute force: every occurrence tested against every rule span.
+        let occurrences = variable_spans(src);
+        let mut expected: Vec<(Span, String)> = Vec::new();
+        for rule in &program.rules {
+            let Some(rule_span) = rule.span.get() else { continue };
+            let in_rule: Vec<_> =
+                occurrences.iter().filter(|(_, s)| s.within(&rule_span)).collect();
+            for (name, span) in &in_rule {
+                let count = in_rule.iter().filter(|(n, _)| n == name).count();
+                if count == 1 && !name.starts_with('_') {
+                    expected.push((*span, format!("singleton variable `{name}`")));
+                }
+            }
+        }
+        expected.sort_by_key(|(s, _)| s.start);
+        let got: Vec<(Span, String)> = crate::lint_program(src, &program, &LintOptions::default())
+            .into_iter()
+            .filter(|d| d.code == "L001")
+            .map(|d| (d.span.unwrap(), d.message))
+            .collect();
+        assert_eq!(got, expected);
+        let names: Vec<&str> = got.iter().filter_map(|(s, _)| s.slice(src)).collect();
+        assert_eq!(names, ["X", "Z", "C", "V"], "the spanless rule's L and M are skipped");
     }
 
     #[test]

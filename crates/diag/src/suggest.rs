@@ -54,9 +54,12 @@ impl LintPass for ConditionSuggestion {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some((root, adornment)) = ctx.query else { return };
-        if !ctx.program.idb_predicates().contains(root) {
-            return; // L002 already covers the undefined query
+        // The full pipeline below starts with the same raw analysis and
+        // returns it unchanged when it proves termination, so the shared
+        // report decides the common case without a second analysis.
+        let (Some(raw), Some((root, adornment))) = (ctx.raw_report(), ctx.query) else { return };
+        if raw.verdict == Verdict::Terminates {
+            return;
         }
         let analysis = AnalysisOptions { parallelism: ctx.jobs, ..AnalysisOptions::default() };
         let report = analyze_with_caches(

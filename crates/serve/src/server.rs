@@ -968,10 +968,9 @@ impl Server {
     /// connections finish and join the workers.
     pub fn run(self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let jobs = if self.state.options().jobs == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.state.options().jobs
+        let jobs = match self.state.options().jobs {
+            0 => argus_core::par::available_cores(),
+            n => n,
         };
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(self.state.options().queue_depth);
         let rx = Arc::new(Mutex::new(rx));

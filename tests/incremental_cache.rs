@@ -7,6 +7,7 @@
 use argus::core::{analyze_with_caches, SccCache};
 use argus::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn render(report: &TerminationReport) -> (String, String) {
     (report.to_string(), report.to_json())
@@ -96,6 +97,42 @@ fn memo_is_worker_count_transparent() {
             assert_eq!(cold, got, "{}: memoized report differs at --jobs {jobs}", entry.name);
         }
     }
+}
+
+/// One lint run performs one raw analysis: its diagnostics match an
+/// unmemoized lint cold and warm, and on every query the raw analysis
+/// proves, the warm run's memo counters total exactly one memoized
+/// analysis — L009/L010 and L011 share the report instead of repeating it.
+#[test]
+fn lint_runs_one_raw_analysis() {
+    use argus::diag::{lint_source, lint_source_memo, LintOptions};
+    let mut proved = 0;
+    for entry in argus::corpus::corpus() {
+        let options = LintOptions { query: Some(entry.query_key()) };
+        let plain = lint_source(entry.source, &options);
+        let memo = Arc::new(SccCache::unbounded());
+        let cold = lint_source_memo(entry.source, &options, Some(memo.clone()), 0);
+        let warm = lint_source_memo(entry.source, &options, Some(memo.clone()), 0);
+        assert_eq!(plain, cold.diagnostics, "{}: cold memoized lint differs", entry.name);
+        assert_eq!(plain, warm.diagnostics, "{}: warm memoized lint differs", entry.name);
+
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let raw_options = AnalysisOptions { transform_phases: 0, ..Default::default() };
+        let raw = analyze_with_caches(&program, &query, adornment, &raw_options, None, Some(&memo));
+        if raw.verdict != Verdict::Terminates {
+            continue;
+        }
+        proved += 1;
+        let one = raw.incremental.expect("memoized run records incremental stats").total();
+        let lint = warm.incremental.expect("memoized lint records incremental stats").total();
+        assert_eq!(
+            lint, one,
+            "{}: lint ran {lint} SCC computations, one analysis is {one}",
+            entry.name
+        );
+    }
+    assert!(proved > 0, "some corpus query is proved by the raw analysis");
 }
 
 fn cache_files(dir: &Path) -> Vec<PathBuf> {
