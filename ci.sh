@@ -112,14 +112,10 @@ grep -q "drained cleanly" "$SERVE_LOG" || { echo "serve did not drain"; cat "$SE
 echo "==> bench smoke"
 # CI-sized pass over every bench suite: catches workloads that rot (panic,
 # hang, or stop compiling) without paying for full-scale numbers. The
-# fm_redundancy suite is written to a scratch report so the regression
-# gate below can read its counters; the committed BENCH_argus.json is
-# untouched either way.
+# report goes to a scratch file whose counters bench_gate checks after the
+# scaling lane; the committed BENCH_argus.json is untouched.
 cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin bench_report -- --smoke --suite fm_redundancy \
-    --out /tmp/argus-fm-smoke.json
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin bench_report -- --smoke --out - > /dev/null
+    --bin bench_report -- --smoke --out /tmp/argus-bench-smoke.json
 
 echo "==> benchmark smoke (BENCHMARK.json workloads)"
 # The repository benchmark is a package of its own (benchmark/, its own
@@ -134,57 +130,39 @@ for workload in corpus-cold scale-cold edit-session serve-mix; do
         || { echo "benchmark $workload: not correct: $verdict"; exit 1; }
 done
 
-echo "==> bench regression gate (FM row-reduction floors)"
-# Deterministic counters from the fm_redundancy suite must stay above the
-# pinned floors (≥5× peak-row reduction on the FM-heavy corpus entry,
-# subsumption/Chernikov/cache machinery actually firing). Wall time is
-# not gated — only work done.
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin fm_gate -- /tmp/argus-fm-smoke.json
-
-echo "==> incremental smoke + gate (dirty-cone floors)"
-# Incremental re-analysis lane: prime a per-SCC memo on a generated
-# 2k-clause program, apply a one-clause edit, re-analyze. incr_gate pins
-# the structural floors — the warm edit must recompute < 10% of the SCC
-# computations and a no-op resubmission exactly 0 — plus the ≥10× 50k
-# warm-vs-cold speedup whenever a full-scale report is given. The fuzz
-# incremental oracle then asserts byte-identity of memoized re-analysis
-# against from-scratch runs across 150 generated programs, one clause
-# mutation at a time.
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin bench_report -- --smoke --suite incremental \
-    --out /tmp/argus-incr-smoke.json
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin incr_gate -- /tmp/argus-incr-smoke.json
+echo "==> incremental smoke (memoized re-analysis oracle)"
+# The fuzz incremental oracle asserts byte-identity of memoized
+# re-analysis against from-scratch runs across 150 generated programs, one
+# clause mutation at a time. The dirty-cone floors on the incremental
+# bench suite are checked by bench_gate below.
 ./target/release/argus fuzz --incremental --seed 3 --cases 150 --jobs 0 \
     --no-metamorphic --no-theta-search
 
-echo "==> lsp smoke + gate (editor-session floors)"
-# LSP lane: a scripted stdio session against the real `argus lsp` binary
+echo "==> lsp smoke (scripted editor session)"
+# A scripted stdio session against the real `argus lsp` binary
 # (initialize → didOpen a corpus program → three one-clause incremental
-# edits → shutdown/exit, which must exit 0), then the in-process
-# edit-session bench and lsp_gate's structural floors — the worst warm
-# edit of the session must recompute < 10% of the document's SCC
-# computations and an edit that leaves the text unchanged exactly 0.
+# edits → shutdown/exit, which must exit 0). The edit-session floors on
+# the lsp bench suite are checked by bench_gate below.
 ./target/release/lsp_session ./target/release/argus
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin bench_report -- --smoke --suite lsp \
-    --out /tmp/argus-lsp-smoke.json
-cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin lsp_gate -- /tmp/argus-lsp-smoke.json
 
-echo "==> scaling smoke (50k-clause substrate gate)"
+echo "==> scaling smoke (50k-clause substrate)"
 # Million-clause substrate lane: generate and analyze a 50k-clause program
 # end to end (full scale suite restricted to the 50k size; the smoke tier
-# only exercises 2k and proves nothing about scale). scale_gate then pins
-# floors on the deterministic workload counters — so the generator can't
-# silently shrink — and a wall-clock ceiling (480 s, ~4× the reference
-# 111 s) that fails if the interning/arena/small-row wins regress to
-# pre-substrate speed (514 s on the same runner).
+# only exercises 2k and proves nothing about scale).
 ARGUS_SCALE_ONLY=50k cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
     --bin bench_report -- --suite scale \
     --out /tmp/argus-scale-smoke.json
+
+echo "==> bench gate (floors and ceilings)"
+# One table of deterministic floors over both reports: FM row reduction
+# (≥5× peak-row reduction on the FM-heavy corpus entry; subsumption,
+# Chernikov, dedup and the projection cache all firing), the incremental
+# and LSP dirty cones (a warm edit recomputes < 10% of the SCC
+# computations, a no-op exactly 0), and the 50k substrate (workload-shape
+# floors, so the generator can't silently shrink, plus a 480 s analyze
+# ceiling, ~4× the reference 111 s yet below the 514 s before it). Wall
+# time is otherwise not gated — only work done.
 cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
-    --bin scale_gate -- /tmp/argus-scale-smoke.json
+    --bin bench_gate -- /tmp/argus-bench-smoke.json /tmp/argus-scale-smoke.json
 
 echo "==> OK"

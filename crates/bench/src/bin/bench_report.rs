@@ -21,7 +21,7 @@
 //!   suite can be re-benchmarked without discarding the rest of the
 //!   committed report.
 
-use argus_bench::json::{json_f64, json_str, scan_num_field, scan_str_field};
+use argus_bench::json::{json_f64, json_str, read_samples};
 use argus_bench::suites::{self, Scale};
 use argus_bench::timing::{render_line, Sample};
 use std::collections::BTreeMap;
@@ -62,27 +62,23 @@ fn parse_args() -> Result<Args, String> {
 fn read_kept_lines(path: &str, rerun: &[String]) -> Result<BTreeMap<String, Vec<String>>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let mut kept: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(id) = scan_str_field(line, "id") else { continue };
-        let suite = id.split('/').next().unwrap_or_default().to_string();
+    for sample in read_samples(&text).map_err(|e| format!("{path}: {e}"))? {
+        let suite = sample.id.split('/').next().unwrap_or_default().to_string();
         if rerun.contains(&suite) {
             continue;
         }
-        kept.entry(suite).or_default().push(line.trim_end_matches(',').to_string());
+        kept.entry(suite).or_default().push(sample.line.to_string());
     }
     Ok(kept)
 }
 
-/// Read `id → ns_per_iter` back from a previous report. Only understands
-/// the one-sample-per-line format this binary emits.
+/// Read `id → ns_per_iter` back from a previous report.
 fn read_baseline(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let mut map = BTreeMap::new();
-    for line in text.lines() {
-        if let (Some(id), Some(ns)) =
-            (scan_str_field(line, "id"), scan_num_field(line, "ns_per_iter"))
-        {
-            map.insert(id, ns);
+    for sample in read_samples(&text).map_err(|e| format!("{path}: {e}"))? {
+        if let Some(ns) = sample.value.get("ns_per_iter").and_then(|v| v.as_f64()) {
+            map.insert(sample.id, ns);
         }
     }
     if map.is_empty() {

@@ -1,9 +1,10 @@
-//! Minimal hand-rolled JSON emission (and a tiny scanner for our own
-//! output), mirroring the dependency-free style of `argus-core`'s JSON
-//! module. The bench crate writes `BENCH_argus.json` and the experiment
-//! logs without a serialization dependency.
+//! Minimal hand-rolled JSON emission, mirroring the dependency-free style
+//! of `argus-core`'s JSON module, plus the reader for the bench reports
+//! it writes. The bench crate writes `BENCH_argus.json` and the
+//! experiment logs without a serialization dependency.
 
 pub use argus_logic::json::json_str;
+use argus_serve::jsonval::{self, Json};
 
 /// A JSON array of already-rendered items.
 pub fn json_array(items: &[String]) -> String {
@@ -19,26 +20,39 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Extract the string value of `"key": "…"` from a single JSON object
-/// rendered on one line. Only supports the exact format this crate emits
-/// (used to read back a baseline `BENCH_argus.json`).
-pub fn scan_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
+/// One sample of a bench report: a JSON object with a string `"id"`,
+/// alone on its line, as `bench_report` writes it.
+#[derive(Debug)]
+pub struct ReportSample<'a> {
+    /// The sample id (`suite/case`).
+    pub id: String,
+    /// The parsed object.
+    pub value: Json,
+    /// The line as written, without its trailing comma.
+    pub line: &'a str,
 }
 
-/// Extract the numeric value of `"key": 123.4` from a single-line object.
-pub fn scan_num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '-' || *c == '+' || *c == '.' || *c == 'e')
-        .collect();
-    rest.parse().ok()
+/// Read the samples of a bench report, in file order. Lines that are not
+/// a whole `{…}` object (the report's header, footer and brackets) are
+/// skipped; an object line that does not parse or has no string `"id"`
+/// is an error.
+pub fn read_samples(text: &str) -> Result<Vec<ReportSample<'_>>, String> {
+    let mut samples = Vec::new();
+    for (n, raw) in text.lines().enumerate() {
+        let line = raw.trim_end_matches(',');
+        let body = line.trim();
+        if !(body.starts_with('{') && body.ends_with('}')) {
+            continue;
+        }
+        let value = jsonval::parse(body).map_err(|e| format!("line {}: {e}", n + 1))?;
+        let id = value
+            .get("id")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("line {}: sample has no string \"id\"", n + 1))?
+            .to_string();
+        samples.push(ReportSample { id, value, line });
+    }
+    Ok(samples)
 }
 
 #[cfg(test)]
@@ -46,14 +60,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scan_roundtrip() {
-        let line = format!(
-            "{{\"name\": {}, \"ns_per_iter\": {}}}",
+    fn samples_roundtrip() {
+        let report = format!(
+            "{{\n  \"samples\": [\n    {{\"id\": {}, \"ns_per_iter\": {}}},\n    \
+             {{\"id\": \"b\", \"iters\": 1, \"counters\": {{\"rows\": 3}}}}\n  ]\n}}\n",
             json_str("fm/rows/8"),
             json_f64(123.4)
         );
-        assert_eq!(scan_str_field(&line, "name").as_deref(), Some("fm/rows/8"));
-        assert_eq!(scan_num_field(&line, "ns_per_iter"), Some(123.4));
+        let samples = read_samples(&report).unwrap();
+        let ids: Vec<&str> = samples.iter().map(|s| s.id.as_str()).collect();
+        assert_eq!(ids, ["fm/rows/8", "b"]);
+        assert_eq!(samples[0].value.get("ns_per_iter").and_then(Json::as_f64), Some(123.4));
+        assert_eq!(samples[0].line, "    {\"id\": \"fm/rows/8\", \"ns_per_iter\": 123.4}");
+        assert_eq!(
+            samples[1].value.get("counters").and_then(|c| c.get("rows")).and_then(Json::as_f64),
+            Some(3.0)
+        );
+    }
+
+    #[test]
+    fn malformed_sample_lines_are_errors() {
+        assert!(read_samples("{\"id\": \"a\", \"x\": }").unwrap_err().starts_with("line 1:"));
+        assert!(read_samples("\n{\"x\": 1}").unwrap_err().starts_with("line 2:"));
     }
 
     #[test]

@@ -285,7 +285,7 @@ fn fm_counters(stats: &fm::FmStats) -> Vec<(&'static str, u64)> {
 /// (a) raw dense projections, (b) the instrumented size-relation inference
 /// of the FM-heavy `mutual_fib_ring` corpus entry, and (c) the end-to-end
 /// analysis with the per-SCC projection cache on and off. Every sample
-/// carries the deterministic FM row counters, so `fm_gate` can pin floors
+/// carries the deterministic FM row counters, so `bench_gate` can pin floors
 /// on the *row reduction* itself rather than on noisy wall time.
 pub fn fm_redundancy_suite(scale: Scale) -> Vec<Sample> {
     let mut out = Vec::new();
@@ -552,7 +552,7 @@ pub fn infer_suite(scale: Scale) -> Vec<Sample> {
 /// SCCs at 10k–100k clauses, timed per stage (parse, adorn, size-relation
 /// FM, end-to-end analyze). These are the cases the interner + arena +
 /// sparse-row layout exists for; each sample carries deterministic
-/// workload counters (rules, predicates, SCCs, FM rows) so `fm_gate`-style
+/// workload counters (rules, predicates, SCCs, FM rows) so `bench_gate`
 /// floors can pin the substrate, not just wall time.
 ///
 /// The end-to-end sample is timed as a single run (no warmup) with its
@@ -652,7 +652,7 @@ pub fn scale_suite(scale: Scale) -> Vec<Sample> {
 /// while its exported size summary does not — the early-cutoff shape
 /// real edits overwhelmingly have, so the dirty cone stays a handful of
 /// SCC computations out of thousands. Each warm sample carries the
-/// dirty-cone counters (`dirty_sccs` / `total_sccs`) that `incr_gate`
+/// dirty-cone counters (`dirty_sccs` / `total_sccs`) that `bench_gate`
 /// pins; the committed 50k numbers back the ≥10× warm-vs-cold claim.
 /// `ARGUS_SCALE_ONLY` restricts the size list exactly as in
 /// [`scale_suite`].
@@ -830,7 +830,7 @@ pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
 /// edit replay the `incremental` suite's shapes through the protocol.
 /// Warm samples carry client-observed p50/p99 latencies and the
 /// worst-case dirty-cone counters (`dirty_sccs` / `total_sccs`) that
-/// `lsp_gate` pins.
+/// `bench_gate` pins.
 pub fn lsp_suite(scale: Scale) -> Vec<Sample> {
     use argus_lsp::{spawn_in_process, LspOptions};
     use argus_serve::jsonval::Json;

@@ -51,6 +51,9 @@ pub enum CertificateError {
     },
     /// The δ assignment admits a nonpositive-weight dependency cycle.
     NonPositiveCycle(Vec<PredKey>),
+    /// An SCC is reported proved by a method this checker cannot re-check
+    /// (the lexicographic extension), so the report is not certified.
+    Uncertified(Vec<PredKey>),
 }
 
 impl fmt::Display for CertificateError {
@@ -70,6 +73,10 @@ impl fmt::Display for CertificateError {
                 let names: Vec<String> = cycle.iter().map(|p| p.to_string()).collect();
                 write!(f, "dependency cycle with nonpositive δ sum: {}", names.join(" -> "))
             }
+            CertificateError::Uncertified(members) => {
+                let names: Vec<String> = members.iter().map(|p| p.to_string()).collect();
+                write!(f, "no checkable certificate for the proof of {{{}}}", names.join(", "))
+            }
         }
     }
 }
@@ -77,7 +84,9 @@ impl fmt::Display for CertificateError {
 impl std::error::Error for CertificateError {}
 
 /// Verify every proved SCC of `report` against the primal decrease
-/// condition, under the `norm` the analysis used.
+/// condition, under the `norm` the analysis used. An SCC proved by the
+/// lexicographic extension is [`CertificateError::Uncertified`]: its
+/// levels are not re-checked, so the report cannot pass.
 ///
 /// Returns the number of (pair, LP) checks performed on success.
 #[allow(clippy::result_large_err)] // cold path; see CertificateError
@@ -86,8 +95,12 @@ pub fn verify_report(report: &TerminationReport, norm: Norm) -> Result<usize, Ce
     let mut checks = 0usize;
 
     for scc in &report.sccs {
-        let SccOutcome::Proved { witness, deltas } = &scc.outcome else {
-            continue;
+        let (witness, deltas) = match &scc.outcome {
+            SccOutcome::Proved { witness, deltas } => (witness, deltas),
+            SccOutcome::ProvedLexicographic { .. } => {
+                return Err(CertificateError::Uncertified(scc.members.clone()));
+            }
+            _ => continue,
         };
         // θ sanity.
         for p in &scc.members {

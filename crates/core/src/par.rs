@@ -10,10 +10,8 @@
 //! `std::thread::scope` keeps lifetimes simple (no `'static` bounds, no
 //! channels) and propagates worker panics to the caller.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The machine's core count (`available_parallelism`, or 1 when it cannot
 /// be determined), resolved once per process. On Linux the query reads
@@ -80,93 +78,9 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A hash map split across independently locked shards, for caches shared
-/// by the worker pool: concurrent inserts of *different* keys rarely
-/// contend, and the lock is held only for one probe or insert, never while
-/// computing a value.
-///
-/// Values are first-insert-wins: if two workers race to fill the same key,
-/// the second insert is discarded — callers must only insert values that
-/// are pure functions of the key, so the discarded value is identical and
-/// the cache contents stay deterministic.
-pub struct ShardedMap<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
-}
-
-impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
-    /// A map with a fixed small power-of-two shard count.
-    pub fn new() -> ShardedMap<K, V> {
-        ShardedMap { shards: (0..16).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut h = std::hash::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// Clone the cached value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().expect("shard poisoned").get(key).cloned()
-    }
-
-    /// Insert `value` for `key` unless a value is already present; returns
-    /// the value that ends up cached.
-    pub fn insert_if_absent(&self, key: K, value: V) -> V {
-        let mut map = self.shard(&key).lock().expect("shard poisoned");
-        map.entry(key).or_insert(value).clone()
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("shard poisoned").len()).sum()
-    }
-
-    /// True iff no shard holds any entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K: Hash + Eq, V: Clone> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        ShardedMap::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_map_first_insert_wins() {
-        let m: ShardedMap<u32, u32> = ShardedMap::new();
-        assert!(m.is_empty());
-        assert_eq!(m.get(&1), None);
-        assert_eq!(m.insert_if_absent(1, 10), 10);
-        assert_eq!(m.insert_if_absent(1, 99), 10, "second insert discarded");
-        assert_eq!(m.get(&1), Some(10));
-        for k in 0..100 {
-            m.insert_if_absent(k, k * 2);
-        }
-        assert_eq!(m.len(), 100);
-    }
-
-    #[test]
-    fn sharded_map_is_shared_across_threads() {
-        let m: ShardedMap<usize, usize> = ShardedMap::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let m = &m;
-                scope.spawn(move || {
-                    for k in 0..50 {
-                        m.insert_if_absent(k, k + t); // racy values, same keys
-                    }
-                });
-            }
-        });
-        assert_eq!(m.len(), 50);
-    }
 
     #[test]
     fn results_are_in_input_order() {

@@ -19,7 +19,7 @@
 //!   memo ([`argus_core::incremental::SccCache`]), so an edit recomputes
 //!   only the dirty SCC cone; a `$/argus/stats` notification after each
 //!   publish exposes the memo counters, which the `lsp` bench suite and
-//!   the `lsp_gate` CI floor pin.
+//!   the `bench_gate` CI floors pin.
 //!
 //! The transport is abstract (`Read` + `Write`), so the same
 //! [`run_server`] loop serves production stdio (`argus lsp`), the

@@ -77,6 +77,14 @@ impl Json {
         }
     }
 
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {

@@ -121,18 +121,34 @@ const ANALYZE_KEYS: [&str; 11] = [
 /// Top-level keys accepted by `/v1/infer`.
 const INFER_KEYS: [&str; 5] = ["program", "predicates", "jobs", "max_arity", "no_propagate"];
 
-/// The cache key [`ServerState::prepare`] builds for an analyze request
-/// with every option left at its default — the shape a condition
-/// inference's probes ran with, so primed entries answer exactly those
-/// future requests.
-fn default_analyze_key(query: &PredKey, adornment: &Adornment, src: &str) -> String {
-    let defaults = AnalysisOptions::default();
+/// The report-cache key of an analyze request: every input that
+/// determines the response bytes. `jobs` and `fm_tier` are
+/// bytes-identical knobs by construction, but the tier is cheap to include
+/// and makes the key self-evidently sound. `/v1/infer` primes the cache
+/// under the key of a default-options request, the shape its probes ran
+/// with, so primed entries answer exactly those future requests.
+fn analyze_key(
+    query: &PredKey,
+    adornment: &Adornment,
+    options: &AnalysisOptions,
+    engine: &str,
+    src: &str,
+) -> String {
+    let norm = match options.norm {
+        Norm::StructuralSize => "structural",
+        Norm::ListLength => "list-length",
+    };
+    let delta = match options.delta_mode {
+        DeltaMode::Paper => "paper",
+        DeltaMode::PathConstraints => "appendix-c",
+    };
     format!(
-        "argus/v1\u{1}q={query}\u{1}a={adornment}\u{1}norm=structural\u{1}\
-         delta=paper\u{1}transform={}\u{1}lex=0\u{1}tier={}\u{1}\
-         engine=theta\u{1}\n{src}",
-        defaults.transform_phases,
-        defaults.fm_tier.index(),
+        "argus/v1\u{1}q={query}\u{1}a={adornment}\u{1}norm={norm}\u{1}\
+         delta={delta}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}\
+         engine={engine}\u{1}\n{src}",
+        options.transform_phases,
+        options.lexicographic as u8,
+        options.fm_tier.index(),
     )
 }
 
@@ -467,7 +483,13 @@ impl ServerState {
         // `/v1/analyze` answer the inference already paid for: prime the
         // report cache under the exact key `prepare` would build.
         for primed in &report.reports {
-            let key = default_analyze_key(&primed.query, &primed.adornment, src);
+            let key = analyze_key(
+                &primed.query,
+                &primed.adornment,
+                &AnalysisOptions::default(),
+                "theta",
+                src,
+            );
             self.reports.put(&key, Arc::from(format!("{}\n", primed.json).into_bytes()));
         }
         self.metrics.infer_predicates.fetch_add(report.conditions.len() as u64, Ordering::Relaxed);
@@ -655,28 +677,16 @@ impl ServerState {
         };
 
         let mut options = AnalysisOptions { parallelism: 1, ..AnalysisOptions::default() };
-        let norm_tag = match str_field("norm")? {
-            None | Some("structural") => {
-                options.norm = Norm::StructuralSize;
-                "structural"
-            }
-            Some("list-length") => {
-                options.norm = Norm::ListLength;
-                "list-length"
-            }
+        options.norm = match str_field("norm")? {
+            None | Some("structural") => Norm::StructuralSize,
+            Some("list-length") => Norm::ListLength,
             Some(other) => {
                 return Err(bad(format!("\"norm\" wants structural|list-length, got {other:?}")));
             }
         };
-        let delta_tag = match str_field("delta")? {
-            None | Some("paper") => {
-                options.delta_mode = DeltaMode::Paper;
-                "paper"
-            }
-            Some("appendix-c") => {
-                options.delta_mode = DeltaMode::PathConstraints;
-                "appendix-c"
-            }
+        options.delta_mode = match str_field("delta")? {
+            None | Some("paper") => DeltaMode::Paper,
+            Some("appendix-c") => DeltaMode::PathConstraints,
             Some(other) => {
                 return Err(bad(format!("\"delta\" wants paper|appendix-c, got {other:?}")));
             }
@@ -750,19 +760,7 @@ impl ServerState {
             ));
         }
 
-        // The content address: every input that determines the response
-        // bytes. `jobs` and `fm_tier` are bytes-identical knobs by
-        // construction, but the tier is cheap to include and makes the key
-        // self-evidently sound.
-        let cache_key = format!(
-            "argus/v1\u{1}q={query_spec}\u{1}a={adn_spec}\u{1}norm={norm_tag}\u{1}\
-             delta={delta_tag}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}\
-             engine={engine}\u{1}\n{src}",
-            options.transform_phases,
-            options.lexicographic as u8,
-            options.fm_tier.index(),
-        );
-
+        let cache_key = analyze_key(&query, &adornment, &options, engine, src);
         Ok(Prepared { program, query, adornment, options, stats, engine, cache_key })
     }
 }

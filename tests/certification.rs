@@ -27,6 +27,35 @@ fn every_corpus_proof_is_certified() {
     assert!(total_checks >= 20, "expected many pair checks, got {total_checks}");
 }
 
+/// A lexicographic proof carries no θ/δ witness the primal checker can
+/// re-check, so certification must reject it rather than report it
+/// verified after zero checks — through the library and through the CLI.
+#[test]
+fn lexicographic_proof_is_not_certified() {
+    let entry = argus::corpus::corpus().into_iter().find(|e| e.name == "ackermann").unwrap();
+    let program = entry.program().unwrap();
+    let (query, adornment) = entry.query_key();
+    let options = AnalysisOptions { lexicographic: true, ..Default::default() };
+    let report = analyze(&program, &query, adornment, &options);
+    assert_eq!(report.verdict, Verdict::Terminates, "{report}");
+    match argus::core::verify_report(&report, options.norm) {
+        Ok(n) => panic!("lexicographic proof reported verified after {n} check(s)"),
+        Err(e) => assert!(e.to_string().contains("ack/3"), "{e}"),
+    }
+
+    let path = std::env::temp_dir().join(format!("argus-cert-lex-{}.pl", std::process::id()));
+    std::fs::write(&path, entry.source).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_argus"))
+        .args(["analyze", path.to_str().unwrap(), "ack/3", "bbf", "--lexicographic", "--certify"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("VERIFIED"), "{stdout}");
+    assert!(stdout.contains("certificate: REJECTED"), "{stdout}");
+    assert!(!out.status.success(), "{stdout}");
+}
+
 /// Transformations preserve the answers of the query predicate: for each
 /// corpus entry where the Appendix A driver changes the program, the SLD
 /// answer sets for the sample queries must be identical before and after.
