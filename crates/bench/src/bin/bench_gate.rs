@@ -4,8 +4,9 @@
 //! [`CHECKS`], the one table of floors and ceilings that pins the paper's
 //! claims with deterministic counters: §4's "in practice FM is adequate"
 //! (the FM row-reduction floors, EXPERIMENTS.md E11), §6.2's SCC
-//! modularity (the incremental and LSP dirty-cone floors, E16), and the
-//! 50k-clause substrate. Counters are deterministic by construction, so
+//! modularity (the incremental and LSP dirty-cone floors, E16), the
+//! 50k-clause substrate, and the Farkas-dual form of redundancy removal
+//! (E21). Counters are deterministic by construction, so
 //! the gate stays green on loaded CI machines while still catching a
 //! change that quietly disables the machinery. Wall time is gated in two
 //! places only, each with a wide margin: the 50k warm-edit speedup and
@@ -78,6 +79,14 @@ const CHECKS: &[Check] = &[
     },
     // The per-run projection cache must hit at least once end to end.
     Check::Min { id: "fm_redundancy/analyze/mutual_fib_ring/tier2", key: "cache_hits", floor: 1.0 },
+    // Redundancy removal answers each leave-one-out implication through
+    // the Farkas dual, one tableau row per variable: on the 3-dimensional
+    // `scale-cold` hull a mean above dim + 1 = 4 rows means the tests fell
+    // back to the primal tableau (one row per remaining constraint, a
+    // mean of 40 here). The LP count floor keeps the mean from passing
+    // vacuously (measured 78).
+    Check::Max { id: "simplex/minimize/a11ce-250-top", key: "mean_tableau_rows", ceiling: 4.0 },
+    Check::Min { id: "simplex/minimize/a11ce-250-top", key: "lp_solves", floor: 50.0 },
     // 50k-clause substrate. The generated program's shape and the analysis
     // work counters are deterministic; if any collapses, the workload
     // silently shrank and the wall-clock ceiling below means nothing.
@@ -411,7 +420,7 @@ mod tests {
         let verdicts = evaluate(CHECKS, &collect(&[(path, &text)]).unwrap());
         let failed: Vec<&Verdict> = verdicts.iter().filter(|v| !v.ok).collect();
         assert!(failed.is_empty(), "{failed:?}");
-        // 13 fixed checks, incremental 10k + 50k (2 + 3), lsp 10k (2).
-        assert_eq!(verdicts.len(), 20, "{verdicts:?}");
+        // 15 fixed checks, incremental 10k + 50k (2 + 3), lsp 10k (2).
+        assert_eq!(verdicts.len(), 22, "{verdicts:?}");
     }
 }

@@ -63,8 +63,8 @@ impl ExperimentLog {
     /// Render as JSON (hand-rolled; the container has no serialization
     /// dependency).
     pub fn to_json(&self) -> String {
-        let strs = |xs: &[String]| json_array(&xs.iter().map(|s| json_str(s)).collect::<Vec<_>>());
-        let rows = json_array(&self.rows.iter().map(|r| strs(r)).collect::<Vec<_>>());
+        let strs = |xs: &[String]| json_array(xs.iter().map(|s| json_str(s)), ", ");
+        let rows = json_array(self.rows.iter().map(|r| strs(r)), ", ");
         format!(
             "{{\n  \"id\": {},\n  \"title\": {},\n  \"paper_ref\": {},\n  \"columns\": {},\n  \"rows\": {},\n  \"notes\": {}\n}}",
             json_str(&self.id),

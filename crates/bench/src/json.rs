@@ -3,13 +3,8 @@
 //! it writes. The bench crate writes `BENCH_argus.json` and the
 //! experiment logs without a serialization dependency.
 
-pub use argus_logic::json::json_str;
+pub use argus_logic::json::{json_array, json_str};
 use argus_serve::jsonval::{self, Json};
-
-/// A JSON array of already-rendered items.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]", items.join(", "))
-}
 
 /// Render an `f64` so it is always valid JSON (never NaN/inf literals).
 pub fn json_f64(v: f64) -> String {

@@ -74,6 +74,23 @@ pub fn simplex_suite(scale: Scale) -> Vec<Sample> {
             ));
         }
     }
+    // Redundancy removal of the heaviest `scale-cold` hull. The counters
+    // pin the LP form: a dual leave-one-out test costs one tableau row per
+    // variable, where a primal one would cost a row per constraint.
+    let hull = workload::scale_cold_hull();
+    let mut stats = simplex::LpStats::default();
+    let kept = simplex::irredundant(&hull, &mut stats).expect("the hull is feasible");
+    let sample = bench_case("simplex", "minimize/a11ce-250-top", 1, scale.iters(), || {
+        black_box(simplex::irredundant(black_box(&hull), &mut simplex::LpStats::default()))
+    });
+    out.push(sample.with_counters(vec![
+        ("dim", hull.vars().len() as u64),
+        ("rows_in", hull.len() as u64),
+        ("rows_out", kept.len() as u64),
+        ("lp_solves", stats.solves),
+        ("tableau_rows", stats.tableau_rows),
+        ("mean_tableau_rows", stats.tableau_rows.div_ceil(stats.solves.max(1))),
+    ]));
     out
 }
 

@@ -165,6 +165,47 @@ pub fn random_feasible_system(
     sys
 }
 
+/// The largest system the size-relation fixpoint hands to
+/// `Poly::minimized` on `scale_case(0xA11CE, 250)` (the `scale-cold`
+/// benchmark program): a 79-row hull over 3 argument sizes, frozen as
+/// `[a₀, a₁, a₂, k]` rows of `a·x + k ≤ 0`. Minimization keeps 5 rows.
+#[rustfmt::skip]
+const HULL_A11CE_250: &[[i64; 4]] = &[
+    [-32, -65, 0, 0], [-29, 0, -13, 0], [-21, -13, 0, 0], [-21, 0, -2, 0],
+    [-16, -13, -13, 13], [-15, -32, 0, 0], [-15, -8, 0, 0], [-15, 0, -1, 0],
+    [-13, -8, 0, 0], [-11, -3, -3, 0], [-11, 0, -1, 0], [-9, -6, -1, 0],
+    [-9, 0, -4, 0], [-9, 0, -1, 0], [-8, -15, 0, 0], [-8, -13, 0, 0],
+    [-8, -5, 0, 0], [-8, 3, 3, -3], [-7, -2, 0, 0], [-7, -2, -2, 0],
+    [-7, 0, -3, 0], [-6, -15, -2, 0], [-6, -13, 0, 0], [-6, 0, -1, 0],
+    [-5, -8, 0, 0], [-5, -4, -4, 4], [-5, -3, 0, 0], [-5, -2, 0, 0],
+    [-5, -1, -1, 1], [-5, 2, 2, -2], [-5, 0, -1, 0], [-4, -5, 0, 0],
+    [-4, -3, -3, 3], [-4, -2, -1, 0], [-4, -1, -1, 1], [-4, 1, 1, -1],
+    [-3, -26, -26, 0], [-3, -26, -13, 0], [-3, -11, -3, 0], [-3, -8, 0, 0],
+    [-3, -8, -1, 0], [-3, -6, -1, 0], [-3, -4, 0, 0], [-3, -3, -4, 3],
+    [-3, -3, -1, 0], [-3, -2, 0, 0], [-3, -2, -2, 0], [-3, -2, -1, 0],
+    [-3, -1, 0, 0], [-3, -1, -1, 0], [-3, 0, -2, 0], [-3, 0, -1, 0],
+    [-2, -7, -2, 0], [-2, -5, 0, 0], [-2, -3, 0, 0], [-2, -1, 0, 0],
+    [-2, -1, -2, 0], [-2, -1, -1, 1], [-2, -1, 1, -1], [-2, 1, 1, -1],
+    [-2, 0, -1, 0], [-1, 0, 0, 0], [-1, -8, -8, 0], [-1, -8, -4, 0],
+    [-1, -6, -6, 0], [-1, -6, -3, 0], [-1, -3, -1, 0], [-1, -2, 0, 0],
+    [-1, -2, -2, 1], [-1, -2, -1, 0], [-1, -1, 0, 0], [-1, -1, -1, 1],
+    [-1, 1, 0, -1], [0, -6, -7, 0], [0, -3, -2, 0], [0, -2, -1, 0],
+    [0, -1, 0, 0], [0, -1, -1, 0], [0, 0, -1, 0],
+];
+
+/// [`HULL_A11CE_250`] as a constraint system.
+pub fn scale_cold_hull() -> ConstraintSystem {
+    let rows = HULL_A11CE_250.iter().map(|row| {
+        let mut e = LinExpr::zero();
+        for (v, &a) in row[..3].iter().enumerate() {
+            e.add_term(v, Rat::from_int(a));
+        }
+        e.add_constant(&Rat::from_int(row[3]));
+        Constraint { expr: e, rel: argus_linear::Rel::Le }
+    });
+    ConstraintSystem::from_constraints(rows.collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -186,17 +186,11 @@ pub fn project_pair_with(
                 None
             }
             Ok(FmResult::Infeasible) => None,
-            Ok(FmResult::Projected(out)) => {
-                let out = out.dedup();
-                // Higher tiers can drop the redundant rows whose combination
-                // would have exposed a contradiction as a constant row; a
-                // simplex check restores one verdict for every tier.
-                if simplex::feasible_point(&out, &BTreeSet::new()).is_none() {
-                    None
-                } else {
-                    Some(minimize_rows(out))
-                }
-            }
+            // Higher tiers can drop the redundant rows whose combination
+            // would have exposed a contradiction as a constant row; the
+            // feasibility check in `minimize_rows` restores one verdict
+            // for every tier.
+            Ok(FmResult::Projected(out)) => minimize_rows(&out.dedup()),
         };
         (ProjectionEntry { result, stats: st }, timed_out)
     };
@@ -231,31 +225,14 @@ pub fn project_pair_with(
 
 /// Greedily remove every row implied by the remaining ones (variables all
 /// free: the `θ ≥ 0` rows are added downstream and must not silently
-/// strengthen the displayed system). A single ascending pass over the
-/// canonically ordered rows leaves an irredundant description, which for
+/// strengthen the displayed system); `None` when the system is infeasible.
+/// A single ascending pass over the canonically ordered rows
+/// ([`simplex::irredundant`]) leaves an irredundant description, which for
 /// the full-dimensional systems this path produces is unique — the final
 /// normalization step that makes every redundancy tier emit identical
 /// bytes.
-fn minimize_rows(sys: ConstraintSystem) -> ConstraintSystem {
-    let rows = sys.constraints();
-    if rows.len() <= 1 {
-        return sys;
-    }
-    let mut kept: Vec<bool> = vec![true; rows.len()];
-    let nonneg = BTreeSet::new();
-    for i in 0..rows.len() {
-        kept[i] = false;
-        let others = ConstraintSystem::from_constraints(
-            rows.iter().enumerate().filter(|(j, _)| kept[*j]).map(|(_, c)| c.clone()).collect(),
-        );
-        if !simplex::is_implied(&others, &nonneg, &rows[i]) {
-            kept[i] = true;
-        }
-    }
-    ConstraintSystem::from_constraints(
-        rows.iter().enumerate().filter(|(j, _)| kept[*j]).map(|(_, c)| c.clone()).collect(),
-    )
-    .dedup()
+fn minimize_rows(sys: &ConstraintSystem) -> Option<ConstraintSystem> {
+    simplex::irredundant(sys, &mut simplex::LpStats::default()).map(|s| s.dedup())
 }
 
 /// The θ-feasibility problem for a whole SCC: the conjunction of all pairs'

@@ -6,12 +6,8 @@
 //! provided — reports are produced, not consumed, by this library.
 
 use crate::analyze::{SccOutcome, TerminationReport, Verdict};
+use argus_logic::json::json_array;
 pub(crate) use argus_logic::json::json_str;
-
-fn json_array(items: impl IntoIterator<Item = String>) -> String {
-    let inner: Vec<String> = items.into_iter().collect();
-    format!("[{}]", inner.join(","))
-}
 
 impl TerminationReport {
     /// Serialize the report as a JSON object.
@@ -50,12 +46,9 @@ impl TerminationReport {
             Verdict::ZeroWeightCycle => "ZeroWeightCycle",
         };
         let sccs = json_array(self.sccs.iter().map(|scc| {
-            let members = json_array(
-                scc.members.iter().map(|p| json_str(&p.to_string())),
-            );
-            let constraints = json_array(
-                scc.render_constraints().iter().map(|c| json_str(c)),
-            );
+            let members = json_array(scc.members.iter().map(|p| json_str(&p.to_string())), ",");
+            let constraints =
+                json_array(scc.render_constraints().iter().map(|c| json_str(c)), ",");
             let (outcome, detail) = match &scc.outcome {
                 SccOutcome::NonRecursive => ("nonrecursive".to_string(), String::new()),
                 SccOutcome::Proved { witness, deltas } => {
@@ -65,7 +58,7 @@ impl TerminationReport {
                             format!(
                                 "{}:{}",
                                 json_str(&p.to_string()),
-                                json_array(th.iter().map(|r| json_str(&r.to_string())))
+                                json_array(th.iter().map(|r| json_str(&r.to_string())), ",")
                             )
                         })
                         .collect();
@@ -96,21 +89,19 @@ impl TerminationReport {
                                 format!(
                                     "{}:{}",
                                     json_str(&p.to_string()),
-                                    json_array(
-                                        th.iter().map(|r| json_str(&r.to_string()))
-                                    )
+                                    json_array(th.iter().map(|r| json_str(&r.to_string())), ",")
                                 )
                             })
                             .collect();
                         format!("{{{}}}", entries.join(","))
-                    }));
+                    }), ",");
                     ("proved_lexicographic".to_string(), format!(",\"levels\":{levels}"))
                 }
                 SccOutcome::ZeroWeightCycle(cycle) => (
                     "zero_weight_cycle".to_string(),
                     format!(
                         ",\"cycle\":{}",
-                        json_array(cycle.iter().map(|p| json_str(&p.to_string())))
+                        json_array(cycle.iter().map(|p| json_str(&p.to_string())), ",")
                     ),
                 ),
                 SccOutcome::NoLinearDecrease { refutation } => {
@@ -173,7 +164,7 @@ impl TerminationReport {
                 "{{\"members\":{members},\"outcome\":{}{detail},\"constraints\":{constraints}{scc_stats}}}",
                 json_str(&outcome)
             )
-        }));
+        }), ",");
         let run_stats = if stats {
             let mut out = format!(
                 ",\"run_stats\":{{\"cache_requests\":{},\"cache_entries\":{},\"cache_hits\":{}}}",

@@ -22,7 +22,7 @@
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
 
-use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
+use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
 use crate::fm::{self, FmResult};
 use crate::rat::Rat;
 use crate::simplex::{self, ImplicationProbe};
@@ -362,17 +362,13 @@ impl Poly {
     }
 
     /// Remove redundant constraints (each one implied by the others) to get
-    /// a small canonical-ish representation.
+    /// a small canonical-ish representation: dedup, then
+    /// [`simplex::irredundant`]'s in-order leave-one-out pass.
     ///
     /// LP-based minimization is quadratic in the row count; beyond a
     /// threshold only the cheap syntactic dedup is applied (the result is
     /// the same set, just less canonical). A [`Poly::is_minimal`] input is
-    /// returned as is.
-    ///
-    /// An inequality that is the only remaining row bounding some variable
-    /// in its direction, with no equality on that variable, is kept
-    /// without an LP: from any point of the other rows, a ray along that
-    /// axis violates it and no other row, so the others cannot imply it.
+    /// returned as is, and an infeasible system becomes [`Poly::empty`].
     pub fn minimized(&self) -> Poly {
         if self.empty || self.minimal {
             return self.clone();
@@ -381,69 +377,10 @@ impl Poly {
         if deduped.len() > 160 {
             return Poly { dim: self.dim, sys: deduped, empty: false, minimal: false };
         }
-        let mut kept: Vec<Constraint> = deduped.constraints().to_vec();
-        let mut bounds = AxisBounds::default();
-        for c in &kept {
-            bounds.count(c, 1);
+        match simplex::irredundant(&deduped, &mut simplex::LpStats::default()) {
+            Some(sys) => Poly { dim: self.dim, sys, empty: false, minimal: true },
+            None => Poly::empty(self.dim),
         }
-        let mut i = 0;
-        while i < kept.len() {
-            if bounds.sole_bound(&kept[i]) {
-                i += 1;
-                continue;
-            }
-            let others = ConstraintSystem::from_constraints(
-                kept.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, c)| c.clone()).collect(),
-            );
-            if simplex::is_implied(&others, &BTreeSet::new(), &kept[i]) {
-                bounds.count(&kept[i], -1);
-                kept.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        Poly {
-            dim: self.dim,
-            sys: ConstraintSystem::from_constraints(kept),
-            empty: false,
-            minimal: true,
-        }
-    }
-}
-
-/// Per-variable row counts for [`Poly::minimized`]'s LP-free keep test:
-/// how many inequalities bound each variable from above (positive
-/// coefficient) and from below (negative), and how many equalities
-/// mention it.
-#[derive(Default)]
-struct AxisBounds {
-    upper: BTreeMap<Var, i64>,
-    lower: BTreeMap<Var, i64>,
-    eqs: BTreeMap<Var, i64>,
-}
-
-impl AxisBounds {
-    /// Add (`delta = 1`) or remove (`-1`) one row's contribution.
-    fn count(&mut self, c: &Constraint, delta: i64) {
-        for (v, a) in c.expr.terms() {
-            let side = match c.rel {
-                Rel::Eq => &mut self.eqs,
-                Rel::Le if a.is_positive() => &mut self.upper,
-                Rel::Le => &mut self.lower,
-            };
-            *side.entry(v).or_insert(0) += delta;
-        }
-    }
-
-    /// Is the counted inequality `c` the sole row bounding one of its
-    /// variables in its direction, with no equality on that variable?
-    fn sole_bound(&self, c: &Constraint) -> bool {
-        let counted = |side: &BTreeMap<Var, i64>, v: Var| side.get(&v).copied().unwrap_or(0);
-        c.rel == Rel::Le
-            && c.expr.terms().any(|(v, a)| {
-                let side = if a.is_positive() { &self.upper } else { &self.lower };
-                counted(side, v) == 1 && counted(&self.eqs, v) == 0
-            })
     }
 }
 

@@ -1,12 +1,28 @@
-//! Two-phase primal simplex over exact rationals.
+//! Two-phase simplex over exact rationals.
 //!
 //! The paper phrases its termination condition as an LP feasibility/optimality
 //! question (its Eq. 4–6). We provide a small, exact solver: Bland's rule
 //! (which guarantees termination without cycling), dense tableau, arbitrary
-//! precision rationals. Problems in this domain are tiny (tens of rows), so
-//! numerical sophistication would be wasted; exactness is what matters,
-//! because a feasibility misjudgement is a soundness bug in the termination
-//! analyzer.
+//! precision rationals. Exactness is what matters, because a feasibility
+//! misjudgement is a soundness bug in the termination analyzer.
+//!
+//! Problems have few variables (2–4 argument sizes, a handful of θ/β) but
+//! can have many rows: a size-relation hull reaches 60–80 rows before it is
+//! minimized. A dense primal tableau has one row per constraint, so an
+//! implication test `is a·x + k ≤ 0 implied?` ([`is_implied`],
+//! [`irredundant`]) is answered through its Farkas dual instead:
+//!
+//! ```text
+//! max a·x  s.t.  aⱼ·x + kⱼ ≤ 0 (=0),  x_v ≥ 0 (v ∈ nonneg)
+//!   =  min −Σ λⱼkⱼ  s.t.  Σ λⱼaⱼ − μ = a,  λⱼ ≥ 0 (free for =),  μ ≥ 0
+//! ```
+//!
+//! The dual tableau has one row per variable. Over exact rationals strong
+//! duality makes the boolean identical to the primal one: a dual optimum is
+//! the primal maximum, an unbounded dual means the system is infeasible
+//! (so it implies everything), and an infeasible dual means the system is
+//! infeasible or the maximum is unbounded, which one primal feasibility
+//! check tells apart.
 
 use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
 use crate::rat::Rat;
@@ -66,12 +82,12 @@ impl LpProblem {
 
     /// Solve by two-phase simplex.
     pub fn solve(&self) -> LpOutcome {
-        Tableau::build(&self.objective, &self.constraints, &self.nonneg).solve()
+        Tableau::build(&self.objective, self.constraints.constraints().iter(), &self.nonneg).solve()
     }
 
     /// Minimize the given objective over this problem's constraints.
     pub fn minimize(&self, objective: LinExpr) -> LpOutcome {
-        Tableau::build(&objective, &self.constraints, &self.nonneg).solve()
+        Tableau::build(&objective, self.constraints.constraints().iter(), &self.nonneg).solve()
     }
 
     /// Maximize: negate, minimize, negate back.
@@ -89,7 +105,7 @@ pub fn feasible_point(
     constraints: &ConstraintSystem,
     nonneg: &BTreeSet<Var>,
 ) -> Option<BTreeMap<Var, Rat>> {
-    match Tableau::build(&LinExpr::zero(), constraints, nonneg).solve() {
+    match Tableau::build(&LinExpr::zero(), constraints.constraints().iter(), nonneg).solve() {
         LpOutcome::Optimal { point, .. } => Some(point),
         LpOutcome::Unbounded => unreachable!("zero objective cannot be unbounded"),
         LpOutcome::Infeasible => None,
@@ -98,31 +114,163 @@ pub fn feasible_point(
 
 /// Check whether `candidate` (an inequality or equality) is implied by
 /// `system` over the given sign restrictions: i.e. no feasible point of
-/// `system` violates it. Used for redundancy removal and polyhedron
-/// inclusion tests.
+/// `system` violates it. ([`irredundant`] runs a batch of these for
+/// redundancy removal, [`ImplicationProbe`] one against a fixed system.)
+///
+/// Solved through the Farkas dual (see the module docs).
 pub fn is_implied(
     system: &ConstraintSystem,
     nonneg: &BTreeSet<Var>,
     candidate: &Constraint,
 ) -> bool {
+    let mut vars = system.vars();
+    vars.extend(candidate.expr.vars());
+    let vars: Vec<Var> = vars.into_iter().collect();
+    let rows = system.constraints().iter();
+    implied_by(rows, &vars, nonneg, candidate, false, &mut LpStats::default())
+}
+
+/// LP work counters of the implication tests: how many dual tableaux were
+/// solved and how many rows they had in total, one per variable.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LpStats {
+    /// Implication LPs solved (an equality candidate takes up to two).
+    pub solves: u64,
+    /// Sum of their tableau row counts.
+    pub tableau_rows: u64,
+}
+
+/// Greedy in-order redundancy removal over free variables: for each row in
+/// order, drop it when the rows still kept (earlier survivors and every
+/// later row) imply it. Returns the kept rows, in order, or `None` when
+/// `sys` is infeasible.
+///
+/// An inequality that is the only remaining row bounding some variable in
+/// its direction, with no equality on that variable, is kept without an
+/// LP: from any point of the other rows, a ray along that axis violates it
+/// and no other row, so the others cannot imply it.
+///
+/// Feasibility of `sys` is decided once up front. A subset of a feasible
+/// system's rows is feasible, so each leave-one-out test is one dual LP,
+/// and a dual infeasibility means "not implied" without a second LP.
+/// Implication LPs are counted into `stats`.
+pub fn irredundant(sys: &ConstraintSystem, stats: &mut LpStats) -> Option<ConstraintSystem> {
+    let free = BTreeSet::new();
+    feasible_point(sys, &free)?;
+    let rows = sys.constraints();
+    let mut kept = vec![true; rows.len()];
+    let mut bounds = AxisBounds::default();
+    for c in rows {
+        bounds.count(c, 1);
+    }
+    let vars: Vec<Var> = sys.vars().into_iter().collect();
+    for (i, row) in rows.iter().enumerate() {
+        if bounds.sole_bound(row) {
+            continue;
+        }
+        kept[i] = false;
+        let others = rows.iter().zip(&kept).filter(|&(_, &k)| k).map(|(c, _)| c);
+        if implied_by(others, &vars, &free, row, true, stats) {
+            bounds.count(row, -1);
+        } else {
+            kept[i] = true;
+        }
+    }
+    let rows = rows.iter().zip(kept).filter(|&(_, k)| k);
+    Some(ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect()))
+}
+
+/// Does the conjunction of `rows` imply `candidate`? `vars` lists (sorted)
+/// every variable of the rows and the candidate; `known_feasible` says the
+/// caller has already found the rows feasible.
+fn implied_by<'a, I>(
+    rows: I,
+    vars: &[Var],
+    nonneg: &BTreeSet<Var>,
+    candidate: &Constraint,
+    known_feasible: bool,
+    stats: &mut LpStats,
+) -> bool
+where
+    I: Iterator<Item = &'a Constraint> + Clone,
+{
     // candidate: expr <= 0. It fails to be implied iff max expr > 0.
-    // candidate: expr = 0. Implied iff max expr <= 0 and min expr >= 0.
-    // max expr = -(min -expr); both probes borrow the system directly.
-    let max_ok = match Tableau::build(&-&candidate.expr, system, nonneg).solve() {
-        LpOutcome::Infeasible => return true, // empty system implies anything
-        LpOutcome::Unbounded => false,
-        LpOutcome::Optimal { value, .. } => !(-value).is_positive(),
-    };
-    if candidate.rel == Rel::Le {
-        return max_ok;
+    // candidate: expr = 0. Implied iff max expr <= 0 and max -expr <= 0.
+    let neg = -&candidate.expr;
+    let halves: &[&LinExpr] =
+        if candidate.rel == Rel::Le { &[&candidate.expr] } else { &[&candidate.expr, &neg] };
+    for expr in halves {
+        match dual_implies_le(rows.clone(), vars, nonneg, expr, stats) {
+            Some(true) => {}
+            Some(false) => return false,
+            // The dual is infeasible: the rows are infeasible (and imply
+            // everything) or the maximum is unbounded (not implied).
+            None => {
+                return !known_feasible
+                    && Tableau::build(&LinExpr::zero(), rows, nonneg).solve()
+                        == LpOutcome::Infeasible
+            }
+        }
     }
-    if !max_ok {
-        return false;
+    true
+}
+
+/// `max expr ≤ 0` over `rows` by the Farkas dual, one tableau row per
+/// variable of `vars` (sorted, covering the rows and `expr`). `None` when
+/// the dual is infeasible: the primal is then infeasible or unbounded.
+fn dual_implies_le<'a>(
+    rows: impl Iterator<Item = &'a Constraint> + Clone,
+    vars: &[Var],
+    nonneg: &BTreeSet<Var>,
+    expr: &LinExpr,
+    stats: &mut LpStats,
+) -> Option<bool> {
+    let t = Tableau::farkas_dual(rows, vars, nonneg, expr);
+    stats.solves += 1;
+    stats.tableau_rows += t.rows.len() as u64;
+    match t.solve() {
+        // An unbounded dual certifies an infeasible primal.
+        LpOutcome::Unbounded => Some(true),
+        LpOutcome::Infeasible => None,
+        // Strong duality: the dual minimum is the primal maximum of the
+        // variable part of `expr`.
+        LpOutcome::Optimal { value, .. } => Some(!(&value + expr.constant_term()).is_positive()),
     }
-    match Tableau::build(&candidate.expr, system, nonneg).solve() {
-        LpOutcome::Infeasible => true,
-        LpOutcome::Unbounded => false,
-        LpOutcome::Optimal { value, .. } => !value.is_negative(),
+}
+
+/// Per-variable row counts for [`irredundant`]'s LP-free keep test: how
+/// many inequalities bound each variable from above (positive
+/// coefficient) and from below (negative), and how many equalities
+/// mention it.
+#[derive(Default)]
+struct AxisBounds {
+    upper: BTreeMap<Var, i64>,
+    lower: BTreeMap<Var, i64>,
+    eqs: BTreeMap<Var, i64>,
+}
+
+impl AxisBounds {
+    /// Add (`delta = 1`) or remove (`-1`) one row's contribution.
+    fn count(&mut self, c: &Constraint, delta: i64) {
+        for (v, a) in c.expr.terms() {
+            let side = match c.rel {
+                Rel::Eq => &mut self.eqs,
+                Rel::Le if a.is_positive() => &mut self.upper,
+                Rel::Le => &mut self.lower,
+            };
+            *side.entry(v).or_insert(0) += delta;
+        }
+    }
+
+    /// Is the counted inequality `c` the sole row bounding one of its
+    /// variables in its direction, with no equality on that variable?
+    fn sole_bound(&self, c: &Constraint) -> bool {
+        let counted = |side: &BTreeMap<Var, i64>, v: Var| side.get(&v).copied().unwrap_or(0);
+        c.rel == Rel::Le
+            && c.expr.terms().any(|(v, a)| {
+                let side = if a.is_positive() { &self.upper } else { &self.lower };
+                counted(side, v) == 1 && counted(&self.eqs, v) == 0
+            })
     }
 }
 
@@ -150,7 +298,7 @@ impl ImplicationProbe {
     /// Prepare probes against `system` with the given sign restrictions.
     /// Runs phase 1 once.
     pub fn new(system: &ConstraintSystem, nonneg: &BTreeSet<Var>) -> ImplicationProbe {
-        let t = Tableau::build(&LinExpr::zero(), system, nonneg);
+        let t = Tableau::build(&LinExpr::zero(), system.constraints().iter(), nonneg);
         let m = t.rows.len();
         let n = t.num_cols;
         let total = n + m;
@@ -290,13 +438,13 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(
+    fn build<'a>(
         objective: &LinExpr,
-        constraints: &ConstraintSystem,
+        constraints: impl Iterator<Item = &'a Constraint> + Clone,
         nonneg: &BTreeSet<Var>,
     ) -> Tableau {
         // Collect all variables from constraints and objective.
-        let mut vars: BTreeSet<Var> = constraints.vars();
+        let mut vars: BTreeSet<Var> = constraints.clone().flat_map(|c| c.expr.vars()).collect();
         vars.extend(objective.vars());
 
         // Assign columns: nonneg vars get one column, free vars two (x+ - x-).
@@ -313,14 +461,14 @@ impl Tableau {
         }
 
         // One slack column per inequality.
-        let n_slacks = constraints.constraints().iter().filter(|c| c.rel == Rel::Le).count();
+        let n_slacks = constraints.clone().filter(|c| c.rel == Rel::Le).count();
         let first_slack = next_col;
         let num_cols = next_col + n_slacks;
 
         // Build rows: expr REL 0 becomes  Σ a·cols (+ slack) = -constant.
         let mut rows: Vec<Vec<Rat>> = Vec::new();
         let mut slack_idx = first_slack;
-        for c in constraints.constraints() {
+        for c in constraints {
             let mut row = vec![Rat::zero(); num_cols + 1];
             for (v, a) in c.expr.terms() {
                 let (pc, mc) = var_cols[&v];
@@ -361,6 +509,67 @@ impl Tableau {
             basis: Vec::new(),
             num_cols,
             var_cols,
+        }
+    }
+
+    /// The Farkas dual of `max expr` over `rows` (sign restrictions
+    /// `nonneg`), as a minimization with one row per variable of `vars`:
+    /// `Σ λⱼaⱼ − μ = a` over the variables, objective `−Σ λⱼkⱼ`, with
+    /// `λⱼ ≥ 0` for an inequality row (two columns `λ⁺ − λ⁻` for an
+    /// equality) and one `μ_v ≥ 0` column per nonnegative variable. Its
+    /// optimum is the maximum of `expr`'s variable part; no point is read
+    /// back, so `var_cols` stays empty.
+    fn farkas_dual<'a>(
+        rows: impl Iterator<Item = &'a Constraint> + Clone,
+        vars: &[Var],
+        nonneg: &BTreeSet<Var>,
+        expr: &LinExpr,
+    ) -> Tableau {
+        let lambda_cols: usize = rows.clone().map(|c| if c.rel == Rel::Le { 1 } else { 2 }).sum();
+        let mu_vars = vars.iter().filter(|v| nonneg.contains(v)).count();
+        let num_cols = lambda_cols + mu_vars;
+        let at = |v: Var| vars.binary_search(&v).expect("variable listed");
+        let mut tab = vec![vec![Rat::zero(); num_cols + 1]; vars.len()];
+        let mut cost = vec![Rat::zero(); num_cols];
+        let mut col = 0;
+        for c in rows {
+            for (v, a) in c.expr.terms() {
+                tab[at(v)][col] += a;
+            }
+            cost[col] = -c.expr.constant_term();
+            if c.rel == Rel::Eq {
+                for (v, a) in c.expr.terms() {
+                    tab[at(v)][col + 1] -= a;
+                }
+                cost[col + 1] = c.expr.constant_term().clone();
+                col += 1;
+            }
+            col += 1;
+        }
+        for (r, v) in vars.iter().enumerate() {
+            if nonneg.contains(v) {
+                tab[r][col] = -Rat::one();
+                col += 1;
+            }
+        }
+        for (v, a) in expr.terms() {
+            tab[at(v)][num_cols] = a.clone();
+        }
+        // Make rhs nonnegative for phase 1.
+        for row in &mut tab {
+            if row[num_cols].is_negative() {
+                for x in row.iter_mut() {
+                    *x = -&*x;
+                }
+            }
+        }
+        Tableau {
+            rows: tab,
+            cost,
+            cost_offset: Rat::zero(),
+            basis: Vec::new(),
+            num_cols,
+            var_cols: BTreeMap::new(),
         }
     }
 

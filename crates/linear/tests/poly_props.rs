@@ -1,16 +1,21 @@
 //! Randomized property tests for the polyhedral shortcuts the size-relation
 //! fixpoint relies on: widening against the next iterate instead of its
 //! join with the previous one, the batched implication probe behind
-//! `widen`/`includes_in`/`weak_join`, and the LP-free paths of
-//! `minimized`. Each is checked against the plain per-row LP formulation
-//! on seeded random systems that mix equalities and inequalities, empty
-//! and universe operands, and hulls over `HULL_ROW_CAP`.
+//! `widen`/`includes_in`/`weak_join`, the Farkas-dual implication test
+//! behind `is_implied`, and the greedy `irredundant` pass with its LP-free
+//! keep test behind `minimized`. Each is checked against the plain per-row
+//! LP formulation on seeded random systems that mix equalities and
+//! inequalities, empty and universe operands, and hulls over
+//! `HULL_ROW_CAP`.
+//!
+//! The LP oracle is the primal simplex through `LpProblem::maximize`, one
+//! tableau row per constraint, so it shares no code with the dual tableau.
 
 use argus_linear::poly::HULL_ROW_CAP;
-use argus_linear::simplex;
-use argus_linear::{Constraint, ConstraintSystem, FmConfig, FmStats, LinExpr, Poly, Rat, Rel};
+use argus_linear::simplex::{self, LpOutcome, LpProblem, LpStats};
+use argus_linear::{Constraint, ConstraintSystem, FmConfig, FmStats, LinExpr, Poly, Rat, Rel, Var};
 use argus_prng::Rng64;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A row through `anchor`: random small coefficients, with the constant
 /// chosen so the row holds there (with random slack for an inequality).
@@ -80,22 +85,68 @@ fn implied_rows(of: &Poly, by: &Poly) -> Vec<Constraint> {
         .collect()
 }
 
+/// Does `sys` imply `cand`? The primal LP alone: maximize each inequality
+/// half over the system.
+fn primal_implies(sys: &ConstraintSystem, nonneg: &BTreeSet<Var>, cand: &Constraint) -> bool {
+    let lp = LpProblem::feasibility(sys.clone(), nonneg.clone());
+    let le = |e: &LinExpr| match lp.maximize(e.clone()) {
+        LpOutcome::Infeasible => true,
+        LpOutcome::Unbounded => false,
+        LpOutcome::Optimal { value, .. } => !value.is_positive(),
+    };
+    le(&cand.expr) && (cand.rel == Rel::Le || le(&-&cand.expr))
+}
+
 /// `minimized` as plain LP redundancy removal: dedup, then drop each row
-/// the remaining others imply, one LP per row.
-fn reference_minimized(p: &Poly) -> Vec<Constraint> {
-    let mut kept = p.constraints().dedup().constraints().to_vec();
+/// the remaining others imply, one primal LP per row.
+fn reference_minimized(sys: &ConstraintSystem) -> Vec<Constraint> {
+    let mut kept = sys.dedup().constraints().to_vec();
     let mut i = 0;
     while i < kept.len() {
         let others: Vec<Constraint> =
             kept.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, c)| c.clone()).collect();
         let others = ConstraintSystem::from_constraints(others);
-        if simplex::is_implied(&others, &BTreeSet::new(), &kept[i]) {
+        if primal_implies(&others, &BTreeSet::new(), &kept[i]) {
             kept.remove(i);
         } else {
             i += 1;
         }
     }
     kept
+}
+
+/// A random row over `0..dim`: small coefficients (all zero now and then,
+/// which makes a constant row), through `anchor` with random slack when
+/// one is given, otherwise with a random constant.
+fn random_row(r: &mut Rng64, dim: usize, anchor: Option<&[i64]>, rel: Rel) -> Constraint {
+    let constant_row = r.below(12) == 0;
+    let mut e = LinExpr::zero();
+    let mut at = 0;
+    for v in 0..dim {
+        let a = if constant_row { 0 } else { r.range_i64(-3, 3) };
+        e.add_term(v, Rat::from_int(a));
+        at += a * anchor.map_or(0, |x| x[v]);
+    }
+    let k = match anchor {
+        Some(_) if rel == Rel::Le => -at - r.range_i64(0, 3),
+        Some(_) => -at,
+        None => r.range_i64(-4, 4),
+    };
+    e.add_constant(&Rat::from_int(k));
+    Constraint { expr: e, rel }
+}
+
+/// A random system over `0..dim`: usually feasible (rows through an
+/// anchor point), sometimes unanchored and possibly infeasible.
+fn random_system(r: &mut Rng64, dim: usize, max_rows: usize) -> ConstraintSystem {
+    let anchor: Option<Vec<i64>> =
+        (r.below(4) != 0).then(|| (0..dim).map(|_| r.range_i64(0, 5)).collect());
+    let mut sys = ConstraintSystem::new();
+    for _ in 0..r.range_usize(0, max_rows) {
+        let rel = if r.below(5) == 0 { Rel::Eq } else { Rel::Le };
+        sys.push(random_row(r, dim, anchor.as_deref(), rel));
+    }
+    sys
 }
 
 /// Widening against the next iterate equals widening against its closed
@@ -180,8 +231,8 @@ fn probe_batches_match_per_row_lps() {
     }
 }
 
-/// `minimized` (with its LP-free keep test) equals plain LP redundancy
-/// removal, and a widening of a minimized polyhedron is already minimal:
+/// `minimized` (with its LP-free keep test) equals plain primal-LP
+/// redundancy removal, and a widening of a minimized polyhedron is already minimal:
 /// minimizing it from scratch changes nothing.
 #[test]
 fn minimized_matches_lp_reference() {
@@ -194,7 +245,11 @@ fn minimized_matches_lp_reference() {
         }
         let m = p.minimized();
         assert!(m.is_minimal());
-        assert_eq!(m.constraints().constraints(), &reference_minimized(&p)[..], "p:\n{p}");
+        assert_eq!(
+            m.constraints().constraints(),
+            &reference_minimized(p.constraints())[..],
+            "p:\n{p}"
+        );
 
         let new = gen_poly(&mut r, dim, 9);
         let w = m.widen(&new);
@@ -202,4 +257,69 @@ fn minimized_matches_lp_reference() {
         assert!(!fresh.is_minimal());
         assert_eq!(fresh.minimized(), w, "m:\n{m}\nnew:\n{new}");
     }
+}
+
+/// The dual-form `is_implied` answers what the primal LP answers, on
+/// systems with equality rows, nonnegative variables, constant rows and
+/// infeasible systems, for inequality and equality candidates that may
+/// mention a variable absent from the system.
+#[test]
+fn dual_is_implied_matches_primal_lp() {
+    let mut r = Rng64::new(0xD0A1);
+    let mut seen = BTreeMap::new();
+    for _ in 0..3000 {
+        let dim = r.range_usize(1, 4);
+        let sys = random_system(&mut r, dim, 10);
+        let nonneg: BTreeSet<Var> = (0..=dim).filter(|_| r.bool()).collect();
+        // One more variable than the system may mention: absent from it.
+        let cand_dim = if r.below(4) == 0 { dim + 1 } else { dim };
+        let rel = if r.below(4) == 0 { Rel::Eq } else { Rel::Le };
+        let cand = random_row(&mut r, cand_dim, None, rel);
+        let want = primal_implies(&sys, &nonneg, &cand);
+        assert_eq!(
+            simplex::is_implied(&sys, &nonneg, &cand),
+            want,
+            "nonneg {nonneg:?}\nsystem:\n{sys}\ncandidate: {cand}"
+        );
+        let feasible = simplex::feasible_point(&sys, &nonneg).is_some();
+        *seen.entry((feasible, rel == Rel::Eq, want)).or_insert(0) += 1;
+    }
+    // Every combination of feasible/infeasible system, inequality/equality
+    // candidate and implied/not implied occurred (infeasible systems
+    // imply everything).
+    for feasible in [true, false] {
+        for eq in [true, false] {
+            for implied in [true, false] {
+                if !feasible && !implied {
+                    continue;
+                }
+                assert!(seen.contains_key(&(feasible, eq, implied)), "{seen:?}");
+            }
+        }
+    }
+}
+
+/// `irredundant` keeps, row for row, what plain primal-LP redundancy
+/// removal keeps, answers each test with one dual tableau row per
+/// variable, and reports an infeasible system as `None`.
+#[test]
+fn irredundant_matches_lp_reference() {
+    let mut r = Rng64::new(0x6EED);
+    let mut infeasible = 0;
+    for _ in 0..600 {
+        let dim = r.range_usize(1, 4);
+        let sys = random_system(&mut r, dim, 14).dedup();
+        let mut stats = LpStats::default();
+        let kept = simplex::irredundant(&sys, &mut stats);
+        if simplex::feasible_point(&sys, &BTreeSet::new()).is_none() {
+            assert_eq!(kept, None, "system:\n{sys}");
+            infeasible += 1;
+            continue;
+        }
+        let kept = kept.expect("feasible system");
+        assert_eq!(kept.constraints(), &reference_minimized(&sys)[..], "system:\n{sys}");
+        let vars = sys.vars().len() as u64;
+        assert_eq!(stats.tableau_rows, stats.solves * vars, "{stats:?}\n{sys}");
+    }
+    assert!(infeasible >= 20, "only {infeasible} infeasible systems");
 }

@@ -1,5 +1,6 @@
-//! JSON string escaping shared by every emitter in the workspace (reports,
-//! diagnostics, the server, the LSP, fuzz and bench output).
+//! JSON string escaping and array joining shared by every emitter in the
+//! workspace (reports, diagnostics, the server, the LSP, fuzz and bench
+//! output).
 
 use std::fmt::Write as _;
 
@@ -29,6 +30,13 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// A JSON array of already-rendered items, joined by `sep`: `","` for
+/// compact output (reports), `", "` for readable output (bench logs).
+pub fn json_array(items: impl IntoIterator<Item = String>, sep: &str) -> String {
+    let inner: Vec<String> = items.into_iter().collect();
+    format!("[{}]", inner.join(sep))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,5 +53,13 @@ mod tests {
         let mut out = String::from("k=");
         escape_into(&mut out, "\"\\\n");
         assert_eq!(out, r#"k=\"\\\n"#);
+    }
+
+    #[test]
+    fn arrays_join_with_the_given_separator() {
+        let items = || ["1".to_string(), json_str("a")];
+        assert_eq!(json_array(items(), ","), r#"[1,"a"]"#);
+        assert_eq!(json_array(items(), ", "), r#"[1, "a"]"#);
+        assert_eq!(json_array(Vec::new(), ","), "[]");
     }
 }
