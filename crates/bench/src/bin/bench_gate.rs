@@ -6,9 +6,10 @@
 //! (the FM row-reduction floors, EXPERIMENTS.md E11), §6.2's SCC
 //! modularity (the incremental and LSP dirty-cone floors, E16), the
 //! 50k-clause substrate, and the Farkas-dual form of redundancy removal
-//! (E21). Counters are deterministic by construction, so
-//! the gate stays green on loaded CI machines while still catching a
-//! change that quietly disables the machinery. Wall time is gated in two
+//! (E21), plus serve's content-addressed caches. Counters are
+//! deterministic by construction, so the gate stays green on loaded CI
+//! machines while still catching a change that quietly disables the
+//! machinery. Wall time is gated in two
 //! places only, each with a wide margin: the 50k warm-edit speedup and
 //! the 50k analyze ceiling.
 //!
@@ -101,6 +102,14 @@ const CHECKS: &[Check] = &[
     // 111 s yet below the 514 s before the substrate. Loaded CI machines
     // stay green; losing the substrate wins does not.
     Check::Max { id: "scale/analyze/50k", key: "ns_per_iter", ceiling: 480e9 },
+    // Serve's report and condition caches, both `SccCache` instances: a
+    // primed repeat is answered from the store every time, and an infer
+    // deposits the analyze report its probes already computed.
+    Check::Max { id: "serve/analyze/warm/append_bff", key: "report_cache_misses", ceiling: 1.0 },
+    Check::Min { id: "serve/analyze/warm/append_bff", key: "report_cache_hits", floor: 200.0 },
+    Check::Max { id: "infer/serve-warm/append_bff", key: "condition_cache_misses", ceiling: 1.0 },
+    Check::Min { id: "infer/serve-warm/append_bff", key: "condition_cache_hits", floor: 200.0 },
+    Check::Max { id: "infer/primed-analyze/append_bff", key: "report_cache_misses", ceiling: 0.0 },
     // Incremental re-analysis (E16), per size label.
     Check::PerLabel { anchor: "incremental/warm-edit/", rows: INCREMENTAL },
     // The LSP edit session, through the whole protocol stack (framing →
@@ -420,7 +429,7 @@ mod tests {
         let verdicts = evaluate(CHECKS, &collect(&[(path, &text)]).unwrap());
         let failed: Vec<&Verdict> = verdicts.iter().filter(|v| !v.ok).collect();
         assert!(failed.is_empty(), "{failed:?}");
-        // 15 fixed checks, incremental 10k + 50k (2 + 3), lsp 10k (2).
-        assert_eq!(verdicts.len(), 22, "{verdicts:?}");
+        // 20 fixed checks, incremental 10k + 50k (2 + 3), lsp 10k (2).
+        assert_eq!(verdicts.len(), 27, "{verdicts:?}");
     }
 }

@@ -26,10 +26,10 @@
 //! dirty cone — is a pure hit, and the replayed result is byte-identical
 //! to a cold run (the fuzz oracle `argus fuzz --incremental` and the
 //! byte-identity test tier enforce this). Keys deliberately exclude source
-//! spans, worker counts, the projection-cache knob, and the deadline; the
-//! first is rendering-only metadata re-derived on hit, the rest are
-//! byte-identical knobs (a deadline that actually fired suppresses the
-//! `put`, so degraded results are never cached).
+//! spans, worker counts, and the deadline; the first is rendering-only
+//! metadata re-derived on hit, the rest are byte-identical knobs (a
+//! deadline that actually fired suppresses the `put`, so degraded results
+//! are never cached).
 //!
 //! The on-disk format (one file per entry under `--cache-dir`, default
 //! `$ARGUS_CACHE_DIR`, `$XDG_CACHE_HOME/argus`, or `~/.cache/argus`) is a
@@ -589,24 +589,10 @@ pub(crate) fn encode_theta_entry(a: &SccAnalysis) -> Vec<u8> {
             });
         }
     }
-    let fm = &a.stats.fm;
-    for v in [
-        fm.eliminations,
-        fm.gauss_steps,
-        fm.rows_in,
-        fm.rows_out,
-        fm.pairs_combined,
-        fm.dedup_hits,
-        fm.subsume_hits,
-        fm.chernikov_drops,
-        fm.lp_drops,
-        fm.peak_rows,
-        fm.small_combs,
-        fm.big_combs,
-        a.stats.projections,
-    ] {
+    for (_, v) in a.stats.fm.counters() {
         e.u64(v);
     }
+    e.u64(a.stats.projections);
     e.0
 }
 
@@ -721,27 +707,14 @@ pub(crate) fn decode_theta_entry(
         }
         _ => return None,
     };
-    let mut counters = [0u64; 13];
+    let mut counters = [0u64; 12];
     for slot in &mut counters {
         *slot = d.u64()?;
     }
+    let projections = d.u64()?;
     if !d.done() {
         return None;
     }
-    let fm = FmStats {
-        eliminations: counters[0],
-        gauss_steps: counters[1],
-        rows_in: counters[2],
-        rows_out: counters[3],
-        pairs_combined: counters[4],
-        dedup_hits: counters[5],
-        subsume_hits: counters[6],
-        chernikov_drops: counters[7],
-        lp_drops: counters[8],
-        peak_rows: counters[9],
-        small_combs: counters[10],
-        big_combs: counters[11],
-    };
     // Rebuild the θ space exactly as `analyze_scc` does: one variable per
     // bound argument, members in SCC order.
     let mut space = ThetaSpace::new();
@@ -756,7 +729,7 @@ pub(crate) fn decode_theta_entry(
         theta_space: space,
         pair_count,
         blame,
-        stats: SccStats { wall_nanos: 0, fm, projections: counters[12] },
+        stats: SccStats { wall_nanos: 0, fm: FmStats::from_counters(counters), projections },
     })
 }
 
@@ -779,18 +752,26 @@ struct MemInner {
     clock: u64,
 }
 
-/// The SCC-level memo: an in-memory LRU map (keyed on the FNV-1a64 of the
-/// canonical key, full key compared on every probe) over encoded entries,
-/// optionally backed by an on-disk directory shared across processes.
+/// A content-addressed, byte-budgeted LRU of immutable bodies with an
+/// optional disk mirror.
 ///
-/// Thread-safe; cheap to share behind an [`Arc`]. All disk failures are
-/// silent misses.
+/// A body is stored under a canonical key string that names everything the
+/// body depends on; probes hash the key with FNV-1a64 and compare the full
+/// key, so a hash collision costs speed, never correctness. Past the byte
+/// budget the least recently used entries are evicted, always keeping at
+/// least one. The first insert of a key wins. This one store backs the
+/// per-SCC memo of every surface and `argus serve`'s report and condition
+/// caches.
+///
+/// Thread-safe; cheap to share behind an [`Arc`]. A disk failure or a
+/// poisoned lock is a silent miss.
 pub struct SccCache {
     inner: Mutex<MemInner>,
     disk: Option<PathBuf>,
     budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    insertions: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -817,6 +798,7 @@ impl SccCache {
             budget: budget_bytes.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -862,6 +844,12 @@ impl SccCache {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Bodies inserted into memory (a disk hit's promotion counts; a
+    /// repeated key does not).
+    pub fn insertions(&self) -> u64 {
+        self.insertions.load(Ordering::Relaxed)
+    }
+
     /// In-memory entries evicted by the byte budget.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -869,7 +857,7 @@ impl SccCache {
 
     /// In-memory entry count.
     pub fn entries(&self) -> u64 {
-        self.inner.lock().map(|i| i.map.values().map(Vec::len).sum::<usize>() as u64).unwrap_or(0)
+        self.inner.lock().map(|i| i.by_stamp.len() as u64).unwrap_or(0)
     }
 
     /// In-memory resident bytes (bodies + keys + bookkeeping overhead).
@@ -935,6 +923,7 @@ impl SccCache {
         }
         inner.by_stamp.insert(stamp, hash);
         inner.bytes += bytes;
+        self.insertions.fetch_add(1, Ordering::Relaxed);
         let mut evicted = 0u64;
         while inner.bytes > self.budget && inner.by_stamp.len() > 1 {
             let Some((&oldest, &h)) = inner.by_stamp.iter().next() else { break };
@@ -1042,6 +1031,15 @@ mod tests {
     }
 
     #[test]
+    fn first_insert_wins() {
+        let cache = SccCache::unbounded();
+        cache.put("k", b"first");
+        cache.put("k", b"second");
+        assert_eq!(cache.get("k").as_deref(), Some(&b"first"[..]));
+        assert_eq!((cache.insertions(), cache.entries()), (1, 1));
+    }
+
+    #[test]
     fn lru_eviction_respects_budget() {
         let cache = SccCache::new(2 * (ENTRY_OVERHEAD + 8));
         cache.put("aaaa", &[0u8; 4]);
@@ -1052,6 +1050,22 @@ mod tests {
         assert!(cache.get("bbbb").is_none());
         assert!(cache.get("aaaa").is_some());
         assert!(cache.get("cccc").is_some());
+    }
+
+    /// The θ entry bytes of one corpus SCC, pinned by digest: a reordered
+    /// or renamed FM counter list changes the on-disk format without a
+    /// `SCHEMA_VERSION` bump and fails here.
+    #[test]
+    fn theta_entry_bytes_are_pinned() {
+        let entry = argus_corpus::find("perm").expect("corpus entry");
+        let report =
+            crate::analyze::analyze_source(entry.source, entry.query, entry.adornment).unwrap();
+        let perm = PredKey::new("perm", 2);
+        let scc = report.sccs.iter().find(|s| s.members.contains(&perm)).expect("perm SCC");
+        let bytes = encode_theta_entry(scc);
+        assert_eq!((bytes.len(), Fnv64::digest(&bytes)), (263, 0x191a_ff06_feee_ef9d));
+        let decoded = decode_theta_entry(&bytes, &scc.members, &[], &report.modes).unwrap();
+        assert_eq!((decoded.stats.fm, decoded.stats.projections), (scc.stats.fm, 1));
     }
 
     /// On-disk entries written by earlier builds must stay readable: the

@@ -137,26 +137,12 @@ impl TerminationReport {
                 }
             };
             let scc_stats = if stats {
-                let fm = &scc.stats.fm;
-                format!(
-                    ",\"stats\":{{\"projections\":{},\"eliminations\":{},\"gauss_steps\":{},\
-                     \"rows_in\":{},\"rows_out\":{},\"pairs_combined\":{},\"dedup_hits\":{},\
-                     \"subsume_hits\":{},\"chernikov_drops\":{},\"lp_drops\":{},\"peak_rows\":{},\
-                     \"small_combs\":{},\"big_combs\":{}}}",
-                    scc.stats.projections,
-                    fm.eliminations,
-                    fm.gauss_steps,
-                    fm.rows_in,
-                    fm.rows_out,
-                    fm.pairs_combined,
-                    fm.dedup_hits,
-                    fm.subsume_hits,
-                    fm.chernikov_drops,
-                    fm.lp_drops,
-                    fm.peak_rows,
-                    fm.small_combs,
-                    fm.big_combs,
-                )
+                let mut out = format!(",\"stats\":{{\"projections\":{}", scc.stats.projections);
+                for (name, v) in scc.stats.fm.counters() {
+                    out.push_str(&format!(",\"{name}\":{v}"));
+                }
+                out.push('}');
+                out
             } else {
                 String::new()
             };

@@ -214,6 +214,44 @@ impl FmStats {
         self.big_combs += other.big_combs;
     }
 
+    /// Every counter with its name, in field order: the one list that
+    /// the report JSON, the `/metrics` block and the θ memo codec all
+    /// walk, so none of them spells the fields out.
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
+        [
+            ("eliminations", self.eliminations),
+            ("gauss_steps", self.gauss_steps),
+            ("rows_in", self.rows_in),
+            ("rows_out", self.rows_out),
+            ("pairs_combined", self.pairs_combined),
+            ("dedup_hits", self.dedup_hits),
+            ("subsume_hits", self.subsume_hits),
+            ("chernikov_drops", self.chernikov_drops),
+            ("lp_drops", self.lp_drops),
+            ("peak_rows", self.peak_rows),
+            ("small_combs", self.small_combs),
+            ("big_combs", self.big_combs),
+        ]
+    }
+
+    /// The inverse of [`FmStats::counters`]: values in field order.
+    pub fn from_counters(values: [u64; 12]) -> FmStats {
+        FmStats {
+            eliminations: values[0],
+            gauss_steps: values[1],
+            rows_in: values[2],
+            rows_out: values[3],
+            pairs_combined: values[4],
+            dedup_hits: values[5],
+            subsume_hits: values[6],
+            chernikov_drops: values[7],
+            lp_drops: values[8],
+            peak_rows: values[9],
+            small_combs: values[10],
+            big_combs: values[11],
+        }
+    }
+
     /// Total rows removed by redundancy control.
     pub fn total_drops(&self) -> u64 {
         self.dedup_hits + self.subsume_hits + self.chernikov_drops + self.lp_drops
@@ -860,6 +898,18 @@ mod tests {
             sys.push(Constraint::nonneg(v));
         }
         sys
+    }
+
+    #[test]
+    fn counters_walk_the_fields_in_order_and_invert() {
+        let values: [u64; 12] = std::array::from_fn(|i| i as u64 + 1);
+        let stats = FmStats::from_counters(values);
+        assert_eq!(stats.counters().map(|(_, v)| v), values);
+        // `Debug` prints the fields in declaration order.
+        let debug = format!("{stats:?}");
+        let expected: Vec<String> =
+            stats.counters().iter().map(|(name, v)| format!("{name}: {v}")).collect();
+        assert!(debug.contains(&expected.join(", ")), "{debug}");
     }
 
     #[test]

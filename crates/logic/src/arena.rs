@@ -8,15 +8,15 @@
 //! [`TermId`] is a 4-byte handle. Nodes are *hash-consed* — structurally
 //! equal subterms get the same id — so equality of interned terms is an
 //! id compare, repeated subterms are stored once, and per-node analyses
-//! (groundness, size polynomials) can be memoized by id.
+//! (size polynomials) can be memoized by id.
 //!
 //! The arena is a cache-friendly *view* of the substrate, not a
 //! replacement for it: [`TermArena::insert`] brings a [`Term`] in,
 //! [`TermArena::view`] materializes one back out, and the traversals the
-//! analysis pipeline runs per fixpoint iteration — size-norm polynomials
-//! ([`TermArena::size_polynomial_into`], [`TermArena::right_spine_into`])
-//! and unification ([`TermArena::unify_ids`]) — run on indices without
-//! touching the tree form at all.
+//! size-relation fixpoint runs per iteration — the size-norm polynomials
+//! [`TermArena::size_polynomial_into`] and [`TermArena::right_spine_into`]
+//! — run on indices without touching the tree form at all. Unification
+//! stays on the tree form ([`crate::unify`]).
 //!
 //! Ids are arena-local and assigned in insertion order; nothing
 //! output-visible may depend on them (the same discipline as interner
@@ -75,9 +75,6 @@ pub enum NodeRef<'a> {
 #[derive(Debug, Default)]
 pub struct TermArena {
     nodes: Vec<Node>,
-    /// Groundness bit per node, computed at insertion (children precede
-    /// parents, so it is O(arity) per node and O(1) to query).
-    ground: Vec<bool>,
     /// Shared argument buffer; each `App` owns one contiguous range.
     args: Vec<TermId>,
     /// Hash-cons table: node hash → candidate ids (collision chain).
@@ -102,12 +99,11 @@ impl TermArena {
     /// Approximate heap footprint of this arena in bytes.
     pub fn bytes(&self) -> u64 {
         let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let ground = self.ground.capacity();
         let args = self.args.capacity() * std::mem::size_of::<TermId>();
         let dedup = self.dedup.capacity()
             * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
             + self.dedup_entries * std::mem::size_of::<u32>();
-        (nodes + ground + args + dedup) as u64
+        (nodes + args + dedup) as u64
     }
 
     fn sync_gauge(&mut self) {
@@ -128,11 +124,6 @@ impl TermArena {
                 NodeRef::App(f, &self.args[r.start as usize..(r.start + r.len) as usize])
             }
         }
-    }
-
-    /// True iff the term behind `id` contains no variables. O(1).
-    pub fn is_ground(&self, id: TermId) -> bool {
-        self.ground[id.ix()]
     }
 
     /// Intern a variable node.
@@ -167,17 +158,15 @@ impl TermArena {
             }
         }
         let id = u32::try_from(self.nodes.len()).expect("term arena capacity exceeded");
-        let (stored, ground) = match node {
-            Node::Var(v) => (Node::Var(v), false),
+        let stored = match node {
+            Node::Var(v) => Node::Var(v),
             Node::App(f, _) => {
                 let start = u32::try_from(self.args.len()).expect("term arena args exceeded");
                 self.args.extend_from_slice(args);
-                let ground = args.iter().all(|a| self.ground[a.ix()]);
-                (Node::App(f, ArgRange { start, len: args.len() as u32 }), ground)
+                Node::App(f, ArgRange { start, len: args.len() as u32 })
             }
         };
         self.nodes.push(stored);
-        self.ground.push(ground);
         self.dedup.entry(h).or_default().push(id);
         self.dedup_entries += 1;
         self.sync_gauge();
@@ -201,27 +190,6 @@ impl TermArena {
         match self.get(id) {
             NodeRef::Var(v) => Term::Var(v),
             NodeRef::App(f, args) => Term::App(f, args.iter().map(|&a| self.view(a)).collect()),
-        }
-    }
-
-    /// Append the distinct variables of `id` to `out` in first-occurrence
-    /// depth-first order (deduplicated against existing contents, like
-    /// [`Term::vars_into`]).
-    pub fn vars_into(&self, id: TermId, out: &mut Vec<Sym>) {
-        if self.is_ground(id) {
-            return;
-        }
-        match self.get(id) {
-            NodeRef::Var(v) => {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-            NodeRef::App(_, args) => {
-                for &a in args {
-                    self.vars_into(a, out);
-                }
-            }
         }
     }
 
@@ -262,105 +230,11 @@ impl TermArena {
             }
         }
     }
-
-    /// Resolve `id` under `s` into tree form (substitution applied
-    /// recursively, like `Subst::resolve`).
-    pub fn resolve(&self, id: TermId, s: &IdSubst) -> Term {
-        let id = self.walk(id, s);
-        match self.get(id) {
-            NodeRef::Var(v) => Term::Var(v),
-            NodeRef::App(f, args) => {
-                Term::App(f, args.iter().map(|&a| self.resolve(a, s)).collect())
-            }
-        }
-    }
-
-    fn walk(&self, mut id: TermId, s: &IdSubst) -> TermId {
-        while let NodeRef::Var(v) = self.get(id) {
-            match s.map.get(&v) {
-                Some(&next) if next != id => id = next,
-                _ => break,
-            }
-        }
-        id
-    }
-
-    fn occurs(&self, v: Sym, id: TermId, s: &IdSubst) -> bool {
-        let id = self.walk(id, s);
-        match self.get(id) {
-            NodeRef::Var(w) => w == v,
-            NodeRef::App(_, args) => args.iter().any(|&a| self.occurs(v, a, s)),
-        }
-    }
-
-    /// Unify the terms behind `a` and `b`, extending `s` with bindings to
-    /// ids. Mirrors [`crate::unify::unify`]: variables bind to unwalked
-    /// ids, `occurs_check` rejects cyclic bindings.
-    pub fn unify_ids(&self, a: TermId, b: TermId, s: &mut IdSubst, occurs_check: bool) -> bool {
-        let a = self.walk(a, s);
-        let b = self.walk(b, s);
-        if a == b && !matches!(self.get(a), NodeRef::Var(_)) {
-            // Hash-consing bonus: identical ground-or-shared subterms
-            // unify without traversal. (Equal variables fall through to
-            // the Var/Var case below, which also succeeds.)
-            return true;
-        }
-        match (self.get(a), self.get(b)) {
-            (NodeRef::Var(x), NodeRef::Var(y)) if x == y => true,
-            (NodeRef::Var(x), _) => {
-                if occurs_check && self.occurs(x, b, s) {
-                    return false;
-                }
-                s.map.insert(x, b);
-                true
-            }
-            (_, NodeRef::Var(y)) => {
-                if occurs_check && self.occurs(y, a, s) {
-                    return false;
-                }
-                s.map.insert(y, a);
-                true
-            }
-            (NodeRef::App(f, fa), NodeRef::App(g, ga)) => {
-                if f != g || fa.len() != ga.len() {
-                    return false;
-                }
-                // The arg slices alias `self.args`; copy the ids (4 bytes
-                // each) so unification can walk `self` mutably-free.
-                let pairs: Vec<(TermId, TermId)> =
-                    fa.iter().copied().zip(ga.iter().copied()).collect();
-                pairs.into_iter().all(|(x, y)| self.unify_ids(x, y, s, occurs_check))
-            }
-        }
-    }
 }
 
 impl Drop for TermArena {
     fn drop(&mut self) {
         ARENA_BYTES.fetch_sub(self.reported_bytes, Ordering::Relaxed);
-    }
-}
-
-/// A substitution over arena ids: variable symbol → bound [`TermId`].
-#[derive(Debug, Default)]
-pub struct IdSubst {
-    map: HashMap<Sym, TermId>,
-}
-
-impl IdSubst {
-    /// An empty substitution.
-    pub fn new() -> IdSubst {
-        IdSubst::default()
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True iff no variable is bound.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -394,7 +268,6 @@ fn node_hash(node: &Node, args: &[TermId]) -> u64 {
 mod tests {
     use super::*;
     use crate::parser::parse_term;
-    use crate::unify::mgu;
 
     fn t(src: &str) -> Term {
         parse_term(src).unwrap()
@@ -423,29 +296,6 @@ mod tests {
         assert_eq!(arena.node_count(), before, "re-insert allocates nothing");
         let c = arena.insert(&t("f(g(X), g(Y))"));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn groundness_is_precomputed() {
-        let mut arena = TermArena::new();
-        let ground = arena.insert(&t("f(a, [b, c])"));
-        let open = arena.insert(&t("f(a, [b | T])"));
-        let var = arena.insert(&t("X"));
-        assert!(arena.is_ground(ground));
-        assert!(!arena.is_ground(open));
-        assert!(!arena.is_ground(var));
-    }
-
-    #[test]
-    fn vars_match_tree_form() {
-        let mut arena = TermArena::new();
-        for src in ["f(B, A, B)", "f(X, g(Y, X), Z)", "a", "[H | T]"] {
-            let term = t(src);
-            let id = arena.insert(&term);
-            let mut got = Vec::new();
-            arena.vars_into(id, &mut got);
-            assert_eq!(got, term.vars(), "{src}");
-        }
     }
 
     #[test]
@@ -490,35 +340,5 @@ mod tests {
         let mut spine = SizePolynomial::default();
         arena.right_spine_into(id, &mut spine);
         assert_eq!(spine.constant, 100_000);
-    }
-
-    #[test]
-    fn unify_agrees_with_tree_unifier() {
-        let cases = [
-            ("f(X, b)", "f(a, Y)"),
-            ("f(X, X)", "f(a, b)"),
-            ("f(X, g(X))", "f(g(Y), Z)"),
-            ("X", "f(X)"),
-            ("[H | T]", "[a, b, c]"),
-            ("f(a)", "g(a)"),
-            ("f(a)", "f(a, b)"),
-            ("X", "Y"),
-            ("p(X, Y, Z)", "p(f(Y), f(Z), a)"),
-        ];
-        for (sa, sb) in cases {
-            let (ta, tb) = (t(sa), t(sb));
-            let mut arena = TermArena::new();
-            let (ia, ib) = (arena.insert(&ta), arena.insert(&tb));
-            let mut s = IdSubst::new();
-            let ok = arena.unify_ids(ia, ib, &mut s, true);
-            assert_eq!(ok, mgu(&ta, &tb, true).is_some(), "{sa} = {sb}");
-            if ok {
-                assert_eq!(
-                    arena.resolve(ia, &s),
-                    arena.resolve(ib, &s),
-                    "{sa} = {sb}: unifier must equalize both sides"
-                );
-            }
-        }
     }
 }

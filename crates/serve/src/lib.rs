@@ -13,12 +13,12 @@
 //!   fixed-bucket latency histograms).
 //!
 //! Everything is hand-rolled on the standard library: the HTTP reader
-//! ([`http`]), the strict JSON request parser ([`jsonval`]), the
-//! content-addressed report cache ([`cache`]), and the metrics registry
-//! ([`metrics`]). Two cache levels make repeat submissions cheap —
-//! exact repeats hit the report cache and skip analysis entirely, while
-//! near-repeats (edited programs sharing SCC structure) reuse per-SCC
-//! results through the incremental [`argus_core::SccCache`].
+//! ([`http`]), the strict JSON request parser ([`jsonval`]), and the
+//! metrics registry ([`metrics`]). All three caches are instances of one
+//! content-addressed store, [`argus_core::SccCache`]. Exact repeats hit
+//! the report cache (or, for `/v1/infer`, the condition cache) and skip
+//! analysis entirely, while near-repeats (edited programs sharing SCC
+//! structure) reuse per-SCC results through the incremental memo.
 //!
 //! Hostile inputs are bounded on every axis: head/body caps (413 with
 //! the limit echoed), slow-loris read deadlines (408), malformed JSON
@@ -32,13 +32,11 @@
 // `server::sig` (zero-dependency SIGTERM handling).
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod http;
 pub mod jsonval;
 pub mod metrics;
 pub mod server;
 
-pub use cache::ReportCache;
 pub use http::{client, Limits, Request, Response};
 pub use metrics::{Metrics, METRICS_SCHEMA};
 pub use server::{

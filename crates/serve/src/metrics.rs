@@ -1,6 +1,7 @@
 //! The `/metrics` observability surface.
 //!
-//! All counters are lock-free atomics bumped on the request path; the
+//! The request counters are lock-free atomics bumped on the request path,
+//! and the FM totals one [`FmStats`] merged once per computed request; the
 //! snapshot renderer emits a *stable* JSON document — fixed key set,
 //! fixed order — so the schema can be golden-tested exactly like the
 //! `analyze --json` report (values normalized, names pinned). Latency is
@@ -8,10 +9,11 @@
 //! in microseconds, one atomic counter per bucket, no allocation and no
 //! dependencies.
 
-use crate::cache::ReportCache;
 use argus_core::SccCache;
 use argus_linear::FmStats;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Schema identifier pinned by the golden test. v2 added the `/v1/infer`
@@ -48,7 +50,6 @@ impl Histogram {
     }
 
     fn render(&self, out: &mut String) {
-        use std::fmt::Write as _;
         out.push_str("{\"buckets_us\":{");
         for (i, bound) in LATENCY_BUCKETS_US.iter().enumerate() {
             let _ = write!(out, "\"le_{bound}\":{},", self.counts[i].load(Ordering::Relaxed));
@@ -60,42 +61,6 @@ impl Histogram {
             self.total(),
             self.sum_us.load(Ordering::Relaxed)
         );
-    }
-}
-
-/// One atomic per [`FmStats`] field, merged per request.
-#[derive(Default)]
-pub struct FmTotals {
-    eliminations: AtomicU64,
-    gauss_steps: AtomicU64,
-    rows_in: AtomicU64,
-    rows_out: AtomicU64,
-    pairs_combined: AtomicU64,
-    dedup_hits: AtomicU64,
-    subsume_hits: AtomicU64,
-    chernikov_drops: AtomicU64,
-    lp_drops: AtomicU64,
-    peak_rows: AtomicU64,
-    small_combs: AtomicU64,
-    big_combs: AtomicU64,
-}
-
-impl FmTotals {
-    /// Fold one run's counters into the process totals (`peak_rows` takes
-    /// the max).
-    pub fn merge(&self, s: &FmStats) {
-        self.eliminations.fetch_add(s.eliminations, Ordering::Relaxed);
-        self.gauss_steps.fetch_add(s.gauss_steps, Ordering::Relaxed);
-        self.rows_in.fetch_add(s.rows_in, Ordering::Relaxed);
-        self.rows_out.fetch_add(s.rows_out, Ordering::Relaxed);
-        self.pairs_combined.fetch_add(s.pairs_combined, Ordering::Relaxed);
-        self.dedup_hits.fetch_add(s.dedup_hits, Ordering::Relaxed);
-        self.subsume_hits.fetch_add(s.subsume_hits, Ordering::Relaxed);
-        self.chernikov_drops.fetch_add(s.chernikov_drops, Ordering::Relaxed);
-        self.lp_drops.fetch_add(s.lp_drops, Ordering::Relaxed);
-        self.peak_rows.fetch_max(s.peak_rows, Ordering::Relaxed);
-        self.small_combs.fetch_add(s.small_combs, Ordering::Relaxed);
-        self.big_combs.fetch_add(s.big_combs, Ordering::Relaxed);
     }
 }
 
@@ -136,8 +101,9 @@ pub struct Metrics {
     pub malformed_requests: AtomicU64,
     /// Read timeouts mid-request (slow-loris cutoffs).
     pub read_timeouts: AtomicU64,
-    /// FM counters summed over every analysis this process ran.
-    pub fm: FmTotals,
+    /// FM counters summed over every analysis this process ran
+    /// (`peak_rows` is the maximum).
+    pub fm: Mutex<FmStats>,
     /// Latency of `/v1/analyze` handled from the report cache.
     pub analyze_latency_cached: Histogram,
     /// Latency of `/v1/analyze` that ran the analysis.
@@ -159,11 +125,10 @@ impl Metrics {
     pub fn snapshot_json(
         &self,
         uptime: Duration,
-        reports: &ReportCache,
-        conditions: &ReportCache,
+        reports: &SccCache,
+        conditions: &SccCache,
         scc: &SccCache,
     ) -> String {
-        use std::fmt::Write as _;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::with_capacity(2048);
         let _ = write!(out, "{{\"schema\":\"{METRICS_SCHEMA}\"");
@@ -203,57 +168,15 @@ impl Metrics {
             g(&self.infer_analyses),
             g(&self.infer_primed),
         );
-        let _ = write!(
-            out,
-            ",\"report_cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
-             \"entries\":{},\"resident_bytes\":{}}}",
-            reports.hits(),
-            reports.misses(),
-            reports.insertions(),
-            reports.evictions(),
-            reports.entries(),
-            reports.resident_bytes(),
-        );
-        let _ = write!(
-            out,
-            ",\"condition_cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
-             \"entries\":{},\"resident_bytes\":{}}}",
-            conditions.hits(),
-            conditions.misses(),
-            conditions.insertions(),
-            conditions.evictions(),
-            conditions.entries(),
-            conditions.resident_bytes(),
-        );
-        let _ = write!(
-            out,
-            ",\"scc_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"entries\":{},\"resident_bytes\":{}}}",
-            scc.hits(),
-            scc.misses(),
-            scc.evictions(),
-            scc.entries(),
-            scc.resident_bytes(),
-        );
-        let fm = &self.fm;
-        let _ = write!(
-            out,
-            ",\"fm\":{{\"eliminations\":{},\"gauss_steps\":{},\"rows_in\":{},\"rows_out\":{},\
-             \"pairs_combined\":{},\"dedup_hits\":{},\"subsume_hits\":{},\"chernikov_drops\":{},\
-             \"lp_drops\":{},\"peak_rows\":{},\"small_combs\":{},\"big_combs\":{}}}",
-            g(&fm.eliminations),
-            g(&fm.gauss_steps),
-            g(&fm.rows_in),
-            g(&fm.rows_out),
-            g(&fm.pairs_combined),
-            g(&fm.dedup_hits),
-            g(&fm.subsume_hits),
-            g(&fm.chernikov_drops),
-            g(&fm.lp_drops),
-            g(&fm.peak_rows),
-            g(&fm.small_combs),
-            g(&fm.big_combs),
-        );
+        render_cache(&mut out, "report_cache", reports, true);
+        render_cache(&mut out, "condition_cache", conditions, true);
+        render_cache(&mut out, "scc_cache", scc, false);
+        let fm = self.fm.lock().map(|fm| *fm).unwrap_or_default();
+        out.push_str(",\"fm\":{");
+        for (i, (name, v)) in fm.counters().into_iter().enumerate() {
+            let _ = write!(out, "{}\"{name}\":{v}", if i == 0 { "" } else { "," });
+        }
+        out.push('}');
         out.push_str(",\"latency\":{\"analyze_cached\":");
         self.analyze_latency_cached.render(&mut out);
         out.push_str(",\"analyze_computed\":");
@@ -261,6 +184,23 @@ impl Metrics {
         out.push_str("}}");
         out
     }
+}
+
+/// One cache block: `hits`, `misses`, then `insertions` when asked (the
+/// report and condition caches; the SCC memo block predates the counter
+/// and keeps its five keys), `evictions`, `entries` and `resident_bytes`.
+fn render_cache(out: &mut String, name: &str, cache: &SccCache, insertions: bool) {
+    let _ = write!(out, ",\"{name}\":{{\"hits\":{},\"misses\":{}", cache.hits(), cache.misses());
+    if insertions {
+        let _ = write!(out, ",\"insertions\":{}", cache.insertions());
+    }
+    let _ = write!(
+        out,
+        ",\"evictions\":{},\"entries\":{},\"resident_bytes\":{}}}",
+        cache.evictions(),
+        cache.entries(),
+        cache.resident_bytes(),
+    );
 }
 
 #[cfg(test)]
@@ -283,10 +223,14 @@ mod tests {
     #[test]
     fn snapshot_is_valid_json_with_pinned_schema() {
         let m = Metrics::default();
-        m.fm.merge(&FmStats { eliminations: 3, peak_rows: 7, ..FmStats::default() });
+        m.fm.lock().unwrap().merge(&FmStats {
+            eliminations: 3,
+            peak_rows: 7,
+            ..FmStats::default()
+        });
         m.count_status(200);
-        let reports = ReportCache::new(1024);
-        let conditions = ReportCache::new(1024);
+        let reports = SccCache::new(1024);
+        let conditions = SccCache::new(1024);
         let scc = SccCache::new(1024);
         let snap = m.snapshot_json(Duration::from_millis(5), &reports, &conditions, &scc);
         let v = crate::jsonval::parse(&snap).expect("snapshot parses");

@@ -12,11 +12,10 @@
 //! --json` on the same program and options: the handler renders the same
 //! [`TerminationReport`] JSON (plus the CLI's trailing newline), whether
 //! the report was just computed or served from the content-addressed
-//! [`ReportCache`]. The `x-argus-cache` response header says which
-//! (`hit`, `miss`, or `bypass` for `stats` requests, which skip the
+//! report cache, an [`SccCache`]. The `x-argus-cache` response header says
+//! which (`hit`, `miss`, or `bypass` for `stats` requests, which skip the
 //! report cache so their `run_stats` match a fresh CLI run exactly).
 
-use crate::cache::ReportCache;
 use crate::http::{read_request, write_response, Limits, ReadError, Request, Response};
 use crate::jsonval::{self, json_str, Json};
 use crate::metrics::Metrics;
@@ -27,7 +26,6 @@ use argus_core::{
 };
 use argus_diag::render::{render_json, render_text};
 use argus_diag::{lint_source, Diagnostic, LintOptions, Severity};
-use argus_linear::FmTier;
 use argus_logic::modes::Adornment;
 use argus_logic::parser::parse_program;
 use argus_logic::span::{LineIndex, Span};
@@ -84,8 +82,8 @@ pub struct ServerState {
     options: ServeOptions,
     /// Live counters surfaced by `GET /metrics`.
     pub metrics: Metrics,
-    reports: ReportCache,
-    conditions: ReportCache,
+    reports: SccCache,
+    conditions: SccCache,
     scc: SccCache,
     started: Instant,
     draining: AtomicBool,
@@ -104,7 +102,7 @@ enum AnalyzeOutcome {
 }
 
 /// Top-level keys accepted by `/v1/analyze` (and batch items).
-const ANALYZE_KEYS: [&str; 11] = [
+const ANALYZE_KEYS: [&str; 10] = [
     "program",
     "query",
     "adornment",
@@ -113,7 +111,6 @@ const ANALYZE_KEYS: [&str; 11] = [
     "no_transform",
     "lexicographic",
     "jobs",
-    "fm_tier",
     "stats",
     "engine",
 ];
@@ -122,9 +119,8 @@ const ANALYZE_KEYS: [&str; 11] = [
 const INFER_KEYS: [&str; 5] = ["program", "predicates", "jobs", "max_arity", "no_propagate"];
 
 /// The report-cache key of an analyze request: every input that
-/// determines the response bytes. `jobs` and `fm_tier` are
-/// bytes-identical knobs by construction, but the tier is cheap to include
-/// and makes the key self-evidently sound. `/v1/infer` primes the cache
+/// determines the response bytes (`jobs` is a byte-identical knob by
+/// construction, so it is left out). `/v1/infer` primes the cache
 /// under the key of a default-options request, the shape its probes ran
 /// with, so primed entries answer exactly those future requests.
 fn analyze_key(
@@ -144,11 +140,8 @@ fn analyze_key(
     };
     format!(
         "argus/v1\u{1}q={query}\u{1}a={adornment}\u{1}norm={norm}\u{1}\
-         delta={delta}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}\
-         engine={engine}\u{1}\n{src}",
-        options.transform_phases,
-        options.lexicographic as u8,
-        options.fm_tier.index(),
+         delta={delta}\u{1}transform={}\u{1}lex={}\u{1}engine={engine}\u{1}\n{src}",
+        options.transform_phases, options.lexicographic as u8,
     )
 }
 
@@ -188,8 +181,8 @@ impl ServerState {
         };
         ServerState {
             metrics: Metrics::default(),
-            reports: ReportCache::new((budget / 2).max(1)),
-            conditions: ReportCache::new((budget / 4).max(1)),
+            reports: SccCache::new(budget / 2),
+            conditions: SccCache::new(budget / 4),
             scc,
             started: Instant::now(),
             draining: AtomicBool::new(false),
@@ -203,12 +196,12 @@ impl ServerState {
     }
 
     /// The content-addressed report cache.
-    pub fn reports(&self) -> &ReportCache {
+    pub fn reports(&self) -> &SccCache {
         &self.reports
     }
 
     /// The content-addressed termination-condition cache.
-    pub fn conditions(&self) -> &ReportCache {
+    pub fn conditions(&self) -> &SccCache {
         &self.conditions
     }
 
@@ -490,14 +483,14 @@ impl ServerState {
                 "theta",
                 src,
             );
-            self.reports.put(&key, Arc::from(format!("{}\n", primed.json).into_bytes()));
+            self.reports.put(&key, format!("{}\n", primed.json).as_bytes());
         }
         self.metrics.infer_predicates.fetch_add(report.conditions.len() as u64, Ordering::Relaxed);
         self.metrics.infer_analyses.fetch_add(report.analyses as u64, Ordering::Relaxed);
         self.metrics.infer_primed.fetch_add(report.reports.len() as u64, Ordering::Relaxed);
         let body = format!("{}\n", report.to_json()).into_bytes();
         self.metrics.analyze_latency_computed.record(started.elapsed());
-        self.conditions.put(&cache_key, Arc::from(body.clone().into_boxed_slice()));
+        self.conditions.put(&cache_key, &body);
         AnalyzeOutcome::Report { body, cache: "miss" }
     }
 
@@ -587,7 +580,7 @@ impl ServerState {
             if prepared.stats {
                 return AnalyzeOutcome::Report { body, cache: "bypass" };
             }
-            self.reports.put(&prepared.cache_key, Arc::from(body.clone().into_boxed_slice()));
+            self.reports.put(&prepared.cache_key, &body);
             return AnalyzeOutcome::Report { body, cache: "miss" };
         }
         // `stats` requests get no SCC memo, so their `run_stats` are
@@ -601,8 +594,10 @@ impl ServerState {
             None,
             memo,
         );
-        for scc in &report.sccs {
-            self.metrics.fm.merge(&scc.stats.fm);
+        if let Ok(mut totals) = self.metrics.fm.lock() {
+            for scc in &report.sccs {
+                totals.merge(&scc.stats.fm);
+            }
         }
         if Instant::now() >= deadline {
             // The report may have been degraded by a mid-flight FM abort:
@@ -622,7 +617,7 @@ impl ServerState {
         if prepared.stats {
             return AnalyzeOutcome::Report { body, cache: "bypass" };
         }
-        self.reports.put(&prepared.cache_key, Arc::from(body.clone().into_boxed_slice()));
+        self.reports.put(&prepared.cache_key, &body);
         AnalyzeOutcome::Report { body, cache: "miss" }
     }
 
@@ -697,12 +692,6 @@ impl ServerState {
         options.lexicographic = bool_field("lexicographic")?;
         if let Some(jobs) = uint_field("jobs")? {
             options.parallelism = jobs as usize;
-        }
-        if let Some(tier) = uint_field("fm_tier")? {
-            options.fm_tier = match FmTier::from_index(tier as usize) {
-                Some(t) => t,
-                None => return Err(bad(format!("\"fm_tier\" wants 0..=3, got {tier}"))),
-            };
         }
         let stats = bool_field("stats")?;
         let engine: &'static str = match str_field("engine")? {
@@ -1152,7 +1141,7 @@ mod tests {
     #[test]
     fn unknown_key_is_rejected() {
         let s = state();
-        for key in ["bogus", "no_fm_cache"] {
+        for key in ["bogus", "no_fm_cache", "fm_tier"] {
             let body =
                 format!("{{\"program\":\"p.\",\"query\":\"p/0\",\"adornment\":\"\",\"{key}\":1}}");
             let resp = s.handle(&post("/v1/analyze", &body));
@@ -1304,6 +1293,63 @@ mod tests {
         assert!(s.scc_cache().hits() > 0, "append SCC did not hit the memo after the edit");
         let fresh = state().handle(&post("/v1/analyze", &analyze_body(&edited)));
         assert_eq!(resp.body, fresh.body, "memoized body differs from a cold server");
+    }
+
+    /// The `/metrics` counters after a fixed request sequence: analyze a
+    /// program twice, infer it, analyze a query the inference primed, then
+    /// lint. Every cache count and FM counter is pinned, so a change to
+    /// the stores or the FM totals that moves a number fails here.
+    #[test]
+    fn metrics_counters_after_fixed_sequence() {
+        let s = state();
+        let perm = argus_corpus::find("perm").expect("corpus entry").source;
+        let header = |resp: &Response| {
+            resp.extra_headers.iter().find(|(n, _)| *n == "x-argus-cache").map(|(_, v)| v.clone())
+        };
+        let analyze = |query: &str, adornment: &str| {
+            let body = format!(
+                "{{\"program\":{},\"query\":\"{query}\",\"adornment\":\"{adornment}\"}}",
+                json_str(perm)
+            );
+            let resp = s.handle(&post("/v1/analyze", &body));
+            assert_eq!(resp.status, 200, "{query} {adornment}");
+            header(&resp)
+        };
+        assert_eq!(analyze("perm/2", "bf").as_deref(), Some("miss"));
+        assert_eq!(analyze("perm/2", "bf").as_deref(), Some("hit"));
+        let program = format!("{{\"program\":{}}}", json_str(perm));
+        let infer = s.handle(&post("/v1/infer", &program));
+        assert_eq!((infer.status, header(&infer).as_deref()), (200, Some("miss")));
+        assert_eq!(analyze("append/3", "ffb").as_deref(), Some("hit"), "primed by the inference");
+        assert_eq!(s.handle(&post("/v1/lint", &program)).status, 200);
+
+        let snapshot = jsonval::parse(&s.metrics_snapshot()).expect("snapshot parses");
+        let block = |name: &str, keys: &[&str]| -> Vec<u64> {
+            let b = snapshot.get(name).unwrap_or_else(|| panic!("no {name} block"));
+            keys.iter().map(|k| b.get(k).and_then(Json::as_u64).expect(k)).collect()
+        };
+        // Resident bytes charge key + body + a fixed 96-byte overhead per
+        // entry, the same accounting in all three stores.
+        let counts = ["hits", "misses", "insertions", "evictions", "entries", "resident_bytes"];
+        assert_eq!(block("report_cache", &counts), [2, 1, 7, 0, 7, 4717]);
+        assert_eq!(block("condition_cache", &counts), [0, 1, 1, 0, 1, 1122]);
+        let scc_keys = ["hits", "misses", "evictions", "entries", "resident_bytes"];
+        assert_eq!(block("scc_cache", &scc_keys), [0, 6, 0, 6, 3119]);
+        let fm_keys = [
+            "eliminations",
+            "gauss_steps",
+            "rows_in",
+            "rows_out",
+            "pairs_combined",
+            "dedup_hits",
+            "subsume_hits",
+            "chernikov_drops",
+            "lp_drops",
+            "peak_rows",
+            "small_combs",
+            "big_combs",
+        ];
+        assert_eq!(block("fm", &fm_keys), [2, 0, 7, 4, 3, 1, 3, 0, 0, 4, 3, 0]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! ```text
 //! argus analyze <file.pl> <name/arity> <adornment> [--norm list-length]
 //!               [--delta appendix-c] [--no-transform] [--certify]
-//!               [--lexicographic] [--json] [--jobs N] [--stats]
-//!               [--fm-tier 0..3] [--engine ID]
+//!               [--lexicographic] [--json] [--jobs N] [--stats] [--engine ID]
 //!               [--incremental] [--cache-dir DIR]
 //! argus watch   <file.pl> <name/arity> <adornment> [--cache-dir DIR]
 //!               [--jobs N] [--poll-ms N] [--iterations N]
@@ -60,7 +59,7 @@ fn usage() -> ExitCode {
         "usage:\n  argus analyze <file.pl> <name/arity> <adornment> \
          [--norm structural|list-length] [--delta paper|appendix-c] \
          [--no-transform] [--certify] [--lexicographic] [--jobs N] \
-         [--stats] [--fm-tier 0..3] \
+         [--stats] \
          [--engine theta|sct|bs|uvg|naish|portfolio] \
          [--incremental] [--cache-dir DIR]\n  \
          argus watch <file.pl> <name/arity> <adornment> [--cache-dir DIR] \
@@ -150,17 +149,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-            }
-            "--fm-tier" => {
-                i += 1;
-                options.fm_tier =
-                    match args.get(i).and_then(|v| v.parse().ok()).and_then(FmTier::from_index) {
-                        Some(t) => t,
-                        None => {
-                            eprintln!("--fm-tier wants a redundancy tier 0..3");
-                            return ExitCode::FAILURE;
-                        }
-                    };
             }
             "--norm" => {
                 i += 1;

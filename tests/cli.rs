@@ -90,3 +90,17 @@ fn usage_on_bad_invocation() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage"), "{err}");
 }
+
+#[test]
+fn removed_tuning_flags_are_unknown() {
+    let path = temp_program("removed_flags([]).\n");
+    for flag in ["--fm-tier", "--no-fm-cache"] {
+        let out = argus()
+            .args(["analyze", path.to_str().unwrap(), "removed_flags/1", "b", flag, "3"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
