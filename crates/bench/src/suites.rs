@@ -737,16 +737,9 @@ pub fn incremental_suite(scale: Scale) -> Vec<Sample> {
         ));
         let ns = start.elapsed().as_nanos() as f64;
         let incr = report.incremental.expect("memoized run records incremental stats");
-        out.push(timed(
-            format!("warm-edit/{label}"),
-            vec![
-                ("dirty_sccs", incr.dirty()),
-                ("total_sccs", incr.total()),
-                ("size_hits", incr.size_hits),
-                ("theta_hits", incr.theta_hits),
-            ],
-            ns,
-        ));
+        let mut counters = vec![("dirty_sccs", incr.dirty()), ("total_sccs", incr.total())];
+        counters.extend(incr.counters().into_iter().filter(|(name, _)| name.ends_with("_hits")));
+        out.push(timed(format!("warm-edit/{label}"), counters, ns));
 
         // Warm no-op: the unchanged program resubmitted — a pure hit.
         let start = std::time::Instant::now();

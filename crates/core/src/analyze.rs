@@ -20,7 +20,7 @@
 //!    recursive descent.
 
 use crate::delta::{assign_deltas, DeltaOutcome};
-use crate::dual::{dual_fm_config, eq9_system, feasibility_system, project_pair_with, DeltaTerm};
+use crate::dual::{dual_fm_config, eq9_systems, feasibility_system, project_pair_with, DeltaTerm};
 use crate::incremental::{IncrementalRunStats, SccCache};
 use crate::negweight::{positive_cycle_constraints, DeltaVars};
 use crate::pairs::{ProjectionCache, RuleSubgoalSystem};
@@ -31,7 +31,7 @@ use argus_logic::modes::{Adornment, ModeMap};
 use argus_logic::span::Span;
 use argus_logic::{DepGraph, PredKey, Program, Rule};
 use argus_sizerel::{infer_size_relations, InferOptions, SizeRelations};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// How δ decrements are chosen for mutual recursion.
@@ -405,14 +405,12 @@ impl TerminationReport {
             let _ = writeln!(out, "  projection cache: disabled or unused");
         }
         if let Some(inc) = &self.incremental {
+            let [size_hits, size_misses, theta_hits, theta_misses] = inc.counters().map(|(_, v)| v);
             let _ = writeln!(
                 out,
-                "  incremental: sizerel {} hit(s) / {} miss(es), theta {} hit(s) / {} miss(es), \
+                "  incremental: sizerel {size_hits} hit(s) / {size_misses} miss(es), \
+                 theta {theta_hits} hit(s) / {theta_misses} miss(es), \
                  dirty cone {} of {} scc computation(s)",
-                inc.size_hits,
-                inc.size_misses,
-                inc.theta_hits,
-                inc.theta_misses,
                 inc.dirty(),
                 inc.total(),
             );
@@ -599,7 +597,7 @@ fn analyze_prepared(
     }
     // Digests of the final relations, for θ-phase memo keys (computed once
     // up front so the per-SCC workers share an immutable map).
-    let rel_digests: Option<std::collections::HashMap<PredKey, u64>> = scc_memo.map(|_| {
+    let rel_digests: Option<HashMap<PredKey, u64>> = scc_memo.map(|_| {
         rels.iter().map(|(p, poly)| (p.clone(), crate::incremental::poly_digest(poly))).collect()
     });
 
@@ -629,20 +627,12 @@ fn analyze_prepared(
             })
             .collect();
         let workers = crate::par::effective_workers(options.parallelism, jobs.len());
+        let memo = scc_memo.zip(rel_digests.as_ref());
         let results = crate::par::par_map_indexed(&jobs, workers, |_, &scc_id| {
-            match (scc_memo, &rel_digests) {
-                (Some(memo), Some(digests)) => analyze_one_scc_memo(
-                    &graph, &program, scc_id, &modes, &rels, digests, options, cache, memo,
-                ),
-                _ => (analyze_one_scc(&graph, &program, scc_id, &modes, &rels, options, cache), 0),
-            }
+            analyze_one_scc(&graph, &program, scc_id, &modes, &rels, options, cache, memo)
         });
-        for (id, (analysis, memo_flag)) in jobs.into_iter().zip(results) {
-            match memo_flag {
-                THETA_HIT => incr.theta_hits += 1,
-                THETA_MISS => incr.theta_misses += 1,
-                _ => {}
-            }
+        for (id, (analysis, scc_incr)) in jobs.into_iter().zip(results) {
+            incr.merge(&scc_incr);
             slots[id] = Some(analysis);
         }
     }
@@ -674,67 +664,16 @@ fn analyze_prepared(
     }
 }
 
-/// θ-phase memo flags returned by [`analyze_one_scc_memo`].
-const THETA_HIT: u8 = 1;
-/// See [`THETA_HIT`].
-const THETA_MISS: u8 = 2;
-
-/// [`analyze_one_scc`] with a memo: recursive SCCs are keyed on their
-/// rules, adornments, and imported size relations, and replayed from the
-/// memo when unchanged. Nonrecursive SCCs are computed directly (the
-/// short-circuit is cheaper than a probe). Returns the analysis plus a
-/// flag: 0 unmemoized, [`THETA_HIT`], or [`THETA_MISS`].
-#[allow(clippy::too_many_arguments)] // same shared context as analyze_one_scc
-fn analyze_one_scc_memo(
-    graph: &DepGraph,
-    program: &Program,
-    scc_id: usize,
-    modes: &ModeMap,
-    rels: &SizeRelations,
-    rel_digests: &std::collections::HashMap<PredKey, u64>,
-    options: &AnalysisOptions,
-    cache: &ProjectionCache,
-    memo: &SccCache,
-) -> (SccAnalysis, u8) {
-    let started = std::time::Instant::now();
-    let members: Vec<PredKey> = graph.scc(scc_id);
-    if !members.iter().any(|p| graph.is_recursive(p)) {
-        return (analyze_one_scc(graph, program, scc_id, modes, rels, options, cache), 0);
-    }
-    let rules = graph.scc_rules(program, scc_id);
-    let mentioned: Vec<PredKey> = {
-        let mut set: BTreeSet<PredKey> = BTreeSet::new();
-        for r in &rules {
-            set.insert(PredKey { name: r.head.name, arity: r.head.args.len() });
-            for l in &r.body {
-                set.insert(PredKey { name: l.atom.name, arity: l.atom.args.len() });
-            }
-        }
-        set.into_iter().collect()
-    };
-    let key =
-        crate::incremental::theta_key(&members, &rules, &mentioned, modes, rel_digests, options);
-    if let Some(body) = memo.get(&key) {
-        if let Some(mut analysis) =
-            crate::incremental::decode_theta_entry(&body, &members, &rules, modes)
-        {
-            analysis.stats.wall_nanos = started.elapsed().as_nanos();
-            return (analysis, THETA_HIT);
-        }
-    }
-    let analysis = analyze_one_scc(graph, program, scc_id, modes, rels, options, cache);
-    // Deadline safety: FM aborts only fire once the wall clock passes the
-    // deadline, so an SCC finishing *before* the deadline cannot contain a
-    // degraded projection — only those results are published.
-    if options.deadline.is_none_or(|d| std::time::Instant::now() < d) {
-        memo.put(&key, &crate::incremental::encode_theta_entry(&analysis));
-    }
-    (analysis, THETA_MISS)
-}
-
 /// Analyze one SCC end-to-end: nonrecursive short-circuit, the θ search,
 /// and the optional lexicographic fallback. Reads only shared immutable
 /// inputs, so SCCs on the same topological level can run concurrently.
+///
+/// With a memo (and the digests of the final size relations), a recursive
+/// SCC is keyed on its rules, adornments and imported size relations and
+/// replayed from the memo when unchanged; the returned counters record the
+/// θ hit or miss. Nonrecursive SCCs are computed directly (the
+/// short-circuit is cheaper than a probe).
+#[allow(clippy::too_many_arguments)] // shared immutable analysis context, one slot each
 fn analyze_one_scc(
     graph: &DepGraph,
     program: &Program,
@@ -743,40 +682,51 @@ fn analyze_one_scc(
     rels: &SizeRelations,
     options: &AnalysisOptions,
     cache: &ProjectionCache,
-) -> SccAnalysis {
+    memo: Option<(&SccCache, &HashMap<PredKey, u64>)>,
+) -> (SccAnalysis, IncrementalRunStats) {
     let started = std::time::Instant::now();
-    let mut analysis = (|| {
-        let members: Vec<PredKey> = graph.scc(scc_id);
-        let recursive = members.iter().any(|p| graph.is_recursive(p));
-        if !recursive {
-            return SccAnalysis {
-                members,
-                outcome: SccOutcome::NonRecursive,
-                theta_constraints: ConstraintSystem::new(),
-                theta_space: ThetaSpace::new(),
-                pair_count: 0,
-                blame: None,
-                stats: SccStats::default(),
-            };
+    let members: Vec<PredKey> = graph.scc(scc_id);
+    let mut incr = IncrementalRunStats::default();
+    let mut analysis = if !members.iter().any(|p| graph.is_recursive(p)) {
+        SccAnalysis {
+            members,
+            outcome: SccOutcome::NonRecursive,
+            theta_constraints: ConstraintSystem::new(),
+            theta_space: ThetaSpace::new(),
+            pair_count: 0,
+            blame: None,
+            stats: SccStats::default(),
         }
-        let mut analysis =
-            analyze_scc(graph, program, scc_id, &members, modes, rels, options, cache);
-        if !analysis.outcome.is_proved() && options.lexicographic {
-            if let Some(proof) = crate::lexico::prove_scc_lexicographic(
-                program,
-                graph,
-                scc_id,
-                modes,
-                rels,
-                options.norm,
-            ) {
-                analysis.outcome = SccOutcome::ProvedLexicographic { proof };
+    } else if let Some((memo, rel_digests)) = memo {
+        let rules = graph.scc_rules(program, scc_id);
+        let key = crate::incremental::theta_key(&members, &rules, modes, rel_digests, options);
+        let hit = memo.get(&key).and_then(|body| {
+            crate::incremental::decode_theta_entry(&body, &members, &rules, modes)
+        });
+        match hit {
+            Some(analysis) => {
+                incr.theta_hits = 1;
+                analysis
+            }
+            None => {
+                incr.theta_misses = 1;
+                let analysis =
+                    analyze_scc(graph, program, scc_id, members, modes, rels, options, cache);
+                // Deadline safety: FM aborts only fire once the wall clock
+                // passes the deadline, so an SCC finishing *before* the
+                // deadline cannot contain a degraded projection — only
+                // those results are published.
+                if options.deadline.is_none_or(|d| std::time::Instant::now() < d) {
+                    memo.put(&key, &crate::incremental::encode_theta_entry(&analysis));
+                }
+                analysis
             }
         }
-        analysis
-    })();
+    } else {
+        analyze_scc(graph, program, scc_id, members, modes, rels, options, cache)
+    };
     analysis.stats.wall_nanos = started.elapsed().as_nanos();
-    analysis
+    (analysis, incr)
 }
 
 /// Attempt a Farkas refutation of the θ feasibility system (including its
@@ -821,207 +771,182 @@ fn restrict_to_binary_orders(rels: &SizeRelations) -> SizeRelations {
     out
 }
 
-/// Analyze one recursive SCC.
+/// How δ enters an SCC's Eq. (9) systems — the one place the §6.1 and
+/// Appendix C modes differ.
+struct DeltaPlan {
+    /// The δ of every dependency edge: §6.1's fixed value or Appendix C's
+    /// symbolic variable.
+    edges: BTreeMap<(PredKey, PredKey), DeltaTerm>,
+    /// Rows every pair shares: Appendix C's positive-cycle system (none in
+    /// §6.1).
+    base: Vec<ConstraintSystem>,
+    /// First variable id free for the pairs' `w` duals.
+    w_base: Var,
+}
+
+impl DeltaPlan {
+    /// The plan for `mode`, or the zero-weight cycle with which §6.1 step 3
+    /// rejects the SCC up front.
+    fn new(
+        mode: DeltaMode,
+        members: &[PredKey],
+        pairs: &[RuleSubgoalSystem],
+        space: &ThetaSpace,
+    ) -> Result<DeltaPlan, Vec<PredKey>> {
+        match mode {
+            DeltaMode::Paper => match assign_deltas(members, pairs) {
+                DeltaOutcome::Ok(a) => Ok(DeltaPlan {
+                    edges: a.delta.into_iter().map(|(e, d)| (e, DeltaTerm::Constant(d))).collect(),
+                    base: Vec::new(),
+                    w_base: space.len(),
+                }),
+                DeltaOutcome::ZeroWeightCycle(cycle) => Err(cycle),
+            },
+            DeltaMode::PathConstraints => {
+                // Symbolic δ's, kept free, with positive-cycle path
+                // constraints over them.
+                let edges: BTreeSet<(PredKey, PredKey)> =
+                    pairs.iter().map(|p| (p.head_pred.clone(), p.sub_pred.clone())).collect();
+                let deltas = DeltaVars::allocate(&edges, space.len());
+                let pi_base = space.len() + deltas.len();
+                Ok(DeltaPlan {
+                    edges: deltas
+                        .iter()
+                        .map(|(e, &v)| (e.clone(), DeltaTerm::Variable(v)))
+                        .collect(),
+                    base: vec![positive_cycle_constraints(members, &deltas, pi_base)],
+                    w_base: pi_base + members.len() * members.len(),
+                })
+            }
+        }
+    }
+
+    /// The δ term of `pair`'s value row.
+    fn term(&self, pair: &RuleSubgoalSystem) -> DeltaTerm {
+        self.edges[&(pair.head_pred.clone(), pair.sub_pred.clone())]
+    }
+
+    /// The δ per dependency edge of a proof found at `point`.
+    fn read_deltas(&self, point: &BTreeMap<Var, Rat>) -> BTreeMap<(PredKey, PredKey), Rat> {
+        let value = |t: &DeltaTerm| match *t {
+            DeltaTerm::Constant(d) => Rat::from_int(d),
+            DeltaTerm::Variable(v) => point.get(&v).cloned().unwrap_or_else(Rat::zero),
+        };
+        self.edges.iter().map(|(e, t)| (e.clone(), value(t))).collect()
+    }
+}
+
+/// Analyze one recursive SCC: the θ search under the run's δ mode, then
+/// the lexicographic fallback over the same θ space and pairs when the
+/// search does not prove it.
 #[allow(clippy::too_many_arguments)] // shared immutable analysis context, one slot each
 fn analyze_scc(
     graph: &DepGraph,
     program: &Program,
     scc_id: usize,
-    members: &[PredKey],
+    members: Vec<PredKey>,
     modes: &ModeMap,
     rels: &SizeRelations,
     options: &AnalysisOptions,
     cache: &ProjectionCache,
 ) -> SccAnalysis {
-    // θ space: one variable per bound argument of each member.
-    let mut space = ThetaSpace::new();
-    for p in members {
-        let bound = modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
-        space.add_pred(p, bound);
-    }
-
-    // Build all rule × recursive-subgoal pairs.
-    let rules = graph.scc_rules(program, scc_id);
-    let mut pairs: Vec<RuleSubgoalSystem> = Vec::new();
-    for (ri, rule) in rules.iter().enumerate() {
-        for si in graph.recursive_subgoals(rule) {
-            pairs.push(crate::pairs::build_pair_with_norm(rule, ri, si, modes, rels, options.norm));
+    let space = ThetaSpace::for_scc(&members, modes);
+    let (rules, pairs) = crate::pairs::scc_pairs(graph, program, scc_id, modes, rels, options.norm);
+    let cfg =
+        argus_linear::FmConfig { deadline: options.deadline, ..dual_fm_config(options.fm_tier) };
+    let mut analysis = match DeltaPlan::new(options.delta_mode, &members, &pairs, &space) {
+        Ok(plan) => theta_search(&rules, &pairs, &plan, members, space, options, &cfg, cache),
+        Err(cycle) => SccAnalysis {
+            members,
+            outcome: SccOutcome::ZeroWeightCycle(cycle),
+            theta_constraints: ConstraintSystem::new(),
+            theta_space: space,
+            pair_count: pairs.len(),
+            blame: None,
+            stats: SccStats::default(),
+        },
+    };
+    if !analysis.outcome.is_proved() && options.lexicographic {
+        if let Some(proof) =
+            crate::lexico::prove_lexicographic(&pairs, &analysis.theta_space, &cfg, cache)
+        {
+            analysis.outcome = SccOutcome::ProvedLexicographic { proof };
         }
     }
+    analysis
+}
 
-    match options.delta_mode {
-        DeltaMode::Paper => {
-            // §6.1: fixed δ's + zero-cycle check.
-            let assignment = match assign_deltas(members, &pairs) {
-                DeltaOutcome::Ok(a) => a,
-                DeltaOutcome::ZeroWeightCycle(cycle) => {
-                    return SccAnalysis {
-                        members: members.to_vec(),
-                        outcome: SccOutcome::ZeroWeightCycle(cycle),
-                        theta_constraints: ConstraintSystem::new(),
-                        theta_space: space,
-                        pair_count: pairs.len(),
-                        blame: None,
-                        stats: SccStats::default(),
-                    };
-                }
-            };
-            // Build every pair's Eq. (9) system sequentially (the w base
-            // advances pair by pair), then fan the expensive Fourier–
-            // Motzkin projections across the worker pool. The sequential
-            // path stops at the first failed projection, so the results
-            // are truncated at the first `None` — identical `projected`
-            // prefix, identical outcome.
-            let mut systems = Vec::with_capacity(pairs.len());
-            let mut w_base: Var = space.len();
-            for pair in &pairs {
-                let d = assignment.get(&pair.head_pred, &pair.sub_pred);
-                let (sys, w) = eq9_system(pair, &space, w_base, DeltaTerm::Constant(d));
-                w_base += w.len();
-                systems.push((sys, w));
-            }
-            let workers = crate::par::effective_workers(options.parallelism, systems.len());
-            let cfg = argus_linear::FmConfig {
-                deadline: options.deadline,
-                ..dual_fm_config(options.fm_tier)
-            };
-            let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
-                let mut st = FmStats::default();
-                let r = project_pair_with(sys, w, &cfg, cache, &mut st);
-                (r, st)
-            });
-            // Merge *every* pair's FM counters (not just the prefix before a
-            // failed projection) so stats stay identical across `--jobs`.
-            let mut fm_stats = FmStats::default();
-            let projections = results.len() as u64;
-            let mut projected = Vec::new();
-            let mut ok = true;
-            for (r, st) in results {
-                fm_stats.merge(&st);
-                if !ok {
-                    continue;
-                }
-                match r {
-                    Some(p) => projected.push(p),
-                    None => ok = false,
-                }
-            }
-            let (theta_sys, nonneg) = feasibility_system(&projected, &space);
-            let outcome = if !ok {
-                SccOutcome::NoLinearDecrease { refutation: None }
-            } else {
-                match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
-                    Some(point) => SccOutcome::Proved {
-                        witness: space.extract_witness(&point),
-                        deltas: assignment
-                            .delta
-                            .iter()
-                            .map(|(e, d)| (e.clone(), Rat::from_int(*d)))
-                            .collect(),
-                    },
-                    None => SccOutcome::NoLinearDecrease {
-                        refutation: refute_theta(&theta_sys, &nonneg),
-                    },
-                }
-            };
-            let blame = match &outcome {
-                SccOutcome::NoLinearDecrease { .. } => {
-                    compute_blame(&rules, &pairs, &[], &projected, &space, !ok)
-                }
-                _ => None,
-            };
-            SccAnalysis {
-                members: members.to_vec(),
-                outcome,
-                theta_constraints: theta_sys,
-                theta_space: space,
-                pair_count: pairs.len(),
-                blame,
-                stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
-            }
+/// The θ search of one SCC under a δ plan: build every pair's Eq. (9)
+/// system, project them, conjoin with the plan's shared rows and test
+/// feasibility by exact simplex; on failure, attach a Farkas refutation
+/// and blame a pair.
+#[allow(clippy::too_many_arguments)] // shared immutable analysis context, one slot each
+fn theta_search(
+    rules: &[&Rule],
+    pairs: &[RuleSubgoalSystem],
+    plan: &DeltaPlan,
+    members: Vec<PredKey>,
+    space: ThetaSpace,
+    options: &AnalysisOptions,
+    cfg: &argus_linear::FmConfig,
+    cache: &ProjectionCache,
+) -> SccAnalysis {
+    // Build every pair's Eq. (9) system sequentially (the w base advances
+    // pair by pair), then fan the expensive Fourier–Motzkin projections
+    // across the worker pool. The sequential path stops at the first failed
+    // projection, so the results are truncated at the first `None` —
+    // identical `projected` prefix, identical outcome.
+    let systems = eq9_systems(pairs.iter().map(|p| (p, plan.term(p))), &space, plan.w_base);
+    let workers = crate::par::effective_workers(options.parallelism, systems.len());
+    let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
+        let mut st = FmStats::default();
+        let r = project_pair_with(sys, w, cfg, cache, &mut st);
+        (r, st)
+    });
+    // Merge *every* pair's FM counters (not just the prefix before a failed
+    // projection) so stats stay identical across `--jobs`.
+    let mut fm_stats = FmStats::default();
+    let projections = results.len() as u64;
+    let mut pair_systems = Vec::new();
+    let mut ok = true;
+    for (r, st) in results {
+        fm_stats.merge(&st);
+        if !ok {
+            continue;
         }
-        DeltaMode::PathConstraints => {
-            // Appendix C: symbolic δ's with positive-cycle path constraints.
-            let edges: BTreeSet<(PredKey, PredKey)> =
-                pairs.iter().map(|p| (p.head_pred.clone(), p.sub_pred.clone())).collect();
-            let delta_base: Var = space.len();
-            let deltas = DeltaVars::allocate(&edges, delta_base);
-            let pi_base = delta_base + deltas.len();
-            let cycle_sys = positive_cycle_constraints(members, &deltas, pi_base);
-
-            let base = vec![cycle_sys];
-            // Same build-then-fan-out shape as the §6.1 branch: sequential
-            // w allocation, parallel projections, truncate at first `None`.
-            let mut systems = Vec::with_capacity(pairs.len());
-            let mut w_base: Var = pi_base + members.len() * members.len();
-            for pair in &pairs {
-                let dv = deltas.get(&pair.head_pred, &pair.sub_pred).expect("edge allocated");
-                let (sys, w) = eq9_system(pair, &space, w_base, DeltaTerm::Variable(dv));
-                w_base += w.len();
-                systems.push((sys, w));
-            }
-            let workers = crate::par::effective_workers(options.parallelism, systems.len());
-            let cfg = argus_linear::FmConfig {
-                deadline: options.deadline,
-                ..dual_fm_config(options.fm_tier)
-            };
-            let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
-                let mut st = FmStats::default();
-                let r = project_pair_with(sys, w, &cfg, cache, &mut st);
-                (r, st)
-            });
-            let mut fm_stats = FmStats::default();
-            let projections = results.len() as u64;
-            let mut pair_systems = Vec::new();
-            let mut ok = true;
-            for (r, st) in results {
-                fm_stats.merge(&st);
-                if !ok {
-                    continue;
-                }
-                match r {
-                    Some(p) => pair_systems.push(p),
-                    None => ok = false,
-                }
-            }
-            let mut projected = base.clone();
-            projected.extend(pair_systems.iter().cloned());
-            let (theta_sys, nonneg) = feasibility_system(&projected, &space);
-            // δ variables stay free (that is the point of Appendix C).
-            let outcome = if !ok {
-                SccOutcome::NoLinearDecrease { refutation: None }
-            } else {
-                match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
-                    Some(point) => SccOutcome::Proved {
-                        witness: space.extract_witness(&point),
-                        deltas: deltas
-                            .iter()
-                            .map(|(e, v)| {
-                                (e.clone(), point.get(v).cloned().unwrap_or_else(Rat::zero))
-                            })
-                            .collect(),
-                    },
-                    None => SccOutcome::NoLinearDecrease {
-                        refutation: refute_theta(&theta_sys, &nonneg),
-                    },
-                }
-            };
-            let blame = match &outcome {
-                SccOutcome::NoLinearDecrease { .. } => {
-                    compute_blame(&rules, &pairs, &base, &pair_systems, &space, !ok)
-                }
-                _ => None,
-            };
-            SccAnalysis {
-                members: members.to_vec(),
-                outcome,
-                theta_constraints: theta_sys,
-                theta_space: space,
-                pair_count: pairs.len(),
-                blame,
-                stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
-            }
+        match r {
+            Some(p) => pair_systems.push(p),
+            None => ok = false,
         }
+    }
+    let mut projected = plan.base.clone();
+    projected.extend(pair_systems.iter().cloned());
+    let (theta_sys, nonneg) = feasibility_system(&projected, &space);
+    let outcome = if !ok {
+        SccOutcome::NoLinearDecrease { refutation: None }
+    } else {
+        match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
+            Some(point) => SccOutcome::Proved {
+                witness: space.extract_witness(&point),
+                deltas: plan.read_deltas(&point),
+            },
+            None => SccOutcome::NoLinearDecrease { refutation: refute_theta(&theta_sys, &nonneg) },
+        }
+    };
+    let blame = match &outcome {
+        SccOutcome::NoLinearDecrease { .. } => {
+            compute_blame(rules, pairs, &plan.base, &pair_systems, &space, !ok)
+        }
+        _ => None,
+    };
+    SccAnalysis {
+        members,
+        outcome,
+        theta_constraints: theta_sys,
+        theta_space: space,
+        pair_count: pairs.len(),
+        blame,
+        stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
     }
 }
 
@@ -1088,15 +1013,6 @@ pub fn analyze_source(
     adornment: &str,
 ) -> Result<TerminationReport, String> {
     let program = argus_logic::parser::parse_program(src).map_err(|e| e.to_string())?;
-    let (name, arity) = query_spec
-        .rsplit_once('/')
-        .ok_or_else(|| format!("bad query spec {query_spec:?} (want name/arity)"))?;
-    let arity: usize = arity.parse().map_err(|_| format!("bad arity in {query_spec:?}"))?;
-    let query = PredKey::new(name, arity);
-    let adornment = Adornment::parse(adornment)
-        .ok_or_else(|| format!("bad adornment {adornment:?} (want e.g. \"bf\")"))?;
-    if adornment.arity() != arity {
-        return Err(format!("adornment arity {} != predicate arity {arity}", adornment.arity()));
-    }
+    let (query, adornment) = argus_logic::parse_query_spec(query_spec, adornment)?;
     Ok(analyze(&program, &query, adornment, &AnalysisOptions::default()))
 }

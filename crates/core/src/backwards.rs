@@ -108,15 +108,6 @@ pub struct BackwardsOptions {
     /// Refute candidates from already-computed callee conditions before
     /// running the full analysis (the backwards propagation step).
     pub propagate: bool,
-    /// Escalate candidates whose raw (preprocessing-free) analysis found a
-    /// zero-weight cycle to the full transforming analyzer. A zero-weight
-    /// cycle is a concrete witness that no bound argument ever shrinks
-    /// along some recursion path — the Appendix A transformations almost
-    /// never repair it, and such probes dominate inference cost on
-    /// FM-heavy programs — so the default refutes them from the raw pass
-    /// alone. Either way the result is a sound under-approximation; this
-    /// knob only trades probe cost against condition completeness.
-    pub escalate_zero_weight: bool,
     /// Keep the rendered forward report of every analyzed candidate, so a
     /// server can prime its analyze cache from one inference pass.
     pub collect_reports: bool,
@@ -140,7 +131,6 @@ impl Default for BackwardsOptions {
             analysis: AnalysisOptions::default(),
             max_arity: 6,
             propagate: true,
-            escalate_zero_weight: false,
             collect_reports: false,
             probe_override: None,
             scc_memo: None,
@@ -391,9 +381,14 @@ fn probe(
     let raw_options = AnalysisOptions { transform_phases: 0, ..probe_options.clone() };
     let raw = analyze_with_caches(program, pred, adn.clone(), &raw_options, Some(shared), memo);
     result.analyses += 1;
+    // A zero-weight cycle is a concrete witness that no bound argument ever
+    // shrinks along some recursion path. The Appendix A transformations
+    // almost never repair it, and such probes dominate inference cost on
+    // FM-heavy programs, so it is refuted from the raw pass alone (still a
+    // sound under-approximation).
     let skip_escalation = raw.verdict == Verdict::Terminates
         || probe_options.transform_phases == 0
-        || (raw.verdict == Verdict::ZeroWeightCycle && !options.escalate_zero_weight);
+        || raw.verdict == Verdict::ZeroWeightCycle;
     // When a zero-weight-cycle probe is refuted from the raw pass alone,
     // the default analyzer was not consulted, so its report must not be
     // used to answer future default-analyze requests.

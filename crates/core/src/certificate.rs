@@ -16,7 +16,7 @@
 //! feasibility reduction would be caught here.
 
 use crate::analyze::{SccOutcome, TerminationReport};
-use crate::pairs::{build_pair_with_norm, primal_system};
+use crate::pairs::{primal_system, scc_pairs};
 use argus_linear::{LinExpr, LpOutcome, LpProblem, Rat};
 use argus_logic::{DepGraph, Norm, PredKey};
 use std::collections::{BTreeMap, BTreeSet};
@@ -116,59 +116,57 @@ pub fn verify_report(report: &TerminationReport, norm: Norm) -> Result<usize, Ce
         // Primal decrease per rule × recursive subgoal.
         let scc_id =
             graph.scc_id(&scc.members[0]).expect("proved SCC exists in the report's program");
-        for (ri, rule) in graph.scc_rules(&report.program, scc_id).iter().enumerate() {
-            for si in graph.recursive_subgoals(rule) {
-                let pair =
-                    build_pair_with_norm(rule, ri, si, &report.modes, &report.size_relations, norm);
-                let theta = witness
-                    .get(&pair.head_pred)
-                    .ok_or_else(|| CertificateError::MissingWitness(pair.head_pred.clone()))?;
-                let beta = witness
-                    .get(&pair.sub_pred)
-                    .ok_or_else(|| CertificateError::MissingWitness(pair.sub_pred.clone()))?;
-                let delta = deltas
-                    .get(&(pair.head_pred.clone(), pair.sub_pred.clone()))
-                    .cloned()
-                    .ok_or_else(|| {
+        let (_, pairs) =
+            scc_pairs(&graph, &report.program, scc_id, &report.modes, &report.size_relations, norm);
+        for pair in &pairs {
+            let theta = witness
+                .get(&pair.head_pred)
+                .ok_or_else(|| CertificateError::MissingWitness(pair.head_pred.clone()))?;
+            let beta = witness
+                .get(&pair.sub_pred)
+                .ok_or_else(|| CertificateError::MissingWitness(pair.sub_pred.clone()))?;
+            let delta = deltas
+                .get(&(pair.head_pred.clone(), pair.sub_pred.clone()))
+                .cloned()
+                .ok_or_else(|| {
                     CertificateError::MissingDelta(pair.head_pred.clone(), pair.sub_pred.clone())
                 })?;
 
-                // Objective θᵀx − βᵀy over the primal variables.
-                let (primal, x_vars, y_vars, _) = primal_system(&pair);
-                let mut objective = LinExpr::zero();
-                for (i, &xv) in x_vars.iter().enumerate() {
-                    objective.add_term(xv, theta[i].clone());
+            // Objective θᵀx − βᵀy over the primal variables.
+            let (primal, x_vars, y_vars, _) = primal_system(pair);
+            let mut objective = LinExpr::zero();
+            for (i, &xv) in x_vars.iter().enumerate() {
+                objective.add_term(xv, theta[i].clone());
+            }
+            for (j, &yv) in y_vars.iter().enumerate() {
+                objective.add_term(yv, -beta[j].clone());
+            }
+            let nonneg: BTreeSet<usize> = primal.vars().into_iter().collect();
+            let lp = LpProblem { objective, constraints: primal, nonneg };
+            checks += 1;
+            match lp.solve() {
+                LpOutcome::Infeasible => {
+                    // Eq. (1) unsatisfiable: this call path can never
+                    // execute; the decrease holds vacuously.
                 }
-                for (j, &yv) in y_vars.iter().enumerate() {
-                    objective.add_term(yv, -beta[j].clone());
+                LpOutcome::Optimal { value, .. } if value >= delta => {}
+                LpOutcome::Optimal { value, .. } => {
+                    return Err(CertificateError::DecreaseViolated {
+                        head: pair.head_pred.clone(),
+                        sub: pair.sub_pred.clone(),
+                        rule_index: pair.rule_index,
+                        minimum: Some(value),
+                        required: delta,
+                    });
                 }
-                let nonneg: BTreeSet<usize> = primal.vars().into_iter().collect();
-                let lp = LpProblem { objective, constraints: primal, nonneg };
-                checks += 1;
-                match lp.solve() {
-                    LpOutcome::Infeasible => {
-                        // Eq. (1) unsatisfiable: this call path can never
-                        // execute; the decrease holds vacuously.
-                    }
-                    LpOutcome::Optimal { value, .. } if value >= delta => {}
-                    LpOutcome::Optimal { value, .. } => {
-                        return Err(CertificateError::DecreaseViolated {
-                            head: pair.head_pred.clone(),
-                            sub: pair.sub_pred.clone(),
-                            rule_index: pair.rule_index,
-                            minimum: Some(value),
-                            required: delta,
-                        });
-                    }
-                    LpOutcome::Unbounded => {
-                        return Err(CertificateError::DecreaseViolated {
-                            head: pair.head_pred.clone(),
-                            sub: pair.sub_pred.clone(),
-                            rule_index: pair.rule_index,
-                            minimum: None,
-                            required: delta,
-                        });
-                    }
+                LpOutcome::Unbounded => {
+                    return Err(CertificateError::DecreaseViolated {
+                        head: pair.head_pred.clone(),
+                        sub: pair.sub_pred.clone(),
+                        rule_index: pair.rule_index,
+                        minimum: None,
+                        required: delta,
+                    });
                 }
             }
         }

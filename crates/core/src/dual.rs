@@ -15,8 +15,8 @@
 //! θ ≥ 0, β ≥ 0, w free
 //! ```
 //!
-//! [`eq9_system`] builds exactly this; [`project_pair`] then eliminates the
-//! undistinguished `w` by Fourier–Motzkin, leaving constraints over the
+//! [`eq9_system`] builds exactly this; [`project_pair_with`] then eliminates
+//! the undistinguished `w` by Fourier–Motzkin, leaving constraints over the
 //! distinguished θ/β variables only — the form the per-SCC feasibility test
 //! consumes.
 
@@ -125,18 +125,30 @@ pub fn dual_fm_config(tier: FmTier) -> FmConfig {
     FmConfig { tier, max_rows: 2000, ..FmConfig::default() }
 }
 
-/// Eliminate the `w` variables of a pair's Eq. (9) system by Fourier–
-/// Motzkin, leaving constraints over θ/β (and a δ variable, if symbolic).
-/// Returns `None` if elimination discovers the system is unsatisfiable for
-/// *every* θ (which would mean this pair admits no linear decrease at all).
-pub fn project_pair(sys: &ConstraintSystem, w_vars: &[Var]) -> Option<ConstraintSystem> {
-    let mut stats = FmStats::default();
-    let cache = ProjectionCache::new();
-    project_pair_with(sys, w_vars, &dual_fm_config(FmTier::default()), &cache, &mut stats)
+/// Build the Eq. (9) system of every `(pair, δ)` in order; the pairs' `w`
+/// duals get consecutive ids from `w_base` on.
+pub(crate) fn eq9_systems<'a>(
+    pairs: impl IntoIterator<Item = (&'a RuleSubgoalSystem, DeltaTerm)>,
+    space: &ThetaSpace,
+    mut w_base: Var,
+) -> Vec<(ConstraintSystem, Vec<Var>)> {
+    pairs
+        .into_iter()
+        .map(|(pair, delta)| {
+            let (sys, w) = eq9_system(pair, space, w_base, delta);
+            w_base += w.len();
+            (sys, w)
+        })
+        .collect()
 }
 
-/// [`project_pair`] with an explicit FM configuration, a shared projection
-/// cache, and FM counters accumulated into `stats`.
+/// Eliminate the `w` variables of a pair's Eq. (9) system by Fourier–
+/// Motzkin under `cfg`, leaving constraints over θ/β (and a δ variable, if
+/// symbolic), with the projection looked up in and published to `cache`
+/// and its FM counters accumulated into `stats`. Returns `None` if
+/// elimination discovers the system is unsatisfiable for *every* θ (which
+/// would mean this pair admits no linear decrease at all), or gives up
+/// under the row cap or the deadline.
 ///
 /// The projection is computed in *canonically renamed* space (the system's
 /// variables mapped monotonically to `0..k`) and renamed back. The rename
@@ -261,6 +273,12 @@ mod tests {
     use argus_logic::parser::parse_program;
     use argus_logic::PredKey;
     use argus_sizerel::{infer_size_relations, InferOptions};
+
+    /// Project one pair under the dual path's default configuration.
+    fn project_pair(sys: &ConstraintSystem, w: &[Var]) -> Option<ConstraintSystem> {
+        let cfg = dual_fm_config(FmTier::default());
+        project_pair_with(sys, w, &cfg, &ProjectionCache::new(), &mut FmStats::default())
+    }
 
     /// Reproduce the paper's Example 4.1 end to end: the perm pair reduces
     /// (after identifying θ = β and δ = 1) to `2θ ≥ 1`.

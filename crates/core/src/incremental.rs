@@ -51,7 +51,7 @@ use argus_logic::hash::{hash_rule, Fnv64};
 use argus_logic::modes::ModeMap;
 use argus_logic::{PredKey, Rule};
 use argus_sizerel::{InferOptions, SizeRelations};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,6 +82,26 @@ pub struct IncrementalRunStats {
 }
 
 impl IncrementalRunStats {
+    /// Add another run's counters into these.
+    pub fn merge(&mut self, other: &IncrementalRunStats) {
+        self.size_hits += other.size_hits;
+        self.size_misses += other.size_misses;
+        self.theta_hits += other.theta_hits;
+        self.theta_misses += other.theta_misses;
+    }
+
+    /// Every counter with its name, in field order: the one list the
+    /// `--stats` text and JSON, the LSP `$/argus/stats` notification and
+    /// the bench suites walk, so none of them spells the fields out.
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("size_hits", self.size_hits),
+            ("size_misses", self.size_misses),
+            ("theta_hits", self.theta_hits),
+            ("theta_misses", self.theta_misses),
+        ]
+    }
+
     /// SCC computations that had to run (both phases).
     pub fn dirty(&self) -> u64 {
         self.size_misses + self.theta_misses
@@ -188,14 +208,13 @@ pub(crate) fn size_key(
 ///
 /// `members` is the full SCC ([`argus_logic::DepGraph::scc`] order,
 /// including rule-less predicates — they get θ variables too); `rules` the
-/// [`argus_logic::DepGraph::scc_rules`] list; `mentioned` every predicate
-/// occurring in those rules (heads and bodies); `rel_digests` the
+/// [`argus_logic::DepGraph::scc_rules`] list; `rel_digests` the
 /// pre-computed digests of the final size relations the analysis consumes
-/// (absent = top).
+/// (absent = top), keyed into the result for every predicate occurring in
+/// those rules (heads and bodies) together with its adornment.
 pub(crate) fn theta_key(
     members: &[PredKey],
     rules: &[&Rule],
-    mentioned: &[PredKey],
     modes: &ModeMap,
     rel_digests: &HashMap<PredKey, u64>,
     options: &crate::analyze::AnalysisOptions,
@@ -219,7 +238,12 @@ pub(crate) fn theta_key(
         key.push(',');
     }
     let _ = write!(key, "|r={:016x}|env=", rules_digest(rules.iter().copied()));
-    for p in mentioned {
+    let mentioned: BTreeSet<PredKey> = rules
+        .iter()
+        .flat_map(|r| std::iter::once(&r.head).chain(r.body.iter().map(|l| &l.atom)))
+        .map(|a| PredKey { name: a.name, arity: a.args.len() })
+        .collect();
+    for p in &mentioned {
         poly_component(&mut key, p, rel_digests.get(p).copied());
         key.push(':');
         match modes.get(p) {
@@ -250,7 +274,6 @@ pub(crate) fn incremental_size_relations(
     memo: &SccCache,
     stats: &mut IncrementalRunStats,
 ) -> SizeRelations {
-    use std::collections::BTreeSet;
     let mut work = SizeRelations::new();
     let mut finals: BTreeMap<PredKey, Poly> = BTreeMap::new();
     let mut digest_memo: HashMap<PredKey, u64> = HashMap::new();
@@ -715,13 +738,8 @@ pub(crate) fn decode_theta_entry(
     if !d.done() {
         return None;
     }
-    // Rebuild the θ space exactly as `analyze_scc` does: one variable per
-    // bound argument, members in SCC order.
-    let mut space = ThetaSpace::new();
-    for p in members {
-        let bound = modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
-        space.add_pred(p, bound);
-    }
+    // Rebuild the θ space exactly as `analyze_scc` does.
+    let space = ThetaSpace::for_scc(members, modes);
     Some(SccAnalysis {
         members: members.to_vec(),
         outcome,

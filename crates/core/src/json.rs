@@ -161,15 +161,11 @@ impl TerminationReport {
             // Incremental memo counters are stats-only, like run_stats: the
             // default JSON must stay byte-identical with the memo on or off.
             if let Some(incr) = &self.incremental {
-                out.push_str(&format!(
-                    ",\"incremental\":{{\"size_hits\":{},\"size_misses\":{},\"theta_hits\":{},\"theta_misses\":{},\"dirty\":{},\"total\":{}}}",
-                    incr.size_hits,
-                    incr.size_misses,
-                    incr.theta_hits,
-                    incr.theta_misses,
-                    incr.dirty(),
-                    incr.total(),
-                ));
+                out.push_str(",\"incremental\":{");
+                for (name, v) in incr.counters() {
+                    out.push_str(&format!("\"{name}\":{v},"));
+                }
+                out.push_str(&format!("\"dirty\":{},\"total\":{}}}", incr.dirty(), incr.total()));
             }
             out
         } else {

@@ -21,12 +21,12 @@
 //! strict pair and δ = 0 for the rest, so the machinery of §4 is reused
 //! verbatim.
 
-use crate::dual::{eq9_system, feasibility_system, project_pair, DeltaTerm};
-use crate::pairs::RuleSubgoalSystem;
+use crate::dual::{eq9_systems, feasibility_system, project_pair_with, DeltaTerm};
+use crate::pairs::{ProjectionCache, RuleSubgoalSystem};
 use crate::theta::ThetaSpace;
-use argus_linear::{LpOutcome, LpProblem, Rat, Var};
-use argus_logic::modes::ModeMap;
-use argus_logic::{Norm, PredKey};
+use argus_linear::fm::{FmConfig, FmStats};
+use argus_linear::{LpOutcome, LpProblem, Rat};
+use argus_logic::PredKey;
 use std::collections::BTreeMap;
 
 /// One level of a lexicographic ranking: θ coefficients per predicate.
@@ -42,15 +42,21 @@ pub struct LexicographicProof {
     pub discharged_at: BTreeMap<(usize, usize), usize>,
 }
 
-/// Attempt a lexicographic proof for the given pairs.
+/// Attempt a lexicographic proof over an SCC's rule × recursive-subgoal
+/// pairs, in the SCC's θ `space`.
 ///
-/// `space` must already contain every SCC member. Returns `None` when some
-/// round can make no pair strictly decrease while keeping the rest
-/// non-increasing.
+/// Every projection runs under `cfg` — the analysis's tier, row cap and
+/// deadline — through the run's projection `cache`; its FM counters are
+/// not reported. FM checks the deadline only while eliminating, and a pair
+/// without `w` duals eliminates nothing, so the search also checks it
+/// before each candidate. Returns `None` when some round can make no pair
+/// strictly decrease while keeping the rest non-increasing, or when a
+/// projection gives up under the cap or the deadline.
 pub fn prove_lexicographic(
-    members: &[PredKey],
     pairs: &[RuleSubgoalSystem],
     space: &ThetaSpace,
+    cfg: &FmConfig,
+    cache: &ProjectionCache,
 ) -> Option<LexicographicProof> {
     let mut remaining: Vec<&RuleSubgoalSystem> = pairs.iter().collect();
     let mut levels: Vec<Level> = Vec::new();
@@ -66,13 +72,14 @@ pub fn prove_lexicographic(
 
         // Try each remaining pair as the designated strict one.
         'candidates: for strict_idx in 0..remaining.len() {
+            if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                return None;
+            }
+            let deltas = (0..).map(|i| DeltaTerm::Constant(i64::from(i == strict_idx)));
+            let systems = eq9_systems(remaining.iter().copied().zip(deltas), space, space.len());
             let mut projected = Vec::new();
-            let mut w_base: Var = space.len();
-            for (i, pair) in remaining.iter().enumerate() {
-                let delta = if i == strict_idx { 1 } else { 0 };
-                let (sys, w) = eq9_system(pair, space, w_base, DeltaTerm::Constant(delta));
-                w_base += w.len();
-                match project_pair(&sys, &w) {
+            for (sys, w) in &systems {
+                match project_pair_with(sys, w, cfg, cache, &mut FmStats::default()) {
                     Some(p) => projected.push(p),
                     None => continue 'candidates,
                 }
@@ -104,7 +111,6 @@ pub fn prove_lexicographic(
         remaining = next_remaining;
     }
 
-    let _ = members;
     Some(LexicographicProof { levels, discharged_at })
 }
 
@@ -129,44 +135,20 @@ fn pair_strictly_decreases(pair: &RuleSubgoalSystem, level: &Level) -> bool {
     }
 }
 
-/// Convenience driver: build pairs for one SCC of `program` and attempt a
-/// lexicographic proof. Returns `None` for nonrecursive SCCs too (nothing
-/// to prove).
-pub fn prove_scc_lexicographic(
-    program: &argus_logic::Program,
-    graph: &argus_logic::DepGraph,
-    scc_id: usize,
-    modes: &ModeMap,
-    rels: &argus_sizerel::SizeRelations,
-    norm: Norm,
-) -> Option<LexicographicProof> {
-    let members: Vec<PredKey> = graph.scc(scc_id);
-    let mut space = ThetaSpace::new();
-    for p in &members {
-        let bound = modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
-        space.add_pred(p, bound);
-    }
-    let mut pairs = Vec::new();
-    for (ri, rule) in graph.scc_rules(program, scc_id).iter().enumerate() {
-        for si in graph.recursive_subgoals(rule) {
-            pairs.push(crate::pairs::build_pair_with_norm(rule, ri, si, modes, rels, norm));
-        }
-    }
-    if pairs.is_empty() {
-        return Some(LexicographicProof { levels: Vec::new(), discharged_at: BTreeMap::new() });
-    }
-    prove_lexicographic(&members, &pairs, &space)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use argus_logic::parser::parse_program;
-    use argus_logic::{Adornment, DepGraph};
+    use argus_logic::{Adornment, DepGraph, Norm};
     use argus_sizerel::{infer_size_relations, InferOptions};
 
-    /// Run the lexicographic prover on the SCC of `pred` in `src`.
-    fn prove(src: &str, pred: &str, arity: usize, adn: &str) -> Option<LexicographicProof> {
+    /// The SCC of `pred` in `src` under `adn`: its pairs and θ space.
+    fn scc_of(
+        src: &str,
+        pred: &str,
+        arity: usize,
+        adn: &str,
+    ) -> (Vec<RuleSubgoalSystem>, ThetaSpace) {
         let program = parse_program(src).unwrap();
         let adorned = argus_logic::adorn_program(
             &program,
@@ -175,15 +157,24 @@ mod tests {
         );
         let rels = infer_size_relations(&adorned.program, &InferOptions::default());
         let graph = DepGraph::build(&adorned.program);
-        let scc_id = graph.scc_id(&adorned.query)?;
-        prove_scc_lexicographic(
-            &adorned.program,
+        let scc_id = graph.scc_id(&adorned.query).unwrap();
+        let space = ThetaSpace::for_scc(&graph.scc(scc_id), &adorned.modes);
+        let (_, pairs) = crate::pairs::scc_pairs(
             &graph,
+            &adorned.program,
             scc_id,
             &adorned.modes,
             &rels,
             Norm::StructuralSize,
-        )
+        );
+        (pairs, space)
+    }
+
+    /// Run the lexicographic prover on the SCC of `pred` in `src`.
+    fn prove(src: &str, pred: &str, arity: usize, adn: &str) -> Option<LexicographicProof> {
+        let (pairs, space) = scc_of(src, pred, arity, adn);
+        let cfg = crate::dual::dual_fm_config(argus_linear::FmTier::default());
+        prove_lexicographic(&pairs, &space, &cfg, &ProjectionCache::new())
     }
 
     /// Ackermann — the paper's method fails (§7); the lexicographic
@@ -264,40 +255,11 @@ mod tests {
         let src = "ack(z, N, s(N)).\n\
                    ack(s(M), z, R) :- ack(M, s(z), R).\n\
                    ack(s(M), s(N), R) :- ack(s(M), N, R1), ack(M, R1, R).";
-        let program = parse_program(src).unwrap();
-        let adorned = argus_logic::adorn_program(
-            &program,
-            &PredKey::new("ack", 3),
-            Adornment::parse("bbf").unwrap(),
-        );
-        let rels = infer_size_relations(&adorned.program, &InferOptions::default());
-        let graph = DepGraph::build(&adorned.program);
-        let scc_id = graph.scc_id(&adorned.query).unwrap();
-        let proof = prove_scc_lexicographic(
-            &adorned.program,
-            &graph,
-            scc_id,
-            &adorned.modes,
-            &rels,
-            Norm::StructuralSize,
-        )
-        .unwrap();
+        let proof = prove(src, "ack", 3, "bbf").unwrap();
 
         // Recompute every pair and check: strict at its discharge level,
         // and non-increasing at all earlier levels.
-        let mut pairs = Vec::new();
-        for (ri, rule) in graph.scc_rules(&adorned.program, scc_id).iter().enumerate() {
-            for si in graph.recursive_subgoals(rule) {
-                pairs.push(crate::pairs::build_pair_with_norm(
-                    rule,
-                    ri,
-                    si,
-                    &adorned.modes,
-                    &rels,
-                    Norm::StructuralSize,
-                ));
-            }
-        }
+        let (pairs, _) = scc_of(src, "ack", 3, "bbf");
         for pair in &pairs {
             let lvl = proof.discharged_at[&(pair.rule_index, pair.subgoal_index)];
             assert!(pair_strictly_decreases(pair, &proof.levels[lvl]));

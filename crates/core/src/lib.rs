@@ -65,6 +65,6 @@ pub use engine::{
     EngineVerdict, PortfolioReport,
 };
 pub use incremental::{IncrementalRunStats, SccCache};
-pub use lexico::{prove_lexicographic, prove_scc_lexicographic, LexicographicProof};
+pub use lexico::{prove_lexicographic, LexicographicProof};
 pub use pairs::{build_pair, ProjectionCache, RuleSubgoalSystem};
 pub use theta::ThetaSpace;

@@ -117,6 +117,27 @@ pub fn build_pair(
     build_pair_with_norm(rule, rule_index, subgoal_index, modes, rels, Norm::default())
 }
 
+/// The rules of SCC `scc_id` ([`argus_logic::DepGraph::scc_rules`]) and
+/// every rule × recursive-subgoal pair over them, in rule order and then
+/// body order; each pair records its rule's index in that list.
+pub(crate) fn scc_pairs<'p>(
+    graph: &argus_logic::DepGraph,
+    program: &'p argus_logic::Program,
+    scc_id: usize,
+    modes: &ModeMap,
+    rels: &SizeRelations,
+    norm: Norm,
+) -> (Vec<&'p Rule>, Vec<RuleSubgoalSystem>) {
+    let rules = graph.scc_rules(program, scc_id);
+    let mut pairs = Vec::new();
+    for (ri, rule) in rules.iter().enumerate() {
+        for si in graph.recursive_subgoals(rule) {
+            pairs.push(build_pair_with_norm(rule, ri, si, modes, rels, norm));
+        }
+    }
+    (rules, pairs)
+}
+
 /// [`build_pair`] under an explicit term-size norm (which must match the
 /// norm the size relations were inferred in).
 pub fn build_pair_with_norm(

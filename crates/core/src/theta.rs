@@ -6,6 +6,7 @@
 //! variable indices, and renders solutions back in the paper's notation.
 
 use argus_linear::{Rat, Var, VarPool};
+use argus_logic::modes::ModeMap;
 use argus_logic::PredKey;
 use std::collections::BTreeMap;
 
@@ -20,6 +21,18 @@ impl ThetaSpace {
     /// Empty space.
     pub fn new() -> ThetaSpace {
         ThetaSpace::default()
+    }
+
+    /// The θ space of an SCC: one variable per bound argument of each
+    /// member, members in SCC order (a member without an adornment counts
+    /// every argument as bound).
+    pub(crate) fn for_scc(members: &[PredKey], modes: &ModeMap) -> ThetaSpace {
+        let mut space = ThetaSpace::new();
+        for p in members {
+            let bound = modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
+            space.add_pred(p, bound);
+        }
+        space
     }
 
     /// Register `pred` with `bound_count` bound arguments; allocates that

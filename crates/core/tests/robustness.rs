@@ -128,6 +128,23 @@ fn options_zero_phases_disable_transformation() {
     assert_ne!(report.verdict, Verdict::Terminates);
 }
 
+/// The lexicographic fallback runs under the analysis deadline like the
+/// base θ search: with the budget already spent, `ackermann` (which only
+/// the fallback proves) must not come back `Terminates`.
+#[test]
+fn lexicographic_fallback_honours_the_deadline() {
+    let entry = argus_corpus::find("ackermann").unwrap();
+    let program = entry.program().unwrap();
+    let (query, adornment) = entry.query_key();
+    let options = AnalysisOptions {
+        lexicographic: true,
+        deadline: Some(std::time::Instant::now()),
+        ..AnalysisOptions::default()
+    };
+    let report = analyze(&program, &query, adornment, &options);
+    assert_ne!(report.verdict, Verdict::Terminates, "{report}");
+}
+
 #[test]
 fn manual_imported_constraints_are_honoured() {
     // Deliberately hide q's rules (EDB) and supply its size relation

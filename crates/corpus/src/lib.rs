@@ -48,12 +48,7 @@ impl CorpusEntry {
 
     /// The query as a `(PredKey, Adornment)` pair.
     pub fn query_key(&self) -> (argus_logic::PredKey, argus_logic::Adornment) {
-        let (name, arity) = self.query.rsplit_once('/').expect("name/arity");
-        let arity: usize = arity.parse().expect("arity");
-        (
-            argus_logic::PredKey::new(name, arity),
-            argus_logic::Adornment::parse(self.adornment).expect("adornment"),
-        )
+        argus_logic::parse_query_spec(self.query, self.adornment).expect("corpus query spec")
     }
 }
 

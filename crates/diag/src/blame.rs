@@ -98,8 +98,8 @@ impl LintPass for TerminationBlame {
 
 #[cfg(test)]
 mod tests {
-    use crate::moded::parse_query_spec;
     use crate::{lint_source, LintOptions};
+    use argus_logic::parse_query_spec;
 
     fn options(spec: &str, adn: &str) -> LintOptions {
         LintOptions { query: Some(parse_query_spec(spec, adn).unwrap()) }

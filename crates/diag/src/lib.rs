@@ -194,15 +194,8 @@ impl LintContext<'_> {
     /// per-lint-run total.
     pub fn record_incremental(&self, stats: Option<IncrementalRunStats>) {
         let Some(s) = stats else { return };
-        let merged = match self.incremental.get() {
-            None => s,
-            Some(prev) => IncrementalRunStats {
-                size_hits: prev.size_hits + s.size_hits,
-                size_misses: prev.size_misses + s.size_misses,
-                theta_hits: prev.theta_hits + s.theta_hits,
-                theta_misses: prev.theta_misses + s.theta_misses,
-            },
-        };
+        let mut merged = self.incremental.get().unwrap_or_default();
+        merged.merge(&s);
         self.incremental.set(Some(merged));
     }
 }

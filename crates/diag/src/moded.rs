@@ -22,7 +22,7 @@
 //! assumption — anything flagged is wrong under *every* adornment).
 
 use crate::{Diagnostic, LintContext, LintPass, Severity};
-use argus_logic::modes::{infer_modes, is_builtin, Adornment, Mode, ModeMap, TEST_BUILTINS};
+use argus_logic::modes::{infer_modes, is_builtin, Mode, ModeMap, TEST_BUILTINS};
 use argus_logic::{Literal, PredKey, Rule, Sym};
 use std::collections::{BTreeSet, HashSet};
 
@@ -228,27 +228,10 @@ impl LintPass for UnsafeNegation {
     }
 }
 
-/// Parse helper for tests and the CLI: `name/arity` plus a `b`/`f` string.
-pub fn parse_query_spec(spec: &str, adornment: &str) -> Result<(PredKey, Adornment), String> {
-    let (name, arity) = spec
-        .rsplit_once('/')
-        .ok_or_else(|| format!("bad query spec {spec:?} (want name/arity)"))?;
-    let arity: usize = arity.parse().map_err(|_| format!("bad arity in {spec:?}"))?;
-    let adornment = Adornment::parse(adornment)
-        .ok_or_else(|| format!("bad adornment {adornment:?} (want e.g. \"bf\")"))?;
-    if adornment.arity() != arity {
-        return Err(format!(
-            "adornment `{adornment}` has {} position(s) but {name}/{arity} needs {arity}",
-            adornment.arity()
-        ));
-    }
-    Ok((PredKey::new(name, arity), adornment))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{lint_source, LintOptions};
+    use argus_logic::parse_query_spec;
 
     fn moded_options(spec: &str, adn: &str) -> LintOptions {
         LintOptions { query: Some(parse_query_spec(spec, adn).unwrap()) }

@@ -124,6 +124,9 @@ impl FmTier {
     }
 }
 
+/// Maximum LP implication probes per projection (tier 3 only).
+const LP_PROBE_BUDGET: usize = 256;
+
 /// Knobs for one elimination/projection run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FmConfig {
@@ -132,8 +135,6 @@ pub struct FmConfig {
     /// Hard bound on materialized rows; exceeding it aborts with
     /// [`FmBlowup`]. `usize::MAX` disables the cap.
     pub max_rows: usize,
-    /// Maximum LP implication probes per projection (tier 3 only).
-    pub lp_probe_budget: usize,
     /// Wall-clock deadline: once `Instant::now()` passes it, the run aborts
     /// with [`FmBlowup`] marked `timed_out`. Checked at round boundaries
     /// and periodically inside the pair-combination loop, so a runaway
@@ -145,12 +146,7 @@ pub struct FmConfig {
 
 impl Default for FmConfig {
     fn default() -> FmConfig {
-        FmConfig {
-            tier: FmTier::default(),
-            max_rows: usize::MAX,
-            lp_probe_budget: 256,
-            deadline: None,
-        }
+        FmConfig { tier: FmTier::default(), max_rows: usize::MAX, deadline: None }
     }
 }
 
@@ -607,18 +603,6 @@ pub fn eliminate(sys: &ConstraintSystem, v: Var) -> FmResult {
         .expect("uncapped elimination cannot overflow")
 }
 
-/// Like [`eliminate`] but bails out with [`FmBlowup`] when more than
-/// `max_rows` rows are materialized — a true row-count bound that also
-/// covers the Gaussian substitution step.
-pub fn eliminate_capped(
-    sys: &ConstraintSystem,
-    v: Var,
-    max_rows: usize,
-) -> Result<FmResult, FmBlowup> {
-    let mut stats = FmStats::default();
-    eliminate_with(sys, v, &FmConfig::capped(max_rows), &mut stats)
-}
-
 /// [`eliminate`] with explicit configuration and counters.
 pub fn eliminate_with(
     sys: &ConstraintSystem,
@@ -634,7 +618,7 @@ pub fn eliminate_with(
         return Err(FmBlowup { rows: rows.len(), max_rows: cfg.max_rows, timed_out: false });
     }
     stats.peak_rows = stats.peak_rows.max(rows.len() as u64);
-    let mut lp_budget = cfg.lp_probe_budget;
+    let mut lp_budget = LP_PROBE_BUDGET;
     match eliminate_round(rows, v, 0, cfg, stats, &mut lp_budget)? {
         RoundOut::Infeasible => Ok(FmResult::Infeasible),
         RoundOut::Rows(rows) => {
@@ -642,16 +626,6 @@ pub fn eliminate_with(
             Ok(FmResult::Projected(rows_to_system(rows)))
         }
     }
-}
-
-/// Eliminate all variables in `vars` from `sys`, in the same greedy
-/// fewest-products order [`project_onto`] uses (not the iteration order of
-/// `vars` — the ordering heuristic is what keeps intermediate row counts
-/// down, so every elimination path shares it).
-pub fn eliminate_all(sys: &ConstraintSystem, vars: impl IntoIterator<Item = Var>) -> FmResult {
-    let goners: BTreeSet<Var> = vars.into_iter().collect();
-    let keep: BTreeSet<Var> = sys.vars().into_iter().filter(|v| !goners.contains(v)).collect();
-    project_onto(sys, &keep)
 }
 
 /// Project `sys` onto `keep`: eliminate every variable not in `keep`.
@@ -689,7 +663,7 @@ pub fn project_onto_with(
         RoundOut::Rows(rows) => rows,
     };
     let mut steps = 0usize;
-    let mut lp_budget = cfg.lp_probe_budget;
+    let mut lp_budget = LP_PROBE_BUDGET;
     loop {
         stats.peak_rows = stats.peak_rows.max(rows.len() as u64);
         if rows.len() > cfg.max_rows {
@@ -991,7 +965,7 @@ mod tests {
         for i in 0..10 {
             sys.push(le(&LinExpr::var(0) + &LinExpr::term(2 + i, r(1, 1)), i as i64));
         }
-        match eliminate_capped(&sys, 0, 3) {
+        match eliminate_with(&sys, 0, &FmConfig::capped(3), &mut FmStats::default()) {
             Err(blowup) => assert!(blowup.rows > 3),
             Ok(_) => panic!("10 substituted rows cannot fit a 3-row cap"),
         }

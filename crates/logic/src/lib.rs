@@ -50,7 +50,7 @@ pub use cond::Dnf;
 pub use depgraph::DepGraph;
 pub use groundness::{analyze_groundness, Groundness};
 pub use intern::Sym;
-pub use modes::{Adornment, Mode, ModeMap};
+pub use modes::{parse_pred_spec, parse_query_spec, Adornment, Mode, ModeMap};
 pub use norm::Norm;
 pub use program::{Atom, Literal, PredKey, Program, Rule};
 pub use span::{LineIndex, Span, SpanSlot};

@@ -98,6 +98,37 @@ impl fmt::Display for Adornment {
     }
 }
 
+/// Parse a `name/arity` predicate spec.
+pub fn parse_pred_spec(spec: &str) -> Result<PredKey, String> {
+    parse_spec(spec, "predicate")
+}
+
+/// Parse a `name/arity` query spec plus its `b`/`f` adornment, which must
+/// have one position per argument — the one query parser every surface
+/// (CLI, server, LSP, library helpers) shares.
+pub fn parse_query_spec(spec: &str, adornment: &str) -> Result<(PredKey, Adornment), String> {
+    let query = parse_spec(spec, "query")?;
+    let adornment = Adornment::parse(adornment)
+        .ok_or_else(|| format!("bad adornment {adornment:?} (want e.g. \"bf\")"))?;
+    if adornment.arity() != query.arity {
+        return Err(format!(
+            "adornment `{adornment}` has {} position(s) but {query} has arity {}",
+            adornment.arity(),
+            query.arity
+        ));
+    }
+    Ok((query, adornment))
+}
+
+/// `name/arity` → [`PredKey`]; `what` names the spec in errors.
+fn parse_spec(spec: &str, what: &str) -> Result<PredKey, String> {
+    let (name, arity) = spec
+        .rsplit_once('/')
+        .ok_or_else(|| format!("bad {what} spec {spec:?} (want name/arity)"))?;
+    let arity = arity.parse().map_err(|_| format!("bad arity in {spec:?}"))?;
+    Ok(PredKey::new(name, arity))
+}
+
 /// The inferred adornment of every reachable predicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModeMap {

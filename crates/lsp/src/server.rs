@@ -48,9 +48,9 @@ use crate::rpc::{
 use argus_core::incremental::SccCache;
 use argus_core::{infer_conditions_for, AnalysisOptions, BackwardsOptions};
 use argus_diag::lsp::render_lsp_diagnostics;
-use argus_diag::moded::parse_query_spec;
 use argus_diag::{lint_source_memo, LintOptions};
 use argus_logic::modes::Adornment;
+use argus_logic::parse_query_spec;
 use argus_logic::parser::parse_program;
 use argus_logic::span::{LineIndex, Span};
 use argus_logic::{PredKey, Program};
@@ -472,18 +472,16 @@ impl<W: Write> Server<W> {
         );
         self.send(&notification("textDocument/publishDiagnostics", &params));
         let stats = run.incremental.unwrap_or_default();
-        let stats_params = format!(
-            "{{\"uri\":{},\"version\":{version},\"dirty\":{},\"total\":{},\
-             \"size_hits\":{},\"size_misses\":{},\"theta_hits\":{},\"theta_misses\":{},\
-             \"elapsed_us\":{elapsed_us}}}",
+        let mut stats_params = format!(
+            "{{\"uri\":{},\"version\":{version},\"dirty\":{},\"total\":{}",
             json_str(uri),
             stats.dirty(),
             stats.total(),
-            stats.size_hits,
-            stats.size_misses,
-            stats.theta_hits,
-            stats.theta_misses,
         );
+        for (name, v) in stats.counters() {
+            stats_params.push_str(&format!(",\"{name}\":{v}"));
+        }
+        stats_params.push_str(&format!(",\"elapsed_us\":{elapsed_us}}}"));
         self.send(&notification("$/argus/stats", &stats_params));
     }
 }

@@ -282,13 +282,7 @@ pub fn analyze_sct_source(
     adornment: &str,
 ) -> Result<SctReport, String> {
     let program = argus_logic::parser::parse_program(src).map_err(|e| e.to_string())?;
-    let (name, arity) = query_spec
-        .rsplit_once('/')
-        .ok_or_else(|| format!("bad query spec {query_spec:?} (want name/arity)"))?;
-    let arity: usize = arity.parse().map_err(|_| format!("bad arity in {query_spec:?}"))?;
-    let query = PredKey::new(name, arity);
-    let adornment = Adornment::parse(adornment)
-        .ok_or_else(|| format!("bad adornment {adornment:?} (want e.g. \"bf\")"))?;
+    let (query, adornment) = argus_logic::parse_query_spec(query_spec, adornment)?;
     Ok(analyze_sct(&program, &query, adornment, &AnalysisOptions::default(), None))
 }
 
@@ -388,6 +382,13 @@ fn analyze_scc(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn analyze_sct_source_rejects_bad_specs() {
+        for (spec, adn) in [("p", "bb"), ("p/x", "bb"), ("p/2", "bq"), ("p/2", "b")] {
+            assert!(analyze_sct_source("p(a, b).", spec, adn).is_err(), "{spec} {adn}");
+        }
+    }
 
     #[test]
     fn append_is_sct_provable() {

@@ -419,11 +419,9 @@ impl ServerState {
                             item.type_name()
                         ));
                     };
-                    let parsed = spec.rsplit_once('/').and_then(|(name, arity)| {
-                        arity.parse::<usize>().ok().map(|a| PredKey::new(name, a))
-                    });
-                    let Some(key) = parsed else {
-                        return bad(format!("bad predicate spec {spec:?} (want name/arity)"));
+                    let key = match argus_logic::parse_pred_spec(spec) {
+                        Ok(key) => key,
+                        Err(e) => return bad(e),
                     };
                     if !idb.contains(&key) {
                         let defined: Vec<PredKey> = idb.iter().cloned().collect();
@@ -519,7 +517,7 @@ impl ServerState {
         let mut options = LintOptions::default();
         match (query, mode) {
             (None, None) => {}
-            (Some(q), Some(m)) => match argus_diag::moded::parse_query_spec(q, m) {
+            (Some(q), Some(m)) => match argus_logic::parse_query_spec(q, m) {
                 Ok(spec) => options.query = Some(spec),
                 Err(e) => return error_response(400, &e, &[]),
             },
@@ -707,21 +705,8 @@ impl ServerState {
             },
         };
 
-        let (name, arity_str) = query_spec
-            .rsplit_once('/')
-            .ok_or_else(|| bad(format!("bad query spec {query_spec:?} (want name/arity)")))?;
-        let arity: usize = arity_str
-            .parse()
-            .map_err(|_| bad(format!("bad arity in query spec {query_spec:?}")))?;
-        let query = PredKey::new(name, arity);
-        let adornment = Adornment::parse(adn_spec)
-            .ok_or_else(|| bad(format!("bad adornment {adn_spec:?} (want e.g. \"bf\")")))?;
-        if adornment.arity() != arity {
-            return Err(bad(format!(
-                "adornment arity {} != predicate arity {arity}",
-                adornment.arity()
-            )));
-        }
+        let (query, adornment) =
+            argus_logic::parse_query_spec(query_spec, adn_spec).map_err(bad)?;
 
         let program = match parse_program(src) {
             Ok(p) => p,

@@ -83,9 +83,9 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_spec(spec: &str) -> Option<PredKey> {
-    let (name, arity) = spec.rsplit_once('/')?;
-    Some(PredKey::new(name, arity.parse().ok()?))
+/// Parse `<name/arity> <adornment>`, printing the error on failure.
+fn parse_query_arg(spec: &str, adn: &str) -> Option<(PredKey, Adornment)> {
+    argus::logic::parse_query_spec(spec, adn).map_err(|e| eprintln!("{e}")).ok()
 }
 
 fn load(path: &str) -> Result<Program, String> {
@@ -199,15 +199,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(query) = parse_spec(spec) else { return usage() };
-    let Some(adornment) = Adornment::parse(adn) else {
-        eprintln!("bad adornment {adn:?}");
-        return ExitCode::FAILURE;
-    };
-    if adornment.arity() != query.arity {
-        eprintln!("adornment arity mismatch");
-        return ExitCode::FAILURE;
-    }
+    let Some((query, adornment)) = parse_query_arg(spec, adn) else { return ExitCode::FAILURE };
     if !program.idb_predicates().contains(&query) {
         // Route the failure through the diagnostics renderer so the error
         // reads like any other lint finding.
@@ -414,15 +406,7 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         i += 1;
     }
     let [path, spec, adn] = positional.as_slice() else { return usage() };
-    let Some(query) = parse_spec(spec) else { return usage() };
-    let Some(adornment) = Adornment::parse(adn) else {
-        eprintln!("bad adornment {adn:?}");
-        return ExitCode::FAILURE;
-    };
-    if adornment.arity() != query.arity {
-        eprintln!("adornment arity mismatch");
-        return ExitCode::FAILURE;
-    }
+    let Some((query, adornment)) = parse_query_arg(spec, adn) else { return ExitCode::FAILURE };
 
     // `--cache-dir` only; no implicit default dir — a watcher's memo is
     // already warm across edits in memory, so disk is opt-in here.
@@ -606,9 +590,12 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     } else {
         let mut set = std::collections::BTreeSet::new();
         for spec in specs {
-            let Some(pred) = parse_spec(spec) else {
-                eprintln!("bad predicate spec {spec:?} (want name/arity)");
-                return ExitCode::FAILURE;
+            let pred = match argus::logic::parse_pred_spec(spec) {
+                Ok(pred) => pred,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
             if !idb.contains(&pred) {
                 let defined: Vec<PredKey> = idb.iter().cloned().collect();
@@ -796,7 +783,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     let mut options = LintOptions::default();
     match (query_spec, mode_spec) {
         (None, None) => {}
-        (Some(q), Some(m)) => match argus::diag::moded::parse_query_spec(q, m) {
+        (Some(q), Some(m)) => match argus::logic::parse_query_spec(q, m) {
             Ok(query) => options.query = Some(query),
             Err(e) => {
                 eprintln!("{e}");
@@ -840,8 +827,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(query) = parse_spec(spec) else { return usage() };
-    let Some(adornment) = Adornment::parse(adn) else { return usage() };
+    let Some((query, adornment)) = parse_query_arg(spec, adn) else { return ExitCode::FAILURE };
     for m in all_methods() {
         let r = m.prove(&program, &query, &adornment);
         println!(
@@ -854,21 +840,30 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [path, goal_src] = positional.as_slice() else { return usage() };
+    let mut positional: Vec<&str> = Vec::new();
     let mut options = InterpOptions::default();
-    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
-    for i in 0..argv.len() {
-        if argv[i] == "--steps" && i + 1 < argv.len() {
-            match argv[i + 1].parse() {
-                Ok(n) => options.max_steps = n,
-                Err(_) => {
-                    eprintln!("bad --steps value");
-                    return ExitCode::FAILURE;
-                }
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--steps" => {
+                i += 1;
+                options.max_steps = match args.get(i).and_then(|v| v.parse().ok()) {
+                    Some(n) => n,
+                    None => {
+                        eprintln!("bad --steps value");
+                        return ExitCode::FAILURE;
+                    }
+                };
             }
+            other if other.starts_with("--") => {
+                eprintln!("unknown flag {other}");
+                return ExitCode::FAILURE;
+            }
+            other => positional.push(other),
         }
+        i += 1;
     }
+    let [path, goal_src] = positional.as_slice() else { return usage() };
     let program = match load(path) {
         Ok(p) => p,
         Err(e) => {
@@ -1227,7 +1222,7 @@ fn cmd_lsp(args: &[String]) -> ExitCode {
     }
     match (query_spec, mode_spec) {
         (None, None) => {}
-        (Some(q), Some(m)) => match argus::diag::moded::parse_query_spec(q, m) {
+        (Some(q), Some(m)) => match argus::logic::parse_query_spec(q, m) {
             Ok(query) => options.query = Some(query),
             Err(e) => {
                 eprintln!("{e}");

@@ -72,6 +72,30 @@ fn compare_lists_all_methods() {
 }
 
 #[test]
+fn compare_rejects_mismatched_arity() {
+    let path = temp_program(APPEND);
+    let out = argus().args(["compare", path.to_str().unwrap(), "append/3", "bf"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("has arity 3"), "{err}");
+}
+
+#[test]
+fn run_honours_the_steps_flag() {
+    let path = temp_program("spin :- spin.\n");
+    let path = path.to_str().unwrap();
+    let out = argus().args(["run", path, "spin", "--steps", "40"]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{stdout}");
+    // The budget is checked once the step count passes it.
+    assert!(stdout.contains("budget exhausted after 41 steps"), "{stdout}");
+    let out = argus().args(["run", path, "spin", "--stepz", "40"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown flag --stepz"), "{err}");
+}
+
+#[test]
 fn corpus_listing_and_fetch() {
     let out = argus().args(["corpus"]).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);

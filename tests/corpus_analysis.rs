@@ -105,6 +105,32 @@ fn capture_rule_contrast() {
     assert!(matches!(sat, Saturation::Diverged { .. }));
 }
 
+/// The lexicographic fallback proves exactly base θ's entries plus the four
+/// whose descent alternates between arguments; `mergesort` stays out, and
+/// no nonterminating control proves.
+#[test]
+fn lexicographic_sweep_on_corpus() {
+    let options = AnalysisOptions { lexicographic: true, ..AnalysisOptions::default() };
+    let lex_only = ["ackermann", "sct_lex_reset", "sct_lex_reset_append", "sct_lex_reset_mutual"];
+    let mut proved = 0;
+    for entry in argus::corpus::corpus() {
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let report = analyze(&program, &query, adornment, &options);
+        let lex = report.verdict == Verdict::Terminates;
+        let expected = entry.expected_provable || lex_only.contains(&entry.name);
+        assert_eq!(
+            lex, expected,
+            "{}: lexicographic verdict {:?}\n{report}",
+            entry.name, report.verdict
+        );
+        assert!(!lex || entry.terminates, "SOUNDNESS VIOLATION on {}\n{report}", entry.name);
+        proved += usize::from(lex);
+    }
+    assert_eq!(proved, 32, "lexicographic sweep proves 28 base entries plus 4");
+    assert!(!argus::corpus::find("mergesort").unwrap().expected_provable);
+}
+
 /// The engines are incomparable by construction, and the corpus pins
 /// separators in both directions: four programs the size-change engine
 /// proves while the θ-method stays `Unknown` (lexicographic/reset

@@ -23,9 +23,7 @@ fn replay(path: &Path) -> Result<(), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
     let query_spec = header(&src, "query").ok_or("missing `% query:` header")?;
     let mode = header(&src, "adornment").ok_or("missing `% adornment:` header")?;
-    let (name, arity) = query_spec.rsplit_once('/').ok_or("bad query spec")?;
-    let query = PredKey::new(name, arity.parse::<usize>().map_err(|e| e.to_string())?);
-    let adornment = Adornment::parse(&mode).ok_or("bad adornment")?;
+    let (query, adornment) = argus::logic::parse_query_spec(&query_spec, &mode)?;
     let program = parse_program(&src).map_err(|e| format!("parse: {e}"))?;
 
     let opts = analysis_options();

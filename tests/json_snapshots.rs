@@ -59,6 +59,40 @@ fn analyze_json_snapshots_on_corpus() {
     }
 }
 
+/// Every corpus entry's text report and default JSON under one analysis
+/// option set, concatenated in corpus order.
+fn corpus_reports(options: &AnalysisOptions) -> String {
+    let mut out = String::new();
+    for entry in argus::corpus::corpus() {
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let report = analyze(&program, &query, adornment, options);
+        out.push_str(&format!("== {} ==\n{report}{}\n", entry.name, report.to_json()));
+    }
+    out
+}
+
+/// The Appendix C δ mode over the whole corpus: symbolic δ's with the
+/// positive-cycle rows, their read-back values, blame and refutations.
+#[test]
+fn analyze_corpus_snapshot_path_constraints() {
+    let options = AnalysisOptions {
+        delta_mode: DeltaMode::PathConstraints,
+        parallelism: 1,
+        ..AnalysisOptions::default()
+    };
+    check_golden("analyze/corpus-path-constraints.txt", &corpus_reports(&options));
+}
+
+/// The lexicographic fallback over the whole corpus: every level of every
+/// `ProvedLexicographic` SCC, and the base outcome where it still fails.
+#[test]
+fn analyze_corpus_snapshot_lexicographic() {
+    let options =
+        AnalysisOptions { lexicographic: true, parallelism: 1, ..AnalysisOptions::default() };
+    check_golden("analyze/corpus-lexicographic.txt", &corpus_reports(&options));
+}
+
 /// Replace every integer that appears as a JSON *value* (a digit run
 /// right after `:`) with `0`, leaving key names (`le_50`) and the schema
 /// string untouched. Counter values vary run to run; the key set, nesting,
