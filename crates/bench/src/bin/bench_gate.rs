@@ -5,8 +5,9 @@
 //! claims with deterministic counters: §4's "in practice FM is adequate"
 //! (the FM row-reduction floors, EXPERIMENTS.md E11), §6.2's SCC
 //! modularity (the incremental and LSP dirty-cone floors, E16), the
-//! 50k-clause substrate, and the Farkas-dual form of redundancy removal
-//! (E21), plus serve's content-addressed caches. Counters are
+//! 50k-clause substrate, the Farkas-dual form of redundancy removal
+//! (E21) and the semi-naive size-relation fixpoint (E22), plus serve's
+//! content-addressed caches. Counters are
 //! deterministic by construction, so the gate stays green on loaded CI
 //! machines while still catching a change that quietly disables the
 //! machinery. Wall time is gated in two
@@ -102,6 +103,11 @@ const CHECKS: &[Check] = &[
     // 111 s yet below the 514 s before the substrate. Loaded CI machines
     // stay green; losing the substrate wins does not.
     Check::Max { id: "scale/analyze/50k", key: "ns_per_iter", ceiling: 480e9 },
+    // The size-relation fixpoint is semi-naive (E22): a rule polyhedron
+    // or hull-fold prefix whose inputs did not change since the last
+    // Kleene round is reused, not recomputed. Its FM input rows, per size
+    // label, sit well below the fully recomputing fixpoint's.
+    Check::PerLabel { anchor: "scale/sizerel-fm/", rows: SIZEREL_FM },
     // Serve's report and condition caches, both `SccCache` instances: a
     // primed repeat is answered from the store every time, and an infer
     // deposits the analyze report its probes already computed.
@@ -117,6 +123,17 @@ const CHECKS: &[Check] = &[
     // percentiles are recorded in the report but not gated: the
     // structural counters are what keep them flat as programs grow.
     Check::PerLabel { anchor: "lsp/warm-edit/", rows: LSP },
+];
+
+const SIZEREL_FM: &[(Option<&str>, Check)] = &[
+    // 2k (CI smoke): 491 701 rows when every rule and hull is recomputed
+    // each round, 332 979 with the reuse.
+    (Some("2k"), Check::Max { id: "scale/sizerel-fm/{L}", key: "fm_rows_in", ceiling: 400_000.0 }),
+    // 10k (committed full report): 2 413 784 → 1 641 335.
+    (
+        Some("10k"),
+        Check::Max { id: "scale/sizerel-fm/{L}", key: "fm_rows_in", ceiling: 2_000_000.0 },
+    ),
 ];
 
 const INCREMENTAL: &[(Option<&str>, Check)] = &[
@@ -429,7 +446,8 @@ mod tests {
         let verdicts = evaluate(CHECKS, &collect(&[(path, &text)]).unwrap());
         let failed: Vec<&Verdict> = verdicts.iter().filter(|v| !v.ok).collect();
         assert!(failed.is_empty(), "{failed:?}");
-        // 20 fixed checks, incremental 10k + 50k (2 + 3), lsp 10k (2).
-        assert_eq!(verdicts.len(), 27, "{verdicts:?}");
+        // 20 fixed checks, sizerel-fm 10k (1), incremental 10k + 50k
+        // (2 + 3), lsp 10k (2).
+        assert_eq!(verdicts.len(), 28, "{verdicts:?}");
     }
 }

@@ -623,17 +623,24 @@ pub fn scale_suite(scale: Scale) -> Vec<Sample> {
         );
         // The FM-dominated size-relation stage in isolation, at the small
         // size only: it re-runs the per-SCC fixpoint the end-to-end sample
-        // already contains, so one size is enough to pin the stage.
+        // already contains, so one size is enough to pin the stage. Its
+        // FM counters come from the timed run itself, through the
+        // instrumented entry point at the default configuration (what
+        // `infer_size_relations` runs).
         if clauses <= 10_000 {
-            out.push(
-                bench_case("scale", &format!("sizerel-fm/{label}"), 0, 1, || {
-                    black_box(argus_sizerel::infer_size_relations(
-                        black_box(&program),
-                        &argus_sizerel::InferOptions::default(),
-                    ))
-                })
-                .with_counters(shape.clone()),
-            );
+            let mut fm_stats = fm::FmStats::default();
+            let sample = bench_case("scale", &format!("sizerel-fm/{label}"), 0, 1, || {
+                black_box(argus_sizerel::infer_size_relations_instrumented(
+                    black_box(&program),
+                    &argus_sizerel::InferOptions::default(),
+                    &fm::FmConfig::default(),
+                    &mut fm_stats,
+                ))
+            });
+            let mut counters = shape.clone();
+            counters.push(("fm_rows_in", fm_stats.rows_in));
+            counters.push(("fm_pairs_combined", fm_stats.pairs_combined));
+            out.push(sample.with_counters(counters));
         }
         let options = AnalysisOptions::default();
         let start = std::time::Instant::now();

@@ -922,7 +922,11 @@ fn theta_search(
     let mut projected = plan.base.clone();
     projected.extend(pair_systems.iter().cloned());
     let (theta_sys, nonneg) = feasibility_system(&projected, &space);
-    let outcome = if !ok {
+    // FM checks the deadline only between eliminations, so projections
+    // with nothing to eliminate return past it: check once here, before
+    // the simplex, the Farkas refutation and the blame LPs.
+    let spent = options.deadline.is_some_and(|d| std::time::Instant::now() >= d);
+    let outcome = if !ok || spent {
         SccOutcome::NoLinearDecrease { refutation: None }
     } else {
         match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
@@ -934,7 +938,7 @@ fn theta_search(
         }
     };
     let blame = match &outcome {
-        SccOutcome::NoLinearDecrease { .. } => {
+        SccOutcome::NoLinearDecrease { .. } if !spent => {
             compute_blame(rules, pairs, &plan.base, &pair_systems, &space, !ok)
         }
         _ => None,

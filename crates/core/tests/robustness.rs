@@ -145,6 +145,31 @@ fn lexicographic_fallback_honours_the_deadline() {
     assert_ne!(report.verdict, Verdict::Terminates, "{report}");
 }
 
+/// The base θ search stops at a spent deadline even when no projection
+/// eliminates a variable (FM, which checks the clock only between
+/// eliminations, never sees it): `ackermann`'s SCC must come back with
+/// neither the Farkas refutation nor the blame a finished search computes.
+#[test]
+fn theta_search_honours_the_deadline_without_eliminations() {
+    let entry = argus_corpus::find("ackermann").unwrap();
+    let program = entry.program().unwrap();
+    let (query, adornment) = entry.query_key();
+    let options = AnalysisOptions {
+        lexicographic: false,
+        deadline: Some(std::time::Instant::now()),
+        ..AnalysisOptions::default()
+    };
+    let report = analyze(&program, &query, adornment, &options);
+    let scc = report.scc_of(&query).expect("the query's SCC is analyzed");
+    match &scc.outcome {
+        argus_core::SccOutcome::NoLinearDecrease { refutation } => {
+            assert!(refutation.is_none(), "a refutation was computed past the deadline")
+        }
+        other => panic!("expected NoLinearDecrease, got {other:?}"),
+    }
+    assert!(scc.blame.is_none(), "blame was computed past the deadline");
+}
+
 #[test]
 fn manual_imported_constraints_are_honoured() {
     // Deliberately hide q's rules (EDB) and supply its size relation

@@ -198,9 +198,13 @@ pub fn solve_iterative(program: &Program, goals: &[Literal], options: &InterpOpt
 }
 
 impl<'p> Machine<'p> {
+    /// Take one step, or refuse it (uncounted) once `max_steps` are spent.
     fn tick(&mut self) -> bool {
+        if self.steps >= self.options.max_steps {
+            return false;
+        }
         self.steps += 1;
-        self.steps <= self.options.max_steps
+        true
     }
 
     /// Resolve one goal. Returns the next goal list, Fail, or Budget.

@@ -170,13 +170,13 @@ fn eval_arith(s: &Subst, t: &Term) -> Option<i64> {
 }
 
 impl<'p> Machine<'p> {
+    /// Take one step, or refuse it (uncounted) once `max_steps` are spent.
     fn tick(&mut self) -> Result<(), Stop> {
-        self.steps += 1;
-        if self.steps > self.options.max_steps {
-            Err(Stop::Budget)
-        } else {
-            Ok(())
+        if self.steps >= self.options.max_steps {
+            return Err(Stop::Budget);
         }
+        self.steps += 1;
+        Ok(())
     }
 
     fn solve_goals(&mut self, goals: &[Literal], s: &mut Subst, depth: usize) -> Result<(), Stop> {

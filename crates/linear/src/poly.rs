@@ -240,6 +240,11 @@ impl Poly {
     /// [`Poly::hull`] under an explicit FM configuration (tier, row cap, LP
     /// budget all caller-controlled), accumulating the FM work into
     /// `stats`. Exceeding `cfg.max_rows` falls back to the weak join.
+    ///
+    /// The result's emptiness comes from the operands' flags, not from an
+    /// LP: it is empty iff both operands are. Every constructor keeps the
+    /// flag exact (a projection or hull of a nonempty polyhedron is
+    /// nonempty), except a [`Poly::from_raw_parts`] handed a wrong one.
     pub fn hull_with(&self, other: &Poly, cfg: &fm::FmConfig, stats: &mut fm::FmStats) -> Poly {
         assert_eq!(self.dim, other.dim, "dimension mismatch in hull");
         if self.empty {
@@ -301,7 +306,13 @@ impl Poly {
         // cheap weak join, which is sound (it contains the hull) and still
         // keeps the invariants that appear as rows of either argument.
         match fm::project_onto_with(&big, &keep, cfg, stats) {
-            Ok(FmResult::Projected(sys)) => Poly::from_constraints(n, sys.dedup()),
+            Ok(FmResult::Projected(sys)) => {
+                // The hull contains both operands, and neither is empty, so
+                // it is not empty either: no feasibility LP on the result.
+                let hull = Poly { dim: n, sys: sys.dedup(), empty: false, minimal: false };
+                debug_assert!(!hull.compute_is_empty(), "hull of nonempty operands is empty");
+                hull
+            }
             Ok(FmResult::Infeasible) => Poly::empty(n),
             Err(_) => self.weak_join(other),
         }

@@ -188,6 +188,49 @@ fn widen_identity_holds_when_hull_exceeds_row_cap() {
     assert!(over_cap >= 2, "only {over_cap} hulls ran over the row cap");
 }
 
+/// A random operand for the hull: [`gen_poly`]'s mix, plus now and then a
+/// system whose rows contradict each other outright (`x₀ ≥ 1 ∧ x₀ ≤ 0`
+/// among random rows), which `from_constraints` must flag empty.
+fn gen_hull_operand(r: &mut Rng64, dim: usize) -> Poly {
+    if r.below(6) != 0 {
+        return gen_poly(r, dim, 5);
+    }
+    let mut sys = random_system(r, dim, 4);
+    sys.push(Constraint::ge(LinExpr::var(0), LinExpr::constant(Rat::one())));
+    sys.push(Constraint::le(LinExpr::var(0), LinExpr::zero()));
+    let p = Poly::from_constraints(dim, sys);
+    assert!(p.is_empty());
+    p
+}
+
+/// The hull of two polyhedra is empty iff both are, and its rows alone
+/// say so: a hull with a nonempty operand has feasible rows, so skipping
+/// the feasibility LP on its result loses nothing. It contains a sample
+/// point of each nonempty operand — under the production row cap and
+/// when the weak join stands in for an over-cap hull.
+#[test]
+fn hull_emptiness_is_exact_without_an_lp() {
+    let mut r = Rng64::new(0x4011);
+    let over_cap = FmConfig { max_rows: 0, ..FmConfig::default() };
+    for _ in 0..400 {
+        let dim = r.range_usize(1, 4);
+        let a = gen_hull_operand(&mut r, dim);
+        let b = gen_hull_operand(&mut r, dim);
+        for hull in [a.hull(&b), a.hull_with(&b, &over_cap, &mut FmStats::default())] {
+            assert_eq!(hull.is_empty(), a.is_empty() && b.is_empty(), "a:\n{a}\nb:\n{b}");
+            if !hull.is_empty() {
+                let rows_alone = Poly::from_constraints(dim, hull.constraints().clone());
+                assert_eq!(hull.is_empty(), rows_alone.is_empty(), "a:\n{a}\nb:\n{b}");
+            }
+            for p in [&a, &b] {
+                if let Some(point) = p.sample_point() {
+                    assert!(hull.contains_point(&point), "p:\n{p}\nhull:\n{hull}");
+                }
+            }
+        }
+    }
+}
+
 /// Dense inequality rows through a common anchor: nonempty, and with every
 /// coefficient nonzero, so FM pairs nearly every row with every other.
 fn gen_poly_dense(r: &mut Rng64, dim: usize, rows: usize) -> Poly {

@@ -445,7 +445,7 @@ impl IdsTable<'_> {
 
 /// The per-SCC inference body shared by [`infer_size_relations_instrumented`]
 /// and [`infer_scc_sizes`]: a single pass for non-recursive SCCs, a Kleene
-/// iteration with delayed widening for recursive ones. On return `rels`
+/// iteration (semi-naive, delayed widening) for recursive ones. On return `rels`
 /// holds the SCC's *work-state* polyhedra (inserted pre-minimized between
 /// iterations, not re-minimized at the end) — callers that feed the result
 /// to the termination analyzer must still canonicalize with
@@ -477,40 +477,80 @@ fn infer_scc_inner(
         return;
     }
 
-    // Recursive SCC: Kleene iteration from bottom with delayed widening.
+    // Recursive SCC: Kleene iteration from bottom with delayed widening,
+    // semi-naive: a member's version counts its re-insertions, a rule's
+    // polyhedron is recomputed only when a member it reads has a new
+    // version (callee relations are fixed while the SCC iterates), and
+    // the hull fold restarts at the first rule whose polyhedron changed.
+    let slot: BTreeMap<&PredKey, usize> = members.iter().enumerate().map(|(i, p)| (p, i)).collect();
+    let mut version = vec![0u64; members.len()];
+    let mut folds: Vec<MemberFold> =
+        members.iter().map(|p| MemberFold::new(index.rule_indices(p), program, &slot)).collect();
     for p in members {
         rels.insert(p.clone(), Poly::empty(p.arity));
     }
     let mut stable = false;
     for iteration in 0..options.max_iterations {
         let mut changed = false;
-        for p in members {
-            let old = rels.get(p).cloned().expect("seeded");
-            let mut new = Poly::empty(p.arity);
-            for &ri in index.rule_indices(p) {
-                let rp = rule_poly_ids(&program.rules[ri], ids.get(ri), rels, rule_cfg, stats, ctx);
-                new = new.hull_with(&rp, hull_cfg, stats);
+        for (i, p) in members.iter().enumerate() {
+            let fold = &mut folds[i];
+            let mut first_changed = None;
+            for (k, rule) in fold.rules.iter_mut().enumerate() {
+                let seen: Vec<u64> = rule.reads.iter().map(|&m| version[m]).collect();
+                if rule.last.as_ref().is_some_and(|(v, _)| *v == seen) {
+                    continue;
+                }
+                let rp = rule_poly_ids(
+                    &program.rules[rule.index],
+                    ids.get(rule.index),
+                    rels,
+                    rule_cfg,
+                    stats,
+                    ctx,
+                );
+                if rule.last.as_ref().is_none_or(|(_, poly)| *poly != rp) {
+                    first_changed.get_or_insert(k);
+                }
+                rule.last = Some((seen, rp));
             }
-            // Before the widening delay, join with the previous iterate to
-            // keep the sequence monotone. After it, widen `old` against
-            // `new` directly: a row of `old` holds on their join iff it
-            // holds on `new` (see `Poly::widen`), so the join is not built.
-            let widening = iteration >= options.widening_delay;
-            let next =
-                if widening { old.widen(&new) } else { old.hull_with(&new, hull_cfg, stats) };
-            let grew = if widening && old.is_minimal() {
-                // `next` keeps a subset of the rows of an irredundant
-                // `old`, so it is a strictly larger set iff it lost one.
-                next.constraints().len() < old.constraints().len()
+            // No rule polyhedron changed: `new` is last round's, which the
+            // current `old` already contains, so `p` cannot grow.
+            let Some(start) = first_changed else { continue };
+            fold.prefix.truncate(start);
+            for rule in &fold.rules[start..] {
+                let rp = &rule.last.as_ref().expect("evaluated").1;
+                let acc = fold
+                    .prefix
+                    .last()
+                    .map_or_else(|| rp.clone(), |acc| acc.hull_with(rp, hull_cfg, stats));
+                fold.prefix.push(acc);
+            }
+            let new = fold.prefix.last().expect("members have rules");
+            let old = rels.get(p).expect("seeded");
+            // `old ⊔ new` (or the weak join standing in for it) is larger
+            // than `old` iff `new ⊄ old`, so one inclusion test decides
+            // growth before the hull is built. After the widening delay,
+            // `old` is widened against `new` directly: a row of `old`
+            // holds on their join iff it holds on `new` (see `Poly::widen`),
+            // and the widening is a larger set iff it dropped a row (a row
+            // `new` does not imply has a point of `new` outside `old`).
+            let next = if iteration >= options.widening_delay {
+                let widened = old.widen(new);
+                let grew = widened.constraints().len() < old.constraints().len()
+                    || old.is_empty() && !new.is_empty();
+                grew.then_some(widened)
+            } else if new.includes_in(old) {
+                None
             } else {
-                !next.same_set(&old)
+                Some(old.hull_with(new, hull_cfg, stats))
             };
-            if grew {
+            if let Some(next) = next {
                 // Keep representations minimal between iterations:
                 // redundant rows compound across hulls and can trip
                 // the FM row caps. (A widening of a minimal `old` is
                 // minimal already, and `minimized` returns it as is.)
                 rels.insert(p.clone(), next.minimized());
+                version[i] += 1;
                 changed = true;
             }
         }
@@ -524,6 +564,40 @@ fn infer_scc_inner(
         for p in members {
             rels.insert(p.clone(), Poly::nonneg_universe(p.arity));
         }
+    }
+}
+
+/// One recursive member's rules as the last Kleene round evaluated them,
+/// and the hull-fold prefixes `r₁`, `r₁ ⊔ r₂`, … built over them.
+struct MemberFold {
+    rules: Vec<RuleEval>,
+    prefix: Vec<Poly>,
+}
+
+/// One rule of a recursive member: the SCC members its positive body
+/// atoms read (by slot), and its last polyhedron with the member versions
+/// it was computed from.
+struct RuleEval {
+    index: usize,
+    reads: Vec<usize>,
+    last: Option<(Vec<u64>, Poly)>,
+}
+
+impl MemberFold {
+    fn new(rule_indices: &[usize], program: &Program, slot: &BTreeMap<&PredKey, usize>) -> Self {
+        let rules = rule_indices
+            .iter()
+            .map(|&index| {
+                let reads: BTreeSet<usize> = program.rules[index]
+                    .body
+                    .iter()
+                    .filter(|lit| lit.positive)
+                    .filter_map(|lit| slot.get(&lit.atom.key()).copied())
+                    .collect();
+                RuleEval { index, reads: reads.into_iter().collect(), last: None }
+            })
+            .collect();
+        MemberFold { rules, prefix: Vec::new() }
     }
 }
 
@@ -722,6 +796,24 @@ mod tests {
         let pt: BTreeMap<Var, Rat> =
             [(0, Rat::from_int(0)), (1, Rat::from_int(1000))].into_iter().collect();
         assert!(poly.contains_point(&pt));
+    }
+
+    #[test]
+    fn widening_from_an_empty_iterate_grows() {
+        // With no widening delay every round widens, starting from the
+        // empty seed: the widening of `∅` against a nonempty `new` is
+        // `new`, a growth even though no row of `∅` was dropped.
+        let program = parse_program(
+            "append([], Ys, Ys).\n\
+             append([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).",
+        )
+        .unwrap();
+        let options = InferOptions { widening_delay: 0, ..InferOptions::default() };
+        let rels = infer_size_relations(&program, &options);
+        let poly = rels.get(&PredKey::new("append", 3)).unwrap();
+        let pt: BTreeMap<Var, Rat> =
+            [(0, Rat::zero()), (1, Rat::from_int(3)), (2, Rat::from_int(3))].into_iter().collect();
+        assert!(poly.contains_point(&pt), "{}", rels.render(&PredKey::new("append", 3)));
     }
 
     #[test]

@@ -87,8 +87,8 @@ fn run_honours_the_steps_flag() {
     let out = argus().args(["run", path, "spin", "--steps", "40"]).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(2), "{stdout}");
-    // The budget is checked once the step count passes it.
-    assert!(stdout.contains("budget exhausted after 41 steps"), "{stdout}");
+    // The step that would pass the budget is refused, not counted.
+    assert!(stdout.contains("budget exhausted after 40 steps"), "{stdout}");
     let out = argus().args(["run", path, "spin", "--stepz", "40"]).output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");

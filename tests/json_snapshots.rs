@@ -199,12 +199,36 @@ fn fuzz_json_snapshot() {
 /// changes a row's order, its coefficients, or which redundant rows
 /// survive shows up as a diff.
 fn sizerel_snapshot(program: &Program) -> String {
-    use argus::logic::program::ProcIndex;
-    use argus::logic::DepGraph;
     let options = InferOptions::default();
     let mut out = String::from("== relations\n");
     out.push_str(&infer_size_relations(program, &options).to_string());
     out.push_str("== work state\n");
+    per_scc_sizes(program, &options, |members, recursive, work| {
+        for p in members {
+            let poly = work.get(p).expect("inferred");
+            let state = if poly.is_empty() { "empty" } else { "rows" };
+            out.push_str(&format!("{p}{}: {state}\n", if recursive { " (rec)" } else { "" }));
+            if !poly.is_empty() {
+                for c in poly.constraints().constraints() {
+                    out.push_str(&format!("  {c}\n"));
+                }
+            }
+        }
+    });
+    out
+}
+
+/// The per-SCC pass the incremental memo runs: `infer_scc_sizes` over
+/// every SCC with rules, bottom-up, calling `visit` with the SCC's
+/// members, its recursiveness and the work state after it. Returns the
+/// final work state.
+fn per_scc_sizes(
+    program: &Program,
+    options: &InferOptions,
+    mut visit: impl FnMut(&[PredKey], bool, &SizeRelations),
+) -> SizeRelations {
+    use argus::logic::program::ProcIndex;
+    use argus::logic::DepGraph;
     let graph = DepGraph::build(program);
     let index = ProcIndex::build(program);
     let mut work = SizeRelations::new();
@@ -215,19 +239,10 @@ fn sizerel_snapshot(program: &Program) -> String {
             continue;
         }
         let recursive = members.iter().any(|p| graph.is_recursive(p));
-        argus::sizerel::infer_scc_sizes(program, &index, &members, recursive, &mut work, &options);
-        for p in &members {
-            let poly = work.get(p).expect("inferred");
-            let state = if poly.is_empty() { "empty" } else { "rows" };
-            out.push_str(&format!("{p}{}: {state}\n", if recursive { " (rec)" } else { "" }));
-            if !poly.is_empty() {
-                for c in poly.constraints().constraints() {
-                    out.push_str(&format!("  {c}\n"));
-                }
-            }
-        }
+        argus::sizerel::infer_scc_sizes(program, &index, &members, recursive, &mut work, options);
+        visit(&members, recursive, &work);
     }
-    out
+    work
 }
 
 /// The raw program and its query-adorned copy (the program the analyzer
@@ -261,4 +276,46 @@ fn sizerel_snapshot_on_scale_case() {
     let case = argus::fuzz::gen::scale_case(0xA11CE, 250);
     let text = sizerel_snapshot_raw_and_adorned(&case.program, &case.query, case.adornment);
     check_golden("sizerel/scale_a11ce_250.txt", &text);
+}
+
+/// The rendered [`infer_size_relations`] output for a spread of
+/// `scale_case` programs (60–300 clauses, one golden file), each checked
+/// first against the per-SCC `infer_scc_sizes` path, minimized the same
+/// way: the memoized and whole-program fixpoints must agree on every
+/// predicate.
+#[test]
+fn sizerel_relations_on_scale_seeds() {
+    let options = InferOptions::default();
+    let mut text = String::new();
+    for (seed, clauses) in
+        [(1, 60), (2, 90), (3, 120), (5, 150), (8, 180), (13, 220), (21, 260), (34, 300)]
+    {
+        let program = argus::fuzz::gen::scale_case(seed, clauses).program;
+        let whole = infer_size_relations(&program, &options).to_string();
+        let work = per_scc_sizes(&program, &options, |_, _, _| {});
+        let mut per_scc = SizeRelations::new();
+        for (p, poly) in work.iter() {
+            per_scc.insert(p.clone(), poly.minimized());
+        }
+        assert_eq!(whole, per_scc.to_string(), "seed {seed}, {clauses} clauses");
+        text.push_str(&format!("# seed {seed}, {clauses} clauses\n{whole}"));
+    }
+    check_golden("sizerel/scale_seeds.txt", &text);
+}
+
+/// A recursive SCC whose members settle in different rounds: `a` stops
+/// growing once `b` is nonempty, while `b`'s second argument keeps growing
+/// until widening. `b`'s last rule reads only `a`, so the later rounds
+/// evaluate it against an unchanged input.
+#[test]
+fn sizerel_snapshot_on_members_settling_apart() {
+    let program = argus::logic::parser::parse_program(
+        "a([]).\n\
+         a([x]) :- b(_, _).\n\
+         b([], []).\n\
+         b(X, [y|Ys]) :- b(X, Ys), a(X).\n\
+         b(X, [z]) :- a(X).\n",
+    )
+    .unwrap();
+    check_golden("sizerel/members_settling_apart.txt", &sizerel_snapshot(&program));
 }
