@@ -44,6 +44,7 @@ pub mod canon;
 pub mod expr;
 pub mod farkas;
 pub mod fm;
+pub mod generators;
 pub mod poly;
 pub mod rat;
 pub mod simplex;

@@ -7,23 +7,35 @@
 //!
 //! * meet (conjunction) — concatenate constraints;
 //! * projection — Fourier–Motzkin ([`crate::fm`]);
-//! * inclusion and emptiness — exact LP ([`crate::simplex`]);
+//! * emptiness — exact LP ([`crate::simplex`]);
+//! * implication and inclusion — from the polyhedron's generators
+//!   ([`crate::generators`]): a row holds on it iff it holds on every
+//!   vertex and ray and is constant along every line;
 //! * convex hull — the λ-combination encoding projected by FM
 //!   (Benoy–King: the hull of P₁ ∪ P₂ is the projection of
 //!   `x = y + z, y ∈ σ₁·P₁, z ∈ σ₂·P₂, σ₁ + σ₂ = 1, σ ≥ 0`);
 //! * widening — the standard constraint widening (keep the constraints of
 //!   the old polyhedron that the new one still entails), which guarantees
-//!   fixpoint termination.
+//!   fixpoint termination;
+//! * minimization — the facet-defining rows, read off the generators'
+//!   saturation sets when the polyhedron is full-dimensional, by LP
+//!   redundancy removal ([`simplex::irredundant`]) when it has implicit
+//!   equalities.
 //!
 //! Implication batches against one fixed system (widening, inclusion, the
-//! weak join) share a warm-started [`simplex::ImplicationProbe`], so phase
-//! 1 of the simplex runs once per system rather than once per row.
+//! weak join) convert that system to generators once and test each row
+//! against them, solving no LP. Above [`GENERATOR_DIM_MAX`] dimensions,
+//! where the generator count can blow up, and when a conversion gives up
+//! (see [`Generators::of`]), the same questions go to LPs instead: a
+//! warm-started [`simplex::ImplicationProbe`] per batch. Both routes are
+//! exact, so they give the same answers.
 //!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
 
 use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
 use crate::fm::{self, FmResult};
+use crate::generators::Generators;
 use crate::rat::Rat;
 use crate::simplex::{self, ImplicationProbe};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,6 +45,12 @@ use std::fmt;
 /// hull falls back to the sound weak join rather than risking FM's
 /// worst-case blowup.
 pub const HULL_ROW_CAP: usize = 120;
+
+/// Highest dimension at which implication, inclusion and minimization are
+/// answered from generators. A polyhedron with m rows in n dimensions can
+/// have on the order of m^⌊n/2⌋ vertices, so above this the LP route
+/// guards high-arity predicates against that blowup.
+pub const GENERATOR_DIM_MAX: usize = 6;
 
 /// A closed convex polyhedron over dimensions `0..dim`.
 ///
@@ -60,7 +78,7 @@ impl PartialEq for Poly {
 impl Eq for Poly {}
 
 impl Poly {
-    /// The full space ℚ₊ⁿ restricted by nothing (note: *not* restricted to
+    /// The full space ℚⁿ, restricted by nothing (note: *not* restricted to
     /// nonnegatives; callers wanting size semantics should use
     /// [`Poly::nonneg_universe`]).
     pub fn universe(dim: usize) -> Poly {
@@ -182,8 +200,18 @@ impl Poly {
         if other.sys.is_empty() {
             return true;
         }
-        let mut probe = ImplicationProbe::new(&self.sys, &BTreeSet::new());
-        other.sys.constraints().iter().all(|c| probe.implies(c))
+        let mut implier = Implier::new(self);
+        other.sys.constraints().iter().all(|c| implier.implies(c))
+    }
+
+    /// Does every point of the polyhedron satisfy `c`? An empty polyhedron
+    /// implies everything; a nonempty one leaves the variables outside
+    /// `0..dim` free, so it implies no row that mentions one.
+    pub fn implies(&self, c: &Constraint) -> bool {
+        if self.empty {
+            return true;
+        }
+        c.expr.vars().all(|v| v < self.dim) && Implier::new(self).implies(c)
     }
 
     /// Semantic equality (mutual inclusion).
@@ -366,20 +394,33 @@ impl Poly {
     }
 
     /// The rows of `self`, in order, that `other`'s system implies, all
-    /// answered by one warm-started probe.
+    /// answered against one conversion of `other`.
     fn rows_implied_by<'a>(&'a self, other: &Poly) -> impl Iterator<Item = &'a Constraint> {
-        let mut probe = ImplicationProbe::new(&other.sys, &BTreeSet::new());
-        self.sys.constraints().iter().filter(move |c| probe.implies(c))
+        let mut implier = Implier::new(other);
+        self.sys.constraints().iter().filter(move |c| implier.implies(c))
+    }
+
+    /// The generators of `sys` over this polyhedron's dimensions; `None`
+    /// above [`GENERATOR_DIM_MAX`] or when the conversion gives up.
+    fn generators(&self, sys: &ConstraintSystem) -> Option<Generators> {
+        if self.dim > GENERATOR_DIM_MAX {
+            return None;
+        }
+        Generators::of(self.dim, sys.constraints())
     }
 
     /// Remove redundant constraints (each one implied by the others) to get
-    /// a small canonical-ish representation: dedup, then
-    /// [`simplex::irredundant`]'s in-order leave-one-out pass.
+    /// a small canonical-ish representation: dedup, then what
+    /// [`simplex::irredundant`]'s in-order leave-one-out pass keeps.
     ///
-    /// LP-based minimization is quadratic in the row count; beyond a
-    /// threshold only the cheap syntactic dedup is applied (the result is
-    /// the same set, just less canonical). A [`Poly::is_minimal`] input is
-    /// returned as is, and an infeasible system becomes [`Poly::empty`].
+    /// On a full-dimensional polyhedron within [`GENERATOR_DIM_MAX`] that
+    /// is the facet-defining rows, in order, read off the generators
+    /// ([`Generators::facets`]) without an LP; with implicit equalities,
+    /// above the bound, or when the conversion gives up, the LP pass runs.
+    /// Minimization is quadratic in the row count; beyond a threshold only
+    /// the cheap syntactic dedup is applied (the result is the same set,
+    /// just less canonical). A [`Poly::is_minimal`] input is returned as
+    /// is, and an infeasible system becomes [`Poly::empty`].
     pub fn minimized(&self) -> Poly {
         if self.empty || self.minimal {
             return self.clone();
@@ -388,9 +429,44 @@ impl Poly {
         if deduped.len() > 160 {
             return Poly { dim: self.dim, sys: deduped, empty: false, minimal: false };
         }
+        if let Some(gens) = self.generators(&deduped) {
+            if gens.is_empty() {
+                return Poly::empty(self.dim);
+            }
+            if let Some(keep) = gens.facets(deduped.constraints()) {
+                let rows = deduped.constraints().iter().zip(keep).filter(|&(_, k)| k);
+                let sys =
+                    ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect());
+                return Poly { dim: self.dim, sys, empty: false, minimal: true };
+            }
+        }
         match simplex::irredundant(&deduped, &mut simplex::LpStats::default()) {
             Some(sys) => Poly { dim: self.dim, sys, empty: false, minimal: true },
             None => Poly::empty(self.dim),
+        }
+    }
+}
+
+/// Answers "does this polyhedron imply the row?" for a batch of rows:
+/// from its generators when [`Poly::generators`] has them, otherwise by
+/// one warm-started LP probe.
+enum Implier {
+    Generators(Generators),
+    Lp(ImplicationProbe),
+}
+
+impl Implier {
+    fn new(p: &Poly) -> Implier {
+        match p.generators(&p.sys) {
+            Some(gens) => Implier::Generators(gens),
+            None => Implier::Lp(ImplicationProbe::new(&p.sys, &BTreeSet::new())),
+        }
+    }
+
+    fn implies(&mut self, c: &Constraint) -> bool {
+        match self {
+            Implier::Generators(gens) => gens.implies(c),
+            Implier::Lp(probe) => probe.implies(c),
         }
     }
 }
@@ -569,6 +645,63 @@ mod tests {
         let m = p.minimized();
         assert_eq!(m.constraints().len(), 2);
         assert!(m.same_set(&p));
+    }
+
+    /// A full-dimensional polyhedron over `dim` dimensions: the box
+    /// `0 ≤ xᵢ ≤ hi`, a diagonal cut, and a redundant looser copy of it.
+    fn cut_box(dim: usize, hi: i64) -> Poly {
+        let mut sys = ConstraintSystem::new();
+        let mut sum = LinExpr::zero();
+        for v in 0..dim {
+            sys.push(Constraint::nonneg(v));
+            sys.push(Constraint::le(LinExpr::var(v), LinExpr::constant(r(hi, 1))));
+            sum.add_term(v, Rat::one());
+        }
+        sys.push(Constraint::le(sum.clone(), LinExpr::constant(r(hi + 1, 1))));
+        sys.push(Constraint::le(sum, LinExpr::constant(r(hi + 3, 1))));
+        Poly::from_constraints(dim, sys)
+    }
+
+    /// The LPs `f` solves.
+    fn lps_solved<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let count = || simplex::LP_SOLVES.with(|c| c.get());
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn generator_route_solves_no_lp_within_the_dimension_bound() {
+        for dim in [2, GENERATOR_DIM_MAX / 2, GENERATOR_DIM_MAX, GENERATOR_DIM_MAX + 1] {
+            let (old, new) = (cut_box(dim, 2), cut_box(dim, 3));
+            let ((inside, outside), inclusion_lps) =
+                lps_solved(|| (old.includes_in(&new), new.includes_in(&old)));
+            let (widened, widen_lps) = lps_solved(|| old.widen(&new));
+            let (weak, weak_lps) = lps_solved(|| old.weak_join(&new));
+            let (min, min_lps) = lps_solved(|| old.minimized());
+            let lps = [inclusion_lps, widen_lps, weak_lps, min_lps];
+            if dim <= GENERATOR_DIM_MAX {
+                assert_eq!(lps, [0; 4], "dim {dim}");
+            } else {
+                assert!(lps.iter().all(|&n| n > 0), "dim {dim}: {lps:?}");
+            }
+            // The LP answers, one implication LP per row.
+            let implied = |of: &Poly, by: &Poly| -> Vec<Constraint> {
+                let rows = of.constraints().constraints().iter();
+                rows.filter(|c| simplex::is_implied(by.constraints(), &BTreeSet::new(), c))
+                    .cloned()
+                    .collect()
+            };
+            assert!(inside && !outside);
+            assert_eq!(widened.constraints().constraints(), &implied(&old, &new)[..]);
+            let mut both = implied(&old, &new);
+            both.extend(implied(&new, &old));
+            assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup());
+            let reference =
+                simplex::irredundant(&old.constraints().dedup(), &mut Default::default());
+            assert_eq!(Some(min.constraints().clone()), reference);
+            assert_eq!(min.constraints().len(), 2 * dim + 1, "dim {dim}:\n{min}");
+        }
     }
 
     #[test]

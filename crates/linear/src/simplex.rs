@@ -28,6 +28,21 @@ use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
 use crate::rat::Rat;
 use std::collections::{BTreeMap, BTreeSet};
 
+#[cfg(test)]
+thread_local! {
+    /// Unit-test instrumentation: counts the LPs solved (every tableau
+    /// solve, probe construction and probe query) so callers' tests can pin
+    /// "answered without an LP".
+    pub(crate) static LP_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Count one LP solve into `LP_SOLVES` (a no-op outside unit tests).
+#[inline]
+fn count_solve() {
+    #[cfg(test)]
+    LP_SOLVES.with(|c| c.set(c.get() + 1));
+}
+
 /// Result of solving a linear program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LpOutcome {
@@ -298,6 +313,7 @@ impl ImplicationProbe {
     /// Prepare probes against `system` with the given sign restrictions.
     /// Runs phase 1 once.
     pub fn new(system: &ConstraintSystem, nonneg: &BTreeSet<Var>) -> ImplicationProbe {
+        count_solve();
         let t = Tableau::build(&LinExpr::zero(), system.constraints().iter(), nonneg);
         let m = t.rows.len();
         let n = t.num_cols;
@@ -365,6 +381,7 @@ impl ImplicationProbe {
     /// Does the system imply `expr ≤ 0`? Exact: maximizes `expr` over the
     /// system by re-pricing the warm tableau and checks the optimum.
     pub fn implies_le(&mut self, expr: &LinExpr) -> bool {
+        count_solve();
         if self.infeasible {
             return true;
         }
@@ -574,6 +591,7 @@ impl Tableau {
     }
 
     fn solve(mut self) -> LpOutcome {
+        count_solve();
         let m = self.rows.len();
         if m == 0 {
             // No constraints: objective must be constant or the LP is

@@ -1,17 +1,21 @@
 //! Randomized property tests for the polyhedral shortcuts the size-relation
 //! fixpoint relies on: widening against the next iterate instead of its
-//! join with the previous one, the batched implication probe behind
-//! `widen`/`includes_in`/`weak_join`, the Farkas-dual implication test
-//! behind `is_implied`, and the greedy `irredundant` pass with its LP-free
-//! keep test behind `minimized`. Each is checked against the plain per-row
-//! LP formulation on seeded random systems that mix equalities and
-//! inequalities, empty and universe operands, and hulls over
-//! `HULL_ROW_CAP`.
+//! join with the previous one, the batched implication tests behind
+//! `widen`/`includes_in`/`weak_join` (from generators, or the warm LP probe
+//! above `GENERATOR_DIM_MAX`), the Farkas-dual implication test behind
+//! `is_implied`, and `minimized` (the facet rows read off the generators,
+//! or the greedy `irredundant` pass with its LP-free keep test). Each is
+//! checked against the plain per-row LP formulation on seeded random
+//! systems that mix equalities and inequalities, empty and universe
+//! operands, hulls over `HULL_ROW_CAP`, polyhedra with lines, implicit
+//! equalities and constant rows, and redundant hundred-row systems, on
+//! both sides of `GENERATOR_DIM_MAX`.
 //!
 //! The LP oracle is the primal simplex through `LpProblem::maximize`, one
-//! tableau row per constraint, so it shares no code with the dual tableau.
+//! tableau row per constraint, so it shares no code with the dual tableau
+//! or the generators.
 
-use argus_linear::poly::HULL_ROW_CAP;
+use argus_linear::poly::{GENERATOR_DIM_MAX, HULL_ROW_CAP};
 use argus_linear::simplex::{self, LpOutcome, LpProblem, LpStats};
 use argus_linear::{Constraint, ConstraintSystem, FmConfig, FmStats, LinExpr, Poly, Rat, Rel, Var};
 use argus_prng::Rng64;
@@ -365,4 +369,233 @@ fn irredundant_matches_lp_reference() {
         assert_eq!(stats.tableau_rows, stats.solves * vars, "{stats:?}\n{sys}");
     }
     assert!(infeasible >= 20, "only {infeasible} infeasible systems");
+}
+
+/// The dimensions the shape oracles below sweep: every dimension up to one
+/// past [`GENERATOR_DIM_MAX`], so both the generator route and the LP route
+/// of `Poly`'s implication and redundancy tests are covered.
+fn dims_across_the_bound() -> std::ops::RangeInclusive<usize> {
+    1..=GENERATOR_DIM_MAX + 1
+}
+
+/// Checks every generator-backed `Poly` test on `(old, new)` against the
+/// primal LP, row for row: `widen` keeps exactly the rows of `old` that
+/// `new` implies, `includes_in` holds iff every row is implied (both
+/// ways), `weak_join` keeps the mutually implied rows, and `minimized`
+/// equals plain redundancy removal.
+fn assert_matches_primal_lp(old: &Poly, new: &Poly) {
+    let implied = |of: &Poly, by: &Poly| -> Vec<Constraint> {
+        let by = by.constraints();
+        let rows = of.constraints().constraints().iter();
+        rows.filter(|c| primal_implies(by, &BTreeSet::new(), c)).cloned().collect()
+    };
+    for p in [old, new] {
+        if p.is_empty() {
+            continue;
+        }
+        let m = p.minimized();
+        assert!(m.is_minimal(), "p:\n{p}");
+        assert_eq!(
+            m.constraints().constraints(),
+            &reference_minimized(p.constraints())[..],
+            "p:\n{p}"
+        );
+    }
+    if old.is_empty() || new.is_empty() {
+        return;
+    }
+    let ctx = format!("old:\n{old}\nnew:\n{new}");
+    assert_eq!(old.widen(new).constraints().constraints(), &implied(old, new)[..], "{ctx}");
+    let all = |of: &Poly, by: &Poly| implied(of, by).len() == of.constraints().len();
+    assert_eq!(old.includes_in(new), all(new, old), "{ctx}");
+    assert_eq!(new.includes_in(old), all(old, new), "{ctx}");
+    let mut both = implied(old, new);
+    both.extend(implied(new, old));
+    let weak = old.weak_join(new);
+    assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup(), "{ctx}");
+}
+
+/// A random row whose coefficient vector is orthogonal to `line`, so the
+/// polyhedron it bounds contains every translate along `line`.
+fn row_along(r: &mut Rng64, line: &[i64], anchor: &[i64], rel: Rel) -> Constraint {
+    let a: Vec<i64> = line.iter().map(|_| r.range_i64(-3, 3)).collect();
+    let dot = |u: &[i64], w: &[i64]| u.iter().zip(w).map(|(x, y)| x * y).sum::<i64>();
+    let (uu, au) = (dot(line, line), dot(&a, line));
+    let a: Vec<i64> = a.iter().zip(line).map(|(x, u)| uu * x - au * u).collect();
+    let mut e = LinExpr::zero();
+    for (v, &k) in a.iter().enumerate() {
+        e.add_term(v, Rat::from_int(k));
+    }
+    let slack = if rel == Rel::Le { r.range_i64(0, 3) } else { 0 };
+    e.add_constant(&Rat::from_int(-dot(&a, anchor) - slack));
+    Constraint { expr: e, rel }
+}
+
+/// A polyhedron of one of the shapes the fixpoint meets besides the
+/// bounded full-dimensional one: the universe, one that contains lines
+/// (no nonnegativity rows, every row orthogonal to a random direction),
+/// one with implicit equalities written as opposing inequality pairs, and
+/// one salted with constant rows (true ones, `0 = 0`, and now and then a
+/// false one, which makes it empty).
+fn gen_shape(r: &mut Rng64, dim: usize) -> Poly {
+    let anchor: Vec<i64> = (0..dim).map(|_| r.range_i64(0, 5)).collect();
+    let mut sys = ConstraintSystem::new();
+    match r.below(4) {
+        0 => return Poly::universe(dim),
+        1 => {
+            let mut line: Vec<i64> = (0..dim).map(|_| r.range_i64(-1, 2)).collect();
+            if line.iter().all(|&u| u == 0) {
+                line[r.below(dim as u64) as usize] = 1;
+            }
+            for _ in 0..r.range_usize(1, 2 * dim + 2) {
+                let rel = if r.below(6) == 0 { Rel::Eq } else { Rel::Le };
+                sys.push(row_along(r, &line, &anchor, rel));
+            }
+        }
+        2 => {
+            for _ in 0..r.range_usize(1, dim + 1) {
+                let tight = row_through(r, &anchor, Rel::Eq);
+                sys.push(Constraint { expr: -&tight.expr, rel: Rel::Le });
+                sys.push(Constraint { expr: tight.expr, rel: Rel::Le });
+            }
+            for _ in 0..r.range_usize(0, 2 * dim) {
+                sys.push(row_through(r, &anchor, Rel::Le));
+            }
+        }
+        _ => {
+            for _ in 0..r.range_usize(0, 2 * dim + 2) {
+                let rel = if r.below(6) == 0 { Rel::Eq } else { Rel::Le };
+                sys.push(row_through(r, &anchor, rel));
+            }
+            sys.push(Constraint { expr: LinExpr::constant(Rat::from_int(-2)), rel: Rel::Le });
+            sys.push(Constraint { expr: LinExpr::zero(), rel: Rel::Eq });
+            if r.below(8) == 0 {
+                sys.push(Constraint { expr: LinExpr::constant(Rat::one()), rel: Rel::Le });
+            }
+        }
+    }
+    if r.below(3) == 0 {
+        for v in 0..dim {
+            sys.push(Constraint::nonneg(v));
+        }
+    }
+    Poly::from_constraints(dim, sys)
+}
+
+/// Lines, the universe, implicit equalities and constant rows, on both
+/// sides of the generator route's dimension bound, each operation checked
+/// against the primal LP.
+#[test]
+fn shapes_across_the_dimension_bound_match_primal_lp() {
+    let mut r = Rng64::new(0x5A9E);
+    for dim in dims_across_the_bound() {
+        for _ in 0..60 {
+            let old = gen_shape(&mut r, dim);
+            let old = if r.bool() { old.minimized() } else { old };
+            let new = match r.below(3) {
+                0 => gen_shape(&mut r, dim),
+                1 => gen_poly(&mut r, dim, 2 * dim + 2),
+                _ => old.hull(&gen_shape(&mut r, dim)),
+            };
+            assert_matches_primal_lp(&old, &new);
+        }
+    }
+}
+
+/// A row through `anchor` over at most two variables, with coefficients
+/// of magnitude at most 2 — the shape of a size relation such as
+/// `a₁ ≤ a₂` or `2·a₁ = a₂ + 1`.
+fn sparse_row_through(r: &mut Rng64, anchor: &[i64], rel: Rel) -> Constraint {
+    let mut e = LinExpr::zero();
+    let mut at = 0;
+    for _ in 0..2 {
+        let v = r.below(anchor.len() as u64) as usize;
+        let a = *r.pick(&[-2, -1, 1, 2]);
+        e.add_term(v, Rat::from_int(a));
+        at += a * anchor[v];
+    }
+    let slack = if rel == Rel::Le { r.range_i64(0, 3) } else { 0 };
+    e.add_constant(&Rat::from_int(-at - slack));
+    Constraint { expr: e, rel }
+}
+
+/// A redundant system shaped like the hull-fold prefixes the fixpoint
+/// builds: the rows of successive hulls of polyhedra whose sparse rows
+/// pass through one anchor point (so the conjunction is nonempty), each
+/// followed now and then by a looser copy, plus nonnegative combinations
+/// of its rows, with the odd equality — a hundred rows, most of them
+/// redundant, with and without implicit equalities.
+fn gen_fold_prefix(r: &mut Rng64, dim: usize) -> Poly {
+    let anchor: Vec<i64> = (0..dim).map(|_| r.range_i64(0, 5)).collect();
+    let operand = |r: &mut Rng64| {
+        let mut sys = ConstraintSystem::new();
+        for _ in 0..r.range_usize(1, dim + 2) {
+            let rel = if r.below(5) == 0 { Rel::Eq } else { Rel::Le };
+            sys.push(sparse_row_through(r, &anchor, rel));
+        }
+        Poly::from_constraints(dim, sys)
+    };
+    let mut rows: Vec<Constraint> = Vec::new();
+    let mut acc = operand(r);
+    while rows.len() < 100 {
+        acc = acc.hull(&operand(r));
+        if acc.constraints().len() < 2 {
+            // Joined up to (nearly) the universe: start a new fold.
+            acc = operand(r);
+            continue;
+        }
+        let base = acc.constraints().constraints().to_vec();
+        for c in &base {
+            rows.push(c.clone());
+            if c.rel == Rel::Le && r.bool() {
+                let mut e = c.expr.clone();
+                e.add_constant(&Rat::from_int(-r.range_i64(1, 3)));
+                rows.push(Constraint { expr: e, rel: Rel::Le });
+            }
+        }
+        let les: Vec<&Constraint> = base.iter().filter(|c| c.rel == Rel::Le).collect();
+        for _ in 0..les.len().min(6) {
+            let (a, b) = (r.pick(&les), r.pick(&les));
+            let e = &(&a.expr * &Rat::from_int(r.range_i64(1, 3))) + &b.expr;
+            rows.push(Constraint { expr: e, rel: Rel::Le });
+        }
+    }
+    rows.truncate(100);
+    Poly::from_constraints(dim, ConstraintSystem::from_constraints(rows))
+}
+
+/// Equality candidates against a polyhedron: sums and differences of
+/// coordinates (`append`'s `a1 + a2 = a3`), some of which it implies.
+fn gen_eq_candidates(r: &mut Rng64, p: &Poly) -> Poly {
+    let dim = p.dim();
+    let mut sys = ConstraintSystem::new();
+    for c in p.constraints().constraints().iter().filter(|c| c.rel == Rel::Eq) {
+        sys.push(c.clone());
+    }
+    for _ in 0..3 {
+        let mut e = LinExpr::zero();
+        for v in 0..dim {
+            e.add_term(v, Rat::from_int(r.range_i64(-1, 1)));
+        }
+        sys.push(Constraint { expr: e, rel: Rel::Eq });
+    }
+    Poly::from_constraints(dim, sys)
+}
+
+/// A hundred redundant rows per system, shaped like the prefixes the
+/// size-relation fixpoint folds, against equality candidates: widening,
+/// inclusion, the weak join and minimization all match the primal LP on
+/// both sides of the dimension bound.
+#[test]
+fn fold_prefix_systems_match_primal_lp() {
+    let mut r = Rng64::new(0xF01D);
+    let mut reduced = 0;
+    for dim in dims_across_the_bound() {
+        let p = gen_fold_prefix(&mut r, dim);
+        assert!(!p.is_empty(), "p:\n{p}");
+        reduced += usize::from(p.minimized().constraints().len() < p.constraints().len());
+        let eqs = gen_eq_candidates(&mut r, &p);
+        assert_matches_primal_lp(&p, &eqs);
+    }
+    assert_eq!(reduced, GENERATOR_DIM_MAX + 1, "a system without redundant rows");
 }

@@ -110,8 +110,7 @@ impl SizeRelations {
         }
         e.add_term(rhs, -Rat::one());
         let c = Constraint { expr: e, rel: Rel::Eq };
-        poly.is_empty()
-            || argus_linear::simplex::is_implied(poly.constraints(), &BTreeSet::new(), &c)
+        poly.implies(&c)
     }
 
     /// Convenience check: do the relations entail `a_i ≥ a_j + k`?
@@ -122,8 +121,7 @@ impl SizeRelations {
         e.add_constant(&Rat::from_int(k));
         // a_j + k - a_i <= 0
         let c = Constraint { expr: e, rel: Rel::Le };
-        poly.is_empty()
-            || argus_linear::simplex::is_implied(poly.constraints(), &BTreeSet::new(), &c)
+        poly.implies(&c)
     }
 
     /// Render the relation for `p` with argument names `p1, p2, …`.
@@ -746,11 +744,7 @@ mod tests {
         let mut e = LinExpr::var(0);
         e.add_term(1, -Rat::one());
         let c = Constraint { expr: e, rel: Rel::Eq };
-        assert!(argus_linear::simplex::is_implied(
-            rels.get(&p).unwrap().constraints(),
-            &BTreeSet::new(),
-            &c
-        ));
+        assert!(rels.get(&p).unwrap().implies(&c));
     }
 
     #[test]

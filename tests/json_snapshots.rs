@@ -319,3 +319,22 @@ fn sizerel_snapshot_on_members_settling_apart() {
     .unwrap();
     check_golden("sizerel/members_settling_apart.txt", &sizerel_snapshot(&program));
 }
+
+/// Predicates of arity 6 and 7, one at the generator route's dimension
+/// bound (`argus_linear::poly::GENERATOR_DIM_MAX`) and one past it, where
+/// `Poly` answers its implication and redundancy tests by LP. Both are
+/// recursive, so widening, inclusion and minimization all run on each
+/// side of the bound.
+#[test]
+fn sizerel_snapshot_on_high_arity() {
+    let program = argus::logic::parser::parse_program(
+        "split6([], Ys, Ys, [], Zs, Zs).\n\
+         split6([X|Xs], Ys, W, [X|Ls], Zs, V) :- split6(Xs, [X|Ys], W, Ls, Zs, V).\n\
+         split6([X|Xs], Ys, W, Ls, Zs, [X|V]) :- split6(Xs, Ys, W, Ls, [X|Zs], V).\n\
+         walk7([], A, A, B, B, [], N) :- split6(A, [], _, _, B, N).\n\
+         walk7([X|Xs], A, W, B, V, [X|Ls], s(N)) :- walk7(Xs, [X|A], W, B, V, Ls, N).\n\
+         walk7([_|Xs], A, W, B, V, Ls, N) :- walk7(Xs, A, W, [a|B], V, Ls, N).\n",
+    )
+    .unwrap();
+    check_golden("sizerel/high_arity.txt", &sizerel_snapshot(&program));
+}
