@@ -59,16 +59,24 @@ echo "==> portfolio smoke"
 # full five-engine race (exit 0 = proved, 2 = unknown — both fine here;
 # anything else is a crash), pinning the corpus-wide win counts so an
 # engine that silently stops proving its separators fails the gate. The
+# standalone SCT proof count is pinned too (30 of the 39 modes), so a
+# change in the size relations SCT reads cannot silently lose proofs. The
 # same sweep runs the θ engine with `--lexicographic` and pins its proof
 # count: base θ's 28 modes plus the four lexicographic ones. Then the
 # cross-engine fuzz oracle: every engine's claimed proof on 200
 # generated programs must survive the SLD interpreter and θ's
 # zero-weight-cycle evidence.
-SCT_WINS=0; THETA_WINS=0; LEX_PROVED=0
+SCT_WINS=0; THETA_WINS=0; LEX_PROVED=0; SCT_PROVED=0
 while read -r name query mode; do
     ./target/release/argus corpus "$name" > /tmp/argus-portfolio-prog.pl
+    rc=0
     ./target/release/argus analyze /tmp/argus-portfolio-prog.pl "$query" "$mode" \
-        --engine sct > /dev/null || [[ $? -eq 2 ]]
+        --engine sct > /dev/null || rc=$?
+    case "$rc" in
+        0) SCT_PROVED=$((SCT_PROVED + 1)) ;;
+        2) ;;
+        *) echo "sct: $name exited $rc"; exit 1 ;;
+    esac
     rc=0
     ./target/release/argus analyze /tmp/argus-portfolio-prog.pl "$query" "$mode" \
         --lexicographic > /dev/null || rc=$?
@@ -87,6 +95,7 @@ done < <(./target/release/argus corpus | tail -n +2 | awk '{print $1, $2, $3}')
 [[ "$SCT_WINS" -ge 4 ]] || { echo "portfolio: expected >=4 sct wins, got $SCT_WINS"; exit 1; }
 [[ "$THETA_WINS" -ge 28 ]] || { echo "portfolio: expected >=28 theta wins, got $THETA_WINS"; exit 1; }
 [[ "$LEX_PROVED" -ge 32 ]] || { echo "lexicographic: expected >=32 proofs, got $LEX_PROVED"; exit 1; }
+[[ "$SCT_PROVED" -ge 30 ]] || { echo "sct: expected >=30 proofs, got $SCT_PROVED"; exit 1; }
 ./target/release/argus fuzz --portfolio --seed 5 --cases 200 --jobs 0
 
 echo "==> serve smoke"

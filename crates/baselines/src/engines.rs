@@ -14,7 +14,7 @@
 
 use crate::{BrodskySagivBinary, NaishSubset, TerminationMethod, UvgSingleArgument};
 use argus_core::engine::{Engine, EngineCtx, EngineRun, EngineVerdict};
-use argus_core::{analyze_with_caches, SccOutcome, Verdict};
+use argus_core::{analyze_prepared, SccOutcome, Verdict};
 use argus_logic::modes::Adornment;
 use argus_logic::{PredKey, Program};
 
@@ -43,8 +43,18 @@ impl Engine for ThetaEngine {
         if ctx.cancelled() {
             return EngineRun::cancelled();
         }
-        let report =
-            analyze_with_caches(program, query, adornment.clone(), ctx.options, None, ctx.scc_memo);
+        // The portfolio's size-change run reads the same prepared raw
+        // program, so the copy here spares a second fixpoint.
+        let raw = ctx.prepared().clone();
+        let report = analyze_prepared(
+            raw,
+            program,
+            query,
+            adornment.clone(),
+            ctx.options,
+            None,
+            ctx.scc_memo,
+        );
         let verdict = match report.verdict {
             Verdict::Terminates => EngineVerdict::Proved,
             Verdict::Unknown => EngineVerdict::Unknown,
@@ -100,16 +110,15 @@ impl Engine for SctEngine {
 
     fn run(
         &self,
-        program: &Program,
-        query: &PredKey,
-        adornment: &Adornment,
+        _program: &Program,
+        _query: &PredKey,
+        _adornment: &Adornment,
         ctx: &EngineCtx<'_>,
     ) -> EngineRun {
         if ctx.cancelled() {
             return EngineRun::cancelled();
         }
-        let report =
-            argus_sct::analyze_sct(program, query, adornment.clone(), ctx.options, ctx.cancel);
+        let report = argus_sct::analyze_sct(ctx.prepared(), ctx.options, ctx.cancel);
         let verdict = if report.cancelled {
             EngineVerdict::Cancelled
         } else if report.proved {
@@ -213,6 +222,7 @@ mod tests {
             &AnalysisOptions::default(),
             1,
             true,
+            None,
         );
         assert_eq!(report.verdict, Verdict::Terminates);
         assert_eq!(report.winner_id(), Some("theta"));
@@ -229,8 +239,8 @@ mod tests {
         let q = PredKey::new("loop", 1);
         let a = Adornment::parse("b").unwrap();
         let opts = AnalysisOptions::default();
-        let raced = run_portfolio(&standard_engines(), &program, &q, &a, &opts, 0, true);
-        let unraced = run_portfolio(&standard_engines(), &program, &q, &a, &opts, 0, false);
+        let raced = run_portfolio(&standard_engines(), &program, &q, &a, &opts, 0, true, None);
+        let unraced = run_portfolio(&standard_engines(), &program, &q, &a, &opts, 0, false, None);
         assert_eq!(raced.verdict, unraced.verdict);
         assert_eq!(raced.winner, None);
     }

@@ -307,13 +307,9 @@ impl TerminationMethod for SizeChange {
     }
 
     fn prove(&self, program: &Program, query: &PredKey, adornment: &Adornment) -> MethodResult {
-        let report = argus_sct::analyze_sct(
-            program,
-            query,
-            adornment.clone(),
-            &AnalysisOptions::default(),
-            None,
-        );
+        let options = AnalysisOptions::default();
+        let prepared = argus_core::prepare(program, query, adornment.clone(), &options, None);
+        let report = argus_sct::analyze_sct(&prepared, &options, None);
         MethodResult { proved: report.proved, detail: report.detail() }
     }
 }

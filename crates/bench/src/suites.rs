@@ -770,22 +770,27 @@ pub fn incremental_suite(scale: Scale) -> Vec<Sample> {
 }
 
 /// E15 — the engine portfolio: every engine timed alone on the corpus
-/// separator entries (θ-only, SCT-only, and both-prove programs), then
-/// the full five-engine race sequentially and with the worker pool. Each
-/// single-engine sample carries that engine's deterministic work
-/// counters (θ's FM rows, SCT's graph/closure/idempotent counts), so the
-/// report records *why* an engine wins an entry, not just how fast; the
-/// race samples carry the winner index so attribution drift is visible
-/// in the committed report.
+/// separator entries (θ-only, SCT-only, and both-prove programs) and on
+/// the fixpoint-heavy `mutual_fib_ring`, then the full five-engine race
+/// sequentially and with the worker pool. Each single-engine sample
+/// carries that engine's deterministic work counters (θ's FM rows, SCT's
+/// graph/closure/idempotent counts), so the report records *why* an
+/// engine wins an entry, not just how fast; the race samples carry the
+/// winner index so attribution drift is visible in the committed report.
 pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
     use argus_baselines::{engine_by_id, standard_engines, ENGINE_IDS};
     use argus_core::run_portfolio;
 
     let entries: &[&str] = match scale {
         Scale::Smoke => &["append_bff", "sct_lex_reset"],
-        Scale::Full => {
-            &["append_bff", "quicksort", "sct_lex_reset", "ackermann", "theta_crossed_descent"]
-        }
+        Scale::Full => &[
+            "append_bff",
+            "quicksort",
+            "sct_lex_reset",
+            "ackermann",
+            "theta_crossed_descent",
+            "mutual_fib_ring",
+        ],
     };
     let options = AnalysisOptions { parallelism: 1, ..AnalysisOptions::default() };
     let mut out = Vec::new();
@@ -795,7 +800,8 @@ pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
         let (query, adornment) = entry.query_key();
         for id in ENGINE_IDS {
             let engines = vec![engine_by_id(id).expect("known engine id")];
-            let report = run_portfolio(&engines, &program, &query, &adornment, &options, 1, false);
+            let report =
+                run_portfolio(&engines, &program, &query, &adornment, &options, 1, false, None);
             out.push(
                 bench_case("portfolio", &format!("engine/{name}/{id}"), 1, scale.iters(), || {
                     black_box(run_portfolio(
@@ -806,6 +812,7 @@ pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
                         &options,
                         1,
                         false,
+                        None,
                     ))
                 })
                 .with_counters(report.entries[0].run.stats.clone()),
@@ -814,8 +821,16 @@ pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
         let engines = standard_engines();
         for (label, jobs) in [("jobs-1", 1usize), ("jobs-auto", 0)] {
             let race_options = AnalysisOptions { parallelism: jobs, ..AnalysisOptions::default() };
-            let report =
-                run_portfolio(&engines, &program, &query, &adornment, &race_options, jobs, true);
+            let report = run_portfolio(
+                &engines,
+                &program,
+                &query,
+                &adornment,
+                &race_options,
+                jobs,
+                true,
+                None,
+            );
             let winner = report.winner.map(|w| w as u64).unwrap_or(u64::MAX);
             out.push(
                 bench_case("portfolio", &format!("race/{name}/{label}"), 1, scale.iters(), || {
@@ -827,6 +842,7 @@ pub fn portfolio_suite(scale: Scale) -> Vec<Sample> {
                         &race_options,
                         jobs,
                         true,
+                        None,
                     ))
                 })
                 .with_counters(vec![("engines", engines.len() as u64), ("winner_index", winner)]),

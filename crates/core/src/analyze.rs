@@ -9,7 +9,9 @@
 //! 3. **Size relations** (\[VG90\], automated in `argus-sizerel`): infer the
 //!    imported inter-argument feasibility constraints for every predicate —
 //!    required for the *whole* SCC before its termination analysis starts
-//!    (§6.2). Manual constraints may override the inference.
+//!    (§6.2). Manual constraints may override the inference. Stages 2–3
+//!    are [`prepare`], the one place a query becomes a [`Prepared`]
+//!    program; every decision procedure reads its output.
 //! 4. **Per SCC, bottom-up**: build Eq. (1) for every rule × recursive-
 //!    subgoal pair, choose the δ's (§6.1 or Appendix C), take the LP dual
 //!    and eliminate the undistinguished variables by Fourier–Motzkin
@@ -28,6 +30,7 @@ use crate::theta::ThetaSpace;
 use argus_linear::fm::{FmStats, FmTier};
 use argus_linear::{ConstraintSystem, Rat, Var};
 use argus_logic::modes::{Adornment, ModeMap};
+use argus_logic::program::ProcIndex;
 use argus_logic::span::Span;
 use argus_logic::{DepGraph, PredKey, Program, Rule};
 use argus_sizerel::{infer_size_relations, InferOptions, SizeRelations};
@@ -524,7 +527,25 @@ pub fn analyze_with_caches(
     shared_cache: Option<&ProjectionCache>,
     scc_memo: Option<&SccCache>,
 ) -> TerminationReport {
-    let raw = analyze_prepared(program, query, adornment.clone(), options, shared_cache, scc_memo);
+    let raw = prepare(program, query, adornment.clone(), options, scc_memo);
+    analyze_prepared(raw, program, query, adornment, options, shared_cache, scc_memo)
+}
+
+/// [`analyze_with_caches`] from the raw program's prepared form: `raw`
+/// must be what [`prepare`] returns for `program`, `query` and
+/// `adornment` under `options` and `scc_memo`. Lets engines that share
+/// one [`Prepared`] (the portfolio's θ-method and size-change runs) skip
+/// the second size-relation fixpoint.
+pub fn analyze_prepared(
+    raw: Prepared,
+    program: &Program,
+    query: &PredKey,
+    adornment: Adornment,
+    options: &AnalysisOptions,
+    shared_cache: Option<&ProjectionCache>,
+    scc_memo: Option<&SccCache>,
+) -> TerminationReport {
+    let raw = decide(raw, options, shared_cache, scc_memo);
     if raw.verdict == Verdict::Terminates || options.transform_phases == 0 {
         return raw;
     }
@@ -538,7 +559,8 @@ pub fn analyze_with_caches(
     if transformed == *program || transformed.rules.len() > 1000 {
         return raw; // nothing changed, or growth guard tripped
     }
-    let cooked = analyze_prepared(&transformed, query, adornment, options, shared_cache, scc_memo);
+    let cooked = prepare(&transformed, query, adornment, options, scc_memo);
+    let cooked = decide(cooked, options, shared_cache, scc_memo);
     if cooked.verdict == Verdict::Terminates {
         return cooked;
     }
@@ -551,42 +573,62 @@ pub fn analyze_with_caches(
     }
 }
 
-/// Analyze a program assumed already in the required syntactic form.
-fn analyze_prepared(
+/// A query's prepared program: what every decision procedure reads, built
+/// once by [`prepare`]. The θ-method, its lexicographic fallback and the
+/// size-change engine all check these same size relations.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    /// The adorned program: one predicate copy per calling adornment.
+    pub program: Program,
+    /// The adorned query predicate.
+    pub query: PredKey,
+    /// The adornment of every predicate reachable from the query.
+    pub modes: ModeMap,
+    /// Dependency graph and SCC condensation of the adorned program.
+    pub graph: DepGraph,
+    /// The adorned program's rules by head predicate.
+    pub proc_index: ProcIndex,
+    /// The final size relations: inferred, then overridden by
+    /// [`AnalysisOptions::imported`] and restricted per Appendix B when
+    /// [`AnalysisOptions::restrict_imports_to_binary_orders`] is set.
+    pub size_relations: SizeRelations,
+    /// Size-relation memo hits and misses of this preparation (all zero
+    /// without a memo).
+    pub incremental: IncrementalRunStats,
+}
+
+/// Turn a query into its [`Prepared`] program: adorn, condense, and infer
+/// the size relations (§6.2: the whole program's, before any SCC is
+/// decided). With `scc_memo` the fixpoint is answered per SCC from the
+/// memo, byte-identical to the cold inference.
+pub fn prepare(
     program: &Program,
     query: &PredKey,
     adornment: Adornment,
     options: &AnalysisOptions,
-    shared_cache: Option<&ProjectionCache>,
     scc_memo: Option<&SccCache>,
-) -> TerminationReport {
-    let program = program.clone();
-
+) -> Prepared {
     // 2. Adorn: one predicate copy per calling adornment, so every
     // predicate has a single bound-free adornment (the paper's standing
     // assumption in §3).
-    let adorned = argus_logic::adorn_program(&program, query, adornment);
-    let program = adorned.program;
-    let query = &adorned.query;
-    let modes = adorned.modes;
-
-    let graph = DepGraph::build(&program);
-    let proc_index = argus_logic::program::ProcIndex::build(&program);
-    let mut incr = IncrementalRunStats::default();
+    let adorned = argus_logic::adorn_program(program, query, adornment);
+    let graph = DepGraph::build(&adorned.program);
+    let proc_index = ProcIndex::build(&adorned.program);
+    let mut incremental = IncrementalRunStats::default();
 
     // 3. Size relations (inferred under the analysis norm). The memoized
     // path walks the same SCCs in the same order with the same per-SCC
     // fixpoint, so its result is byte-identical to the cold inference.
     let infer_options = InferOptions { norm: options.norm, ..options.infer.clone() };
     let mut rels = match scc_memo {
-        None => infer_size_relations(&program, &infer_options),
+        None => infer_size_relations(&adorned.program, &infer_options),
         Some(memo) => crate::incremental::incremental_size_relations(
-            &program,
+            &adorned.program,
             &graph,
             &proc_index,
             &infer_options,
             memo,
-            &mut incr,
+            &mut incremental,
         ),
     };
     for (p, poly) in &options.imported {
@@ -595,6 +637,34 @@ fn analyze_prepared(
     if options.restrict_imports_to_binary_orders {
         rels = restrict_to_binary_orders(&rels);
     }
+    Prepared {
+        program: adorned.program,
+        query: adorned.query,
+        modes: adorned.modes,
+        graph,
+        proc_index,
+        size_relations: rels,
+        incremental,
+    }
+}
+
+/// Decide every SCC of a prepared program bottom-up and assemble the
+/// report (stage 4).
+fn decide(
+    prepared: Prepared,
+    options: &AnalysisOptions,
+    shared_cache: Option<&ProjectionCache>,
+    scc_memo: Option<&SccCache>,
+) -> TerminationReport {
+    let Prepared {
+        program,
+        query,
+        modes,
+        graph,
+        proc_index,
+        size_relations: rels,
+        mut incremental,
+    } = prepared;
     // Digests of the final relations, for θ-phase memo keys (computed once
     // up front so the per-SCC workers share an immutable map).
     let rel_digests: Option<HashMap<PredKey, u64>> = scc_memo.map(|_| {
@@ -632,7 +702,7 @@ fn analyze_prepared(
             analyze_one_scc(&graph, &program, scc_id, &modes, &rels, options, cache, memo)
         });
         for (id, (analysis, scc_incr)) in jobs.into_iter().zip(results) {
-            incr.merge(&scc_incr);
+            incremental.merge(&scc_incr);
             slots[id] = Some(analysis);
         }
     }
@@ -654,13 +724,13 @@ fn analyze_prepared(
     let run_stats = RunStats { cache_requests: cache.requests(), cache_entries: cache.entries() };
     TerminationReport {
         program,
-        query: query.clone(),
+        query,
         modes,
         size_relations: rels,
         sccs,
         verdict,
         run_stats,
-        incremental: scc_memo.map(|_| incr),
+        incremental: scc_memo.map(|_| incremental),
     }
 }
 

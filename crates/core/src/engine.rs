@@ -19,14 +19,20 @@
 //! is ordered after the winner, so cancellation can only discard results
 //! the report was going to discard anyway. Cancellation is therefore a
 //! pure efficiency knob, invisible in the output.
+//!
+//! Engines that read size relations take them from
+//! [`EngineCtx::prepared`]: one [`Prepared`] per run, built by the first
+//! engine that asks, so the θ-method and size-change engines compute one
+//! size-relation fixpoint between them, raced or not.
 
-use crate::analyze::{AnalysisOptions, Verdict};
+use crate::analyze::{prepare, AnalysisOptions, Prepared, Verdict};
 use crate::incremental::SccCache;
 use crate::json::json_str;
 use argus_logic::modes::Adornment;
 use argus_logic::{PredKey, Program};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// What one engine concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,17 +92,34 @@ pub struct EngineCtx<'a> {
     /// poll it at natural checkpoints and bail out with
     /// [`EngineRun::cancelled`].
     pub cancel: Option<&'a AtomicBool>,
-    /// Shared per-SCC memo (the incremental-analysis layer). Engines that
-    /// route through the θ pipeline thread it into
-    /// [`crate::analyze_with_caches`]; the rest ignore it. Memoized runs
-    /// render byte-identical reports, so this is invisible in the output.
+    /// Shared per-SCC memo (the incremental-analysis layer). Every
+    /// [`EngineCtx::prepared`] size-relation fixpoint reads it, and the θ
+    /// engine threads it into its per-SCC decisions and transform retry.
+    /// Memoized runs render byte-identical reports, so this is invisible
+    /// in the output.
     pub scc_memo: Option<&'a SccCache>,
+    /// The instance every engine of the run is given.
+    instance: (&'a Program, &'a PredKey, &'a Adornment),
+    /// The instance's [`Prepared`] form, filled by the first engine that
+    /// asks.
+    prepared: OnceLock<Prepared>,
 }
 
 impl EngineCtx<'_> {
     /// Has cancellation been signalled?
     pub fn cancelled(&self) -> bool {
         self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// The run's raw program, prepared once for every engine that reads
+    /// size relations. The first caller runs [`prepare`] (through
+    /// [`EngineCtx::scc_memo`] when there is one); a concurrent caller
+    /// blocks until it is filled, so a run computes at most one fixpoint.
+    pub fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let (program, query, adornment) = self.instance;
+            prepare(program, query, adornment.clone(), self.options, self.scc_memo)
+        })
     }
 }
 
@@ -255,23 +278,12 @@ impl fmt::Display for PortfolioReport {
 /// engine runs to completion and reports its real verdict. The fuzz
 /// portfolio oracle uses this mode: it needs all verdicts to cross-check,
 /// not just the winner's.
-pub fn run_portfolio(
-    engines: &[Box<dyn Engine>],
-    program: &Program,
-    query: &PredKey,
-    adornment: &Adornment,
-    options: &AnalysisOptions,
-    jobs: usize,
-    race: bool,
-) -> PortfolioReport {
-    run_portfolio_with_memo(engines, program, query, adornment, options, jobs, race, None)
-}
-
-/// [`run_portfolio`] with a shared per-SCC memo handed to every engine
-/// context (the incremental-analysis layer). Memoized engine runs render
-/// the same bytes as cold runs, so the memo is invisible in the report.
+///
+/// `scc_memo` is handed to every engine context (the incremental-analysis
+/// layer). Memoized engine runs render the same bytes as cold runs, so the
+/// memo is invisible in the report.
 #[allow(clippy::too_many_arguments)]
-pub fn run_portfolio_with_memo(
+pub fn run_portfolio(
     engines: &[Box<dyn Engine>],
     program: &Program,
     query: &PredKey,
@@ -287,11 +299,17 @@ pub fn run_portfolio_with_memo(
     const DONE_OTHER: u8 = 2;
     let states: Vec<AtomicU8> = engines.iter().map(|_| AtomicU8::new(RUNNING)).collect();
     let cancel = AtomicBool::new(false);
+    let ctx = EngineCtx {
+        options,
+        cancel: if race { Some(&cancel) } else { None },
+        scc_memo,
+        instance: (program, query, adornment),
+        prepared: OnceLock::new(),
+    };
 
     let indices: Vec<usize> = (0..engines.len()).collect();
     let workers = crate::par::effective_workers(jobs, indices.len());
     let runs = crate::par::par_map_indexed(&indices, workers, |_, &i| {
-        let ctx = EngineCtx { options, cancel: if race { Some(&cancel) } else { None }, scc_memo };
         let run = if race && ctx.cancelled() {
             EngineRun::cancelled()
         } else {

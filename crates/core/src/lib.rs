@@ -50,8 +50,9 @@ pub mod par;
 pub mod theta;
 
 pub use analyze::{
-    analyze, analyze_source, analyze_with_caches, AnalysisOptions, BlameKind, DeltaMode, PairBlame,
-    RunStats, SccAnalysis, SccOutcome, SccStats, TerminationReport, Verdict,
+    analyze, analyze_prepared, analyze_source, analyze_with_caches, prepare, AnalysisOptions,
+    BlameKind, DeltaMode, PairBlame, Prepared, RunStats, SccAnalysis, SccOutcome, SccStats,
+    TerminationReport, Verdict,
 };
 pub use argus_linear::{FmStats, FmTier};
 pub use backwards::{
@@ -61,8 +62,7 @@ pub use backwards::{
 pub use certificate::{verify_report, CertificateError};
 pub use delta::{assign_deltas, DeltaAssignment, DeltaOutcome};
 pub use engine::{
-    run_portfolio, run_portfolio_with_memo, Engine, EngineCtx, EngineEntry, EngineRun,
-    EngineVerdict, PortfolioReport,
+    run_portfolio, Engine, EngineCtx, EngineEntry, EngineRun, EngineVerdict, PortfolioReport,
 };
 pub use incremental::{IncrementalRunStats, SccCache};
 pub use lexico::{prove_lexicographic, LexicographicProof};

@@ -271,6 +271,7 @@ pub fn check_portfolio(
         &analysis_options(),
         1,
         false,
+        None,
     );
     let provers: Vec<&str> = report
         .entries

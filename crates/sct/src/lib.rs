@@ -2,8 +2,9 @@
 //!
 //! A second, independent termination engine in the style of Lee, Jones &
 //! Ben-Amram's *size-change termination* (POPL 2001), built on the same
-//! substrate as the paper's θ-method: the adornment pass, the inferred
-//! inter-argument size relations of `argus-sizerel`, and the Eq. (1)
+//! substrate as the paper's θ-method: it decides an [`argus_core::Prepared`]
+//! program — the adorned program, SCCs and final size relations the θ-method
+//! decides too, built once by [`argus_core::prepare`] — through the Eq. (1)
 //! rule × recursive-subgoal systems of `argus-core`.
 //!
 //! Where the θ-method searches for one global linear combination of bound
@@ -33,12 +34,11 @@ pub use graph::{
 };
 
 use argus_core::pairs::{build_pair_with_norm, primal_system};
-use argus_core::AnalysisOptions;
+use argus_core::{prepare, AnalysisOptions, Prepared};
 use argus_linear::simplex::{LpOutcome, LpProblem};
 use argus_linear::LinExpr;
-use argus_logic::modes::{Adornment, ModeMap};
+use argus_logic::modes::ModeMap;
 use argus_logic::{DepGraph, PredKey, Program};
-use argus_sizerel::{infer_size_relations, InferOptions};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,34 +201,23 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
     cancel.is_some_and(|c| c.load(Ordering::Relaxed))
 }
 
-/// Analyze `program` for top-down termination of `query` under `adornment`
-/// with the size-change criterion.
+/// Decide top-down termination of a prepared query with the size-change
+/// criterion.
 ///
-/// The pipeline mirrors the θ-method analyzer through its first three
-/// stages — adornment, size-relation inference, bottom-up SCCs — then
-/// diverges at the decision procedure. The Appendix A transformations are
-/// *not* applied: they exist to massage programs into the θ-form, and the
+/// `prepared` comes from [`argus_core::prepare`], the same adorned program,
+/// SCCs and size relations the θ-method decides — imported relations and
+/// the Appendix B restriction included — so the two engines differ only in
+/// the decision procedure. The Appendix A transformations are *not*
+/// applied: they exist to massage programs into the θ-form, and the
 /// size-change criterion reads the raw recursive structure directly.
 pub fn analyze_sct(
-    program: &Program,
-    query: &PredKey,
-    adornment: Adornment,
+    prepared: &Prepared,
     options: &AnalysisOptions,
     cancel: Option<&AtomicBool>,
 ) -> SctReport {
-    let adorned = argus_logic::adorn_program(program, query, adornment);
-    let program = adorned.program;
-    let query = adorned.query;
-    let modes = adorned.modes;
-
-    let infer_options = InferOptions { norm: options.norm, ..options.infer.clone() };
-    let rels = infer_size_relations(&program, &infer_options);
-
-    let graph = DepGraph::build(&program);
-    let proc_index = argus_logic::program::ProcIndex::build(&program);
-
+    let Prepared { program, query, modes, graph, proc_index, size_relations: rels, .. } = prepared;
     let mut report = SctReport {
-        query,
+        query: query.clone(),
         sccs: Vec::new(),
         proved: true,
         cancelled: false,
@@ -252,12 +241,12 @@ pub fn analyze_sct(
             continue;
         }
         let analysis = analyze_scc(
-            &graph,
-            &program,
+            graph,
+            program,
             scc_id,
             members,
-            &modes,
-            &rels,
+            modes,
+            rels,
             options,
             &mut report.stats,
             cancel,
@@ -283,7 +272,8 @@ pub fn analyze_sct_source(
 ) -> Result<SctReport, String> {
     let program = argus_logic::parser::parse_program(src).map_err(|e| e.to_string())?;
     let (query, adornment) = argus_logic::parse_query_spec(query_spec, adornment)?;
-    Ok(analyze_sct(&program, &query, adornment, &AnalysisOptions::default(), None))
+    let options = AnalysisOptions::default();
+    Ok(analyze_sct(&prepare(&program, &query, adornment, &options, None), &options, None))
 }
 
 /// Analyze one recursive SCC: extract a size-change graph per rule ×
@@ -382,6 +372,7 @@ fn analyze_scc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use argus_logic::modes::Adornment;
 
     #[test]
     fn analyze_sct_source_rejects_bad_specs() {
@@ -435,13 +426,15 @@ mod tests {
             "append([], Ys, Ys).\nappend([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).",
         )
         .unwrap();
-        let r = analyze_sct(
+        let options = AnalysisOptions::default();
+        let prepared = prepare(
             &program,
             &PredKey::new("append", 3),
             Adornment::parse("bff").unwrap(),
-            &AnalysisOptions::default(),
-            Some(&flag),
+            &options,
+            None,
         );
+        let r = analyze_sct(&prepared, &options, Some(&flag));
         assert!(r.cancelled);
         assert!(!r.proved);
     }

@@ -551,7 +551,7 @@ impl ServerState {
             // cache key).
             let (engines, race) = engines_for(prepared.engine);
             let memo = if prepared.stats { None } else { Some(&self.scc) };
-            let report = argus_core::run_portfolio_with_memo(
+            let report = argus_core::run_portfolio(
                 &engines,
                 &prepared.program,
                 &prepared.query,

@@ -158,29 +158,17 @@ impl fmt::Display for SizeRelations {
 
 /// Abstract one rule: the polyhedron (over the head's argument-size
 /// dimensions) of head-size vectors derivable through this rule, given the
-/// current approximations `env` for all predicates.
+/// current approximations `env` for all predicates, under an explicit FM
+/// configuration (tier, row cap, LP budget all caller-controlled),
+/// accumulating counters into `stats`. The fixpoint runs the same
+/// construction under [`FM_ROW_CAP`]; the `fm_redundancy` bench raises the
+/// cap here to expose the untiered blowup the cap would truncate.
 ///
 /// Construction (paper §2.2 + §3): allocate one variable per head argument
 /// size, one per logical variable of the rule, and one per argument of each
 /// positive subgoal; emit the argument-size equations for the head and each
 /// subgoal, instantiate each subgoal predicate's current polyhedron on its
 /// argument variables, and project everything but the head dimensions away.
-pub fn rule_poly(rule: &Rule, env: &SizeRelations) -> Poly {
-    rule_poly_with_norm(rule, env, Norm::default())
-}
-
-/// [`rule_poly`] under an explicit term-size norm, with this module's
-/// [`FM_ROW_CAP`] guarding the projection.
-pub fn rule_poly_with_norm(rule: &Rule, env: &SizeRelations, norm: Norm) -> Poly {
-    let cfg = fm::FmConfig { max_rows: FM_ROW_CAP, ..fm::FmConfig::default() };
-    rule_poly_instrumented(rule, env, norm, &cfg, &mut fm::FmStats::default())
-}
-
-/// [`rule_poly_with_norm`] under an explicit FM configuration (tier, row
-/// cap, LP budget all caller-controlled), accumulating counters into
-/// `stats` — the instrumentation hook for the `fm_redundancy` bench, which
-/// raises the cap to expose the untiered blowup that production's
-/// [`FM_ROW_CAP`] would truncate.
 pub fn rule_poly_instrumented(
     rule: &Rule,
     env: &SizeRelations,

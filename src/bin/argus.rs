@@ -315,7 +315,7 @@ fn engine_analyze(
         eprintln!("--engine wants theta|sct|bs|uvg|naish|portfolio, got {engine_id:?}");
         return ExitCode::FAILURE;
     };
-    let report = argus::core::run_portfolio_with_memo(
+    let report = argus::core::run_portfolio(
         &engines,
         program,
         query,
@@ -561,7 +561,8 @@ fn cmd_infer(args: &[String]) -> ExitCode {
         let engines = std::sync::Arc::new(engines);
         options.probe_override =
             Some(argus::core::ProbeHook::new(move |program, pred, adn, opts| {
-                argus::core::run_portfolio(&engines, program, pred, adn, opts, 1, race).verdict
+                argus::core::run_portfolio(&engines, program, pred, adn, opts, 1, race, None)
+                    .verdict
             }));
     }
 

@@ -4,6 +4,7 @@
 //! soundness property that makes the paper's method usable in a capture
 //! rule.
 
+use argus::core::prepare;
 use argus::prelude::*;
 
 #[test]
@@ -148,7 +149,11 @@ fn engine_separators_hold_in_both_directions() {
         let (query, adornment) = entry.query_key();
         let theta = analyze(&program, &query, adornment.clone(), &options);
         assert_eq!(theta.verdict, Verdict::Unknown, "{name}: theta should be Unknown");
-        let sct = argus::sct::analyze_sct(&program, &query, adornment, &options, None);
+        let sct = argus::sct::analyze_sct(
+            &prepare(&program, &query, adornment, &options, None),
+            &options,
+            None,
+        );
         assert!(sct.proved, "{name}: sct should prove\n{sct}");
     }
     let entry = argus::corpus::find("theta_crossed_descent").unwrap();
@@ -156,7 +161,11 @@ fn engine_separators_hold_in_both_directions() {
     let (query, adornment) = entry.query_key();
     let theta = analyze(&program, &query, adornment.clone(), &options);
     assert_eq!(theta.verdict, Verdict::Terminates, "theta_crossed_descent: theta should prove");
-    let sct = argus::sct::analyze_sct(&program, &query, adornment, &options, None);
+    let sct = argus::sct::analyze_sct(
+        &prepare(&program, &query, adornment, &options, None),
+        &options,
+        None,
+    );
     assert!(!sct.proved, "theta_crossed_descent: sct should miss\n{sct}");
 }
 
@@ -173,8 +182,13 @@ fn portfolio_subsumes_both_engines_on_corpus() {
         let program = entry.program().unwrap();
         let (query, adornment) = entry.query_key();
         let theta = analyze(&program, &query, adornment.clone(), &options);
-        let sct = argus::sct::analyze_sct(&program, &query, adornment.clone(), &options, None);
-        let portfolio = run_portfolio(&engines, &program, &query, &adornment, &options, 0, true);
+        let sct = argus::sct::analyze_sct(
+            &prepare(&program, &query, adornment.clone(), &options, None),
+            &options,
+            None,
+        );
+        let portfolio =
+            run_portfolio(&engines, &program, &query, &adornment, &options, 0, true, None);
         if theta.verdict == Verdict::Terminates || sct.proved {
             assert_eq!(
                 portfolio.verdict,

@@ -171,7 +171,7 @@ fn engine_json_snapshots_on_corpus() {
         } else {
             vec![engine_by_id(engine).unwrap()]
         };
-        let report = run_portfolio(&engines, &program, &query, &adornment, &options, 1, race);
+        let report = run_portfolio(&engines, &program, &query, &adornment, &options, 1, race, None);
         let json = report.to_json(true);
         assert_has_keys(&json, &["schema", "query", "adornment", "verdict", "winner", "engines"]);
         assert!(json.contains("\"schema\":\"argus-engine/v1\""), "{json}");

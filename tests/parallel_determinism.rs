@@ -254,7 +254,8 @@ fn portfolio_reports_identical_across_worker_counts() {
         let program = entry.program().unwrap();
         let (query, adornment) = entry.query_key();
         let render = |jobs: usize| {
-            let r = run_portfolio(&engines, &program, &query, &adornment, &options, jobs, true);
+            let r =
+                run_portfolio(&engines, &program, &query, &adornment, &options, jobs, true, None);
             (r.to_string(), r.to_json(true), r.render_stats())
         };
         let seq = render(1);
@@ -262,6 +263,65 @@ fn portfolio_reports_identical_across_worker_counts() {
             let par = render(jobs);
             assert_eq!(seq, par, "{}: portfolio output differs at --jobs {jobs}", entry.name);
         }
+    }
+}
+
+/// The portfolio's size-change engine reads its size relations through the
+/// run's SCC memo: after a θ run has filled the memo, it answers every
+/// size-relation SCC from it.
+#[test]
+fn portfolio_sct_reads_size_relations_through_the_memo() {
+    use argus::baselines::engine_by_id;
+    use argus::core::{analyze_with_caches, run_portfolio, SccCache};
+    let entry = argus::corpus::find("perm").unwrap();
+    let program = entry.program().unwrap();
+    let (query, adornment) = entry.query_key();
+    let options = AnalysisOptions::default();
+    let memo = SccCache::unbounded();
+    analyze_with_caches(&program, &query, adornment.clone(), &options, None, Some(&memo));
+    let (hits, misses) = (memo.hits(), memo.misses());
+    let engines = vec![engine_by_id("sct").unwrap()];
+    let warm =
+        run_portfolio(&engines, &program, &query, &adornment, &options, 1, false, Some(&memo));
+    assert!(memo.hits() > hits, "sct probed no size relation");
+    assert_eq!(memo.misses(), misses, "sct recomputed a size relation");
+    let cold = run_portfolio(&engines, &program, &query, &adornment, &options, 1, false, None);
+    assert_eq!(warm.to_json(true), cold.to_json(true));
+}
+
+/// θ and size-change share one prepared raw program per portfolio run.
+/// Both read it through the memo (the test above), so a second preparation
+/// would show as extra memo probes: on a fresh memo the whole portfolio
+/// probes it exactly as often as θ alone — unraced at `--jobs 1`, and
+/// raced on 2 workers where θ and size-change start together.
+#[test]
+fn portfolio_prepares_the_raw_program_once() {
+    use argus::baselines::standard_engines;
+    use argus::core::{analyze_with_caches, run_portfolio, EngineVerdict, SccCache};
+    let entry = argus::corpus::find("mutual_fib_ring").unwrap();
+    let program = entry.program().unwrap();
+    let (query, adornment) = entry.query_key();
+    let options = AnalysisOptions::default();
+    let probes = |memo: &SccCache| (memo.hits(), memo.misses());
+    let theta = SccCache::unbounded();
+    analyze_with_caches(&program, &query, adornment.clone(), &options, None, Some(&theta));
+    let engines = standard_engines();
+    for (jobs, race) in [(1, false), (2, true)] {
+        let memo = SccCache::unbounded();
+        let report = run_portfolio(
+            &engines,
+            &program,
+            &query,
+            &adornment,
+            &options,
+            jobs,
+            race,
+            Some(&memo),
+        );
+        if !race {
+            assert_ne!(report.entries[1].run.verdict, EngineVerdict::Cancelled);
+        }
+        assert_eq!(probes(&memo), probes(&theta), "--jobs {jobs}, race {race}");
     }
 }
 

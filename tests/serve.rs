@@ -267,8 +267,10 @@ fn engine_knob_round_trips_and_caches_per_engine() {
     let engines = vec![argus::baselines::engine_by_id("sct").unwrap()];
     let expected = format!(
         "{}\n",
-        argus::core::run_portfolio(&engines, &program, &query, &adornment, &options, 1, false)
-            .to_json(false)
+        argus::core::run_portfolio(
+            &engines, &program, &query, &adornment, &options, 1, false, None
+        )
+        .to_json(false)
     );
     let cold = request_once(&addr, "POST", "/v1/analyze", body.as_bytes(), TIMEOUT).unwrap();
     assert_eq!(cold.status, 200);
