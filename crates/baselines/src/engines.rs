@@ -194,6 +194,18 @@ pub fn standard_engines() -> Vec<Box<dyn Engine>> {
     ENGINE_IDS.iter().map(|id| engine_by_id(id).expect("registered engine")).collect()
 }
 
+/// Resolve an engine tag to the engine list and whether to race it:
+/// `portfolio` races every registered engine, a single id runs just that
+/// engine, un-raced, through the same runner so output shapes match.
+/// `None` for an unknown tag.
+pub fn engines_for(tag: &str) -> Option<(Vec<Box<dyn Engine>>, bool)> {
+    if tag == "portfolio" {
+        Some((standard_engines(), true))
+    } else {
+        engine_by_id(tag).map(|e| (vec![e], false))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +221,19 @@ mod tests {
             assert_eq!(engine_by_id(id).unwrap().id(), id);
         }
         assert!(engine_by_id("nope").is_none());
+    }
+
+    #[test]
+    fn engine_tags_resolve() {
+        let (all, race) = engines_for("portfolio").unwrap();
+        assert!(race);
+        assert_eq!(all.iter().map(|e| e.id()).collect::<Vec<_>>(), ENGINE_IDS);
+        for id in ENGINE_IDS {
+            let (alone, race) = engines_for(id).unwrap();
+            assert!(!race);
+            assert_eq!(alone.iter().map(|e| e.id()).collect::<Vec<_>>(), [id]);
+        }
+        assert!(engines_for("nope").is_none());
     }
 
     #[test]

@@ -28,7 +28,9 @@
 
 pub mod engines;
 
-pub use engines::{engine_by_id, standard_engines, SctEngine, ThetaEngine, ENGINE_IDS};
+pub use engines::{
+    engine_by_id, engines_for, standard_engines, SctEngine, ThetaEngine, ENGINE_IDS,
+};
 
 use argus_core::{AnalysisOptions, Verdict};
 use argus_logic::modes::Adornment;

@@ -3,9 +3,9 @@
 //! Single-shot wall-clock timings (median of 5 runs) for the rows
 //! EXPERIMENTS.md reports: per-corpus-program analysis time, the
 //! chained-SCC scaling family, and the FM-vs-simplex feasibility
-//! crossover. For statistically careful numbers use
-//! `cargo bench -p argus-bench`; this binary reproduces the table's shape
-//! in seconds instead of minutes.
+//! crossover. For statistically careful numbers use `bench_report
+//! --suite <name> --out -`; this binary reproduces the table's shape in
+//! seconds instead of minutes.
 
 use argus_bench::workload;
 use argus_bench::ExperimentLog;

@@ -1,9 +1,8 @@
 //! The bench workloads as plain functions.
 //!
-//! Each suite mirrors one of the `benches/bench_*.rs` entry points; both
-//! those binaries and `bench_report` call into here so the measured
-//! workload cannot drift between `cargo bench` and the committed
-//! `BENCH_argus.json`.
+//! Each suite is one `bench_report --suite <name>` (`bench_report --suite
+//! fm --out -` prints one to stdout), so the workload measured ad hoc is
+//! the one behind the committed `BENCH_argus.json`.
 
 use crate::timing::{bench_case, Sample};
 use crate::workload;

@@ -57,8 +57,6 @@ pub struct AnalysisOptions {
     pub transform_phases: usize,
     /// δ selection strategy.
     pub delta_mode: DeltaMode,
-    /// Options for the size-relation inference.
-    pub infer: InferOptions,
     /// Manually supplied size relations (override the inference, exactly
     /// like the paper's "imported feasibility constraints … taken as
     /// input").
@@ -107,7 +105,6 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             transform_phases: 3,
             delta_mode: DeltaMode::Paper,
-            infer: InferOptions::default(),
             imported: Vec::new(),
             norm: argus_logic::Norm::default(),
             lexicographic: false,
@@ -146,10 +143,11 @@ pub enum SccOutcome {
     /// combination of bound argument sizes provably decreases.
     NoLinearDecrease {
         /// A Farkas refutation of the θ system (over
-        /// [`SccAnalysis::refutation_system`]), when one was found within
-        /// the certificate budget. Lets the failure be re-checked without
-        /// trusting the simplex: the multipliers combine the system's rows
-        /// into an absurd positive constant.
+        /// [`SccAnalysis::refutation_system`]); `None` only when the search
+        /// stopped early (a failed projection or the deadline). Lets the
+        /// failure be re-checked without trusting the simplex: the
+        /// multipliers combine the system's rows into an absurd positive
+        /// constant.
         refutation: Option<argus_linear::FarkasCertificate>,
     },
 }
@@ -619,7 +617,7 @@ pub fn prepare(
     // 3. Size relations (inferred under the analysis norm). The memoized
     // path walks the same SCCs in the same order with the same per-SCC
     // fixpoint, so its result is byte-identical to the cold inference.
-    let infer_options = InferOptions { norm: options.norm, ..options.infer.clone() };
+    let infer_options = InferOptions { norm: options.norm, ..InferOptions::default() };
     let mut rels = match scc_memo {
         None => infer_size_relations(&adorned.program, &infer_options),
         Some(memo) => crate::incremental::incremental_size_relations(
@@ -799,8 +797,8 @@ fn analyze_one_scc(
     (analysis, incr)
 }
 
-/// Attempt a Farkas refutation of the θ feasibility system (including its
-/// nonnegativity rows) within a fixed certificate budget.
+/// A Farkas refutation of the θ feasibility system (including its
+/// nonnegativity rows); `None` only if the system is feasible.
 fn refute_theta(
     theta_sys: &ConstraintSystem,
     nonneg: &BTreeSet<Var>,
@@ -809,7 +807,7 @@ fn refute_theta(
     for &v in nonneg {
         sys.push(argus_linear::Constraint::nonneg(v));
     }
-    argus_linear::farkas::refute(&sys, 20_000)
+    argus_linear::farkas::refute(&sys)
 }
 
 /// Appendix B restriction: keep only constraints with at most two

@@ -847,11 +847,6 @@ impl SccCache {
         std::env::var_os("HOME").map(|h| Path::new(&h).join(".cache").join("argus"))
     }
 
-    /// The attached disk directory, if any.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// Probes answered (memory or disk).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -539,11 +539,6 @@ pub fn find(name: &str) -> Option<CorpusEntry> {
     corpus().into_iter().find(|e| e.name == name)
 }
 
-/// Names of all entries whose mode terminates (ground truth).
-pub fn terminating_names() -> Vec<&'static str> {
-    corpus().iter().filter(|e| e.terminates).map(|e| e.name).collect()
-}
-
 /// Hand-checked termination conditions the backwards inference (`argus
 /// infer`) must reproduce: `(entry name, predicate spec, condition)`,
 /// with the condition in the `Dnf` rendering (`"arg1 bound or arg3

@@ -3,20 +3,20 @@
 //! By Farkas' lemma, a system of linear constraints is unsatisfiable over
 //! ℚ exactly when some nonnegative combination of its inequalities (plus an
 //! arbitrary-sign combination of its equalities) reduces to an absurd
-//! constant row `c ≤ 0` with `c > 0`. Fourier–Motzkin elimination produces
-//! such a combination naturally: every derived row is a combination of
-//! input rows, so tracking provenance through the elimination yields the
-//! multipliers the moment a contradictory row appears.
+//! constant row `c ≤ 0` with `c > 0`. The multipliers of such a combination
+//! are the solutions of a second linear system, which [`refute`] hands to
+//! the exact simplex ([`crate::simplex`]).
 //!
 //! This gives the analyzer *refutation* certificates to match its
-//! termination certificates ([`crate::simplex`] decides, this module
-//! explains): a claimed-infeasible θ system can be re-checked by summing
-//! the input rows with the returned multipliers and observing the absurd
-//! constant — no trust in the solver required.
+//! termination certificates: a claimed-infeasible θ system can be
+//! re-checked by summing the input rows with the returned multipliers and
+//! observing the absurd constant ([`FarkasCertificate::verify`]) — no trust
+//! in the solver required.
 
 use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
 use crate::rat::Rat;
-use std::collections::BTreeMap;
+use crate::simplex;
+use std::collections::BTreeSet;
 
 /// A Farkas certificate: multipliers over the input rows whose combination
 /// is a contradictory constant.
@@ -46,191 +46,31 @@ impl FarkasCertificate {
     }
 }
 
-/// A row paired with its provenance over the original system.
-#[derive(Debug, Clone)]
-struct TrackedRow {
-    constraint: Constraint,
-    /// Combination of original rows this row equals.
-    provenance: BTreeMap<usize, Rat>,
-}
-
-impl TrackedRow {
-    fn scaled(&self, k: &Rat) -> TrackedRow {
-        let mut expr = self.constraint.expr.clone();
-        expr.scale(k);
-        let provenance = self.provenance.iter().map(|(i, c)| (*i, c * k)).collect();
-        TrackedRow { constraint: Constraint { expr, rel: self.constraint.rel }, provenance }
-    }
-
-    fn plus(&self, other: &TrackedRow, rel: Rel) -> TrackedRow {
-        let expr = &self.constraint.expr + &other.constraint.expr;
-        let mut provenance = self.provenance.clone();
-        for (i, c) in &other.provenance {
-            let entry = provenance.entry(*i).or_insert_with(Rat::zero);
-            *entry += c;
-            if entry.is_zero() {
-                provenance.remove(i);
-            }
-        }
-        TrackedRow { constraint: Constraint { expr, rel }, provenance }
-    }
-}
-
-/// Search for a Farkas refutation of `sys` by provenance-tracking
-/// Fourier–Motzkin elimination over all variables, within `max_rows`
-/// intermediate rows.
+/// Search for a Farkas refutation of `sys` by solving the dual system on
+/// the exact simplex: one multiplier `λᵢ` per row (`λᵢ ≥ 0` on `≤` rows,
+/// free on `=` rows) with
 ///
-/// Returns `Some(certificate)` iff the system is detected unsatisfiable
-/// within the budget; `None` means satisfiable OR budget exceeded (use
-/// [`crate::simplex`] to decide, then this to explain).
-pub fn refute(sys: &ConstraintSystem, max_rows: usize) -> Option<FarkasCertificate> {
-    let mut rows: Vec<TrackedRow> = sys
-        .constraints()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| TrackedRow {
-            constraint: c.clone(),
-            provenance: [(i, Rat::one())].into_iter().collect(),
-        })
-        .collect();
-
-    // Immediate constant contradictions.
-    if let Some(cert) = find_contradiction(&rows) {
-        return Some(cert);
+/// ```text
+/// Σ λᵢ·coeffᵢ(v) = 0   for every variable v,
+/// Σ λᵢ·constᵢ    = 1.
+/// ```
+///
+/// Any feasible point is a certificate, and over ℚ one exists exactly when
+/// `sys` is unsatisfiable, so `None` means `sys` is satisfiable.
+pub fn refute(sys: &ConstraintSystem) -> Option<FarkasCertificate> {
+    let rows = sys.constraints();
+    let mut dual = ConstraintSystem::new();
+    for v in sys.vars() {
+        let terms =
+            rows.iter().enumerate().filter_map(|(i, r)| Some((i, r.expr.coeff_ref(v)?.clone())));
+        dual.push(Constraint { expr: LinExpr::from_terms(terms, Rat::zero()), rel: Rel::Eq });
     }
-
-    loop {
-        // Pick a variable still present (smallest pos*neg footprint).
-        let vars: Vec<Var> = {
-            let mut out = std::collections::BTreeSet::new();
-            for r in &rows {
-                out.extend(r.constraint.expr.vars());
-            }
-            out.into_iter().collect()
-        };
-        if vars.is_empty() {
-            return None; // nothing left; no contradiction surfaced
-        }
-        let v = *vars.iter().min_by_key(|&&v| occurrence_cost(&rows, v)).expect("nonempty");
-
-        rows = eliminate_tracked(rows, v)?;
-        if rows.len() > max_rows {
-            return None;
-        }
-        if let Some(cert) = find_contradiction(&rows) {
-            return Some(cert);
-        }
-        // Drop constant-true rows.
-        rows.retain(|r| !r.constraint.expr.is_constant());
-    }
-}
-
-fn occurrence_cost(rows: &[TrackedRow], v: Var) -> usize {
-    let mut pos = 0usize;
-    let mut neg = 0usize;
-    let mut has_eq = false;
-    for r in rows {
-        let Some(a) = r.constraint.expr.coeff_ref(v) else {
-            continue;
-        };
-        if r.constraint.rel == Rel::Eq {
-            has_eq = true;
-        } else if a.is_positive() {
-            pos += 1;
-        } else {
-            neg += 1;
-        }
-    }
-    if has_eq {
-        0
-    } else {
-        pos * neg + 1
-    }
-}
-
-/// One tracked elimination round; `None` on internal overflow (never in
-/// practice — combination counts are bounded by the caller's `max_rows`).
-fn eliminate_tracked(rows: Vec<TrackedRow>, v: Var) -> Option<Vec<TrackedRow>> {
-    // Gaussian step on an equality mentioning v.
-    if let Some(pos) = rows
-        .iter()
-        .position(|r| r.constraint.rel == Rel::Eq && r.constraint.expr.coeff_ref(v).is_some())
-    {
-        let pivot = rows[pos].clone();
-        let a = pivot.constraint.expr.coeff(v);
-        let mut out = Vec::with_capacity(rows.len() - 1);
-        for (i, r) in rows.into_iter().enumerate() {
-            if i == pos {
-                continue;
-            }
-            let Some(b) = r.constraint.expr.coeff_ref(v).cloned() else {
-                out.push(r);
-                continue;
-            };
-            // r - (b/a)·pivot eliminates v; the pivot is an equality, so
-            // any sign of multiplier is legal.
-            let k = -(&b / &a);
-            let combined = r.plus(&pivot.scaled(&k), r.constraint.rel);
-            out.push(combined);
-        }
-        return Some(out);
-    }
-
-    // Inequality combination.
-    let mut uppers: Vec<TrackedRow> = Vec::new(); // coeff(v) > 0
-    let mut lowers: Vec<TrackedRow> = Vec::new(); // coeff(v) < 0
-    let mut kept: Vec<TrackedRow> = Vec::new();
-    for r in rows {
-        let Some(a) = r.constraint.expr.coeff_ref(v) else {
-            kept.push(r);
-            continue;
-        };
-        if a.is_positive() {
-            uppers.push(r);
-        } else {
-            lowers.push(r);
-        }
-    }
-    let mut out = kept;
-    for lo in &lowers {
-        let la = lo.constraint.expr.coeff(v); // < 0
-        for up in &uppers {
-            let ua = up.constraint.expr.coeff(v); // > 0
-                                                  // (1/ua)·up + (1/(-la))·lo has zero coefficient on v; both
-                                                  // multipliers positive, so Le-ness is preserved.
-            let combined = up.scaled(&ua.recip()).plus(&lo.scaled(&(-la.clone()).recip()), Rel::Le);
-            out.push(combined);
-        }
-    }
-    Some(out)
-}
-
-fn find_contradiction(rows: &[TrackedRow]) -> Option<FarkasCertificate> {
-    for r in rows {
-        if r.constraint.expr.is_constant() {
-            let c = r.constraint.expr.constant_term();
-            let absurd = match r.constraint.rel {
-                Rel::Le => c.is_positive(),
-                Rel::Eq => !c.is_zero(),
-            };
-            if absurd {
-                // Normalize an Eq contradiction to Le orientation: if the
-                // constant is negative, flip the combination's sign (legal:
-                // it only involves equalities... or does it? An Eq-rel
-                // tracked row can only arise from Eq inputs, whose
-                // multipliers are unrestricted).
-                let mut multipliers: Vec<(usize, Rat)> =
-                    r.provenance.iter().map(|(i, c)| (*i, c.clone())).collect();
-                if r.constraint.rel == Rel::Eq && c.is_negative() {
-                    for (_, m) in multipliers.iter_mut() {
-                        *m = -&*m;
-                    }
-                }
-                return Some(FarkasCertificate { multipliers });
-            }
-        }
-    }
-    None
+    let terms = rows.iter().enumerate().map(|(i, r)| (i, r.expr.constant_term().clone()));
+    dual.push(Constraint { expr: LinExpr::from_terms(terms, -Rat::one()), rel: Rel::Eq });
+    let nonneg: BTreeSet<Var> = (0..rows.len()).filter(|&i| rows[i].rel == Rel::Le).collect();
+    let point = simplex::feasible_point(&dual, &nonneg)?;
+    let multipliers = point.into_iter().filter(|(_, lambda)| !lambda.is_zero()).collect();
+    Some(FarkasCertificate { multipliers })
 }
 
 #[cfg(test)]
@@ -255,7 +95,7 @@ mod tests {
         let mut b = LinExpr::var(0);
         b.add_constant(&r(-1));
         sys.push(le(b));
-        let cert = refute(&sys, 1000).expect("infeasible");
+        let cert = refute(&sys).expect("infeasible");
         assert!(cert.verify(&sys), "{cert:?}");
         // The combination is row0 + row1 = 1 <= 0 … wait, 2 - x + x - 1 = 1.
         assert_eq!(cert.multipliers.len(), 2);
@@ -273,7 +113,7 @@ mod tests {
         b.add_term(1, Rat::one());
         b.add_constant(&r(-2));
         sys.push(Constraint { expr: b, rel: Rel::Eq });
-        let cert = refute(&sys, 1000).expect("infeasible");
+        let cert = refute(&sys).expect("infeasible");
         assert!(cert.verify(&sys), "{cert:?}");
     }
 
@@ -284,7 +124,7 @@ mod tests {
         a.add_constant(&r(-5));
         sys.push(le(a)); // x <= 5
         sys.push(Constraint::nonneg(0));
-        assert!(refute(&sys, 1000).is_none());
+        assert!(refute(&sys).is_none());
     }
 
     #[test]
@@ -298,7 +138,7 @@ mod tests {
             e.add_term(q, -Rat::one());
             sys.push(le(e)); // 1 + p - q <= 0
         }
-        let cert = refute(&sys, 1000).expect("infeasible");
+        let cert = refute(&sys).expect("infeasible");
         assert!(cert.verify(&sys));
         assert_eq!(cert.multipliers.len(), 3, "sums all three rows");
     }
@@ -312,7 +152,7 @@ mod tests {
         let mut b = LinExpr::var(0);
         b.add_constant(&r(-1));
         sys.push(le(b));
-        let mut cert = refute(&sys, 1000).unwrap();
+        let mut cert = refute(&sys).unwrap();
         // Negate a multiplier on a Le row: must be rejected.
         cert.multipliers[0].1 = -cert.multipliers[0].1.clone();
         assert!(!cert.verify(&sys));
@@ -322,6 +162,35 @@ mod tests {
         // Empty combination: not a contradiction.
         let empty = FarkasCertificate { multipliers: vec![] };
         assert!(!empty.verify(&sys));
+    }
+
+    /// A system whose refutation needs every variable eliminated, with 36
+    /// dense rows: Fourier–Motzkin elimination without redundancy control
+    /// holds 24 222 rows after two of the four variables. The dual LP has
+    /// one row per variable plus one, however many rows the input has.
+    #[test]
+    fn refutes_dense_system_beyond_elimination_reach() {
+        let mut rng = argus_prng::Rng64::new(7);
+        let nvars = 4;
+        let mut sys = ConstraintSystem::new();
+        for _ in 0..36 {
+            let mut e = LinExpr::constant(r(rng.range_i64(-5, 5)));
+            for v in 0..nvars {
+                let sign = if rng.bool() { 1 } else { -1 };
+                e.add_term(v, r(sign * rng.range_i64(1, 3)));
+            }
+            sys.push(le(e));
+        }
+        // x ≥ 0 for every x, yet x0 + x1 + x2 + x3 ≤ -1.
+        let mut sum = LinExpr::constant(Rat::one());
+        for v in 0..nvars {
+            sys.push(Constraint::nonneg(v));
+            sum.add_term(v, Rat::one());
+        }
+        sys.push(le(sum));
+        assert!(crate::simplex::feasible_point(&sys, &BTreeSet::new()).is_none());
+        let cert = refute(&sys).expect("infeasible system is refuted");
+        assert!(cert.verify(&sys), "{cert:?}");
     }
 
     #[test]
@@ -341,9 +210,8 @@ mod tests {
                     sys.push(le(e));
                 }
             }
-            let sat =
-                crate::simplex::feasible_point(&sys, &std::collections::BTreeSet::new()).is_some();
-            match refute(&sys, 20_000) {
+            let sat = crate::simplex::feasible_point(&sys, &BTreeSet::new()).is_some();
+            match refute(&sys) {
                 Some(cert) => {
                     assert!(!sat, "refuted a satisfiable system:\n{sys}");
                     assert!(cert.verify(&sys), "bad certificate for:\n{sys}");

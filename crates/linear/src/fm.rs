@@ -113,11 +113,6 @@ impl FmTier {
     /// All tiers, cheapest first.
     pub const ALL: [FmTier; 4] = [FmTier::Dedup, FmTier::Subsume, FmTier::Chernikov, FmTier::Lp];
 
-    /// Tier from its numeric level (0–3).
-    pub fn from_index(i: usize) -> Option<FmTier> {
-        FmTier::ALL.get(i).copied()
-    }
-
     /// Numeric level (0–3).
     pub fn index(self) -> usize {
         self as usize
@@ -246,11 +241,6 @@ impl FmStats {
             small_combs: values[10],
             big_combs: values[11],
         }
-    }
-
-    /// Total rows removed by redundancy control.
-    pub fn total_drops(&self) -> u64 {
-        self.dedup_hits + self.subsume_hits + self.chernikov_drops + self.lp_drops
     }
 }
 

@@ -17,8 +17,8 @@
 //!   decide feasibility of the final θ system, and for implication tests.
 //! * [`Poly`] — closed convex polyhedra (meet, project, hull, widening),
 //!   the abstract domain behind inter-argument size-relation inference.
-//! * [`farkas`] — Farkas refutation certificates from provenance-tracking
-//!   elimination, so infeasibility claims are independently checkable.
+//! * [`farkas`] — Farkas refutation certificates solved on the simplex, so
+//!   infeasibility claims are independently checkable.
 //!
 //! ```
 //! use argus_linear::{Constraint, ConstraintSystem, LinExpr, Rat};

@@ -144,11 +144,6 @@ impl Poly {
         self.minimal
     }
 
-    /// True iff the polyhedron is all of ℚⁿ.
-    pub fn is_universe(&self) -> bool {
-        !self.empty && self.sys.simplify_trivial().map(|s| s.is_empty()).unwrap_or(false)
-    }
-
     fn compute_is_empty(&self) -> bool {
         simplex::feasible_point(&self.sys, &BTreeSet::new()).is_none()
     }
@@ -176,16 +171,6 @@ impl Poly {
         let mut sys = self.sys.clone();
         sys.extend(&other.sys);
         Poly::from_constraints(self.dim, sys.dedup())
-    }
-
-    /// Add a single constraint.
-    pub fn add_constraint(&self, c: Constraint) -> Poly {
-        if self.empty {
-            return self.clone();
-        }
-        let mut sys = self.sys.clone();
-        sys.push(c);
-        Poly::from_constraints(self.dim, sys)
     }
 
     /// Inclusion test: `self ⊆ other`.
@@ -245,12 +230,6 @@ impl Poly {
             FmResult::Projected(sys) => Poly { dim: new_dim, sys, empty: false, minimal: false },
             FmResult::Infeasible => Poly::empty(new_dim),
         }
-    }
-
-    /// Embed into a larger space (new trailing dimensions unconstrained).
-    pub fn extend_dim(&self, new_dim: usize) -> Poly {
-        assert!(new_dim >= self.dim);
-        Poly { dim: new_dim, sys: self.sys.clone(), empty: self.empty, minimal: false }
     }
 
     /// Rename dimensions through `map` (entries absent map to themselves).

@@ -102,11 +102,6 @@ impl Rat {
         self.num.is_negative()
     }
 
-    /// True iff this is an integer (denominator 1).
-    pub fn is_integer(&self) -> bool {
-        self.den.is_one()
-    }
-
     /// Sign of the value.
     pub fn sign(&self) -> Sign {
         self.num.sign()

@@ -231,19 +231,6 @@ impl LspClient {
         );
     }
 
-    /// `textDocument/didChange` with a single full-text change.
-    pub fn did_change_full(&mut self, uri: &str, version: i64, text: &str) {
-        self.notify(
-            "textDocument/didChange",
-            &format!(
-                "{{\"textDocument\":{{\"uri\":{},\"version\":{version}}},\
-                 \"contentChanges\":[{{\"text\":{}}}]}}",
-                json_str(uri),
-                json_str(text)
-            ),
-        );
-    }
-
     /// `textDocument/didChange` with a single ranged (incremental) edit.
     pub fn did_change_range(
         &mut self,
@@ -270,14 +257,6 @@ impl LspClient {
     pub fn did_close(&mut self, uri: &str) {
         self.notify(
             "textDocument/didClose",
-            &format!("{{\"textDocument\":{{\"uri\":{}}}}}", json_str(uri)),
-        );
-    }
-
-    /// `textDocument/didSave`.
-    pub fn did_save(&mut self, uri: &str) {
-        self.notify(
-            "textDocument/didSave",
             &format!("{{\"textDocument\":{{\"uri\":{}}}}}", json_str(uri)),
         );
     }

@@ -152,22 +152,12 @@ struct Prepared {
     adornment: Adornment,
     options: AnalysisOptions,
     stats: bool,
-    /// Validated engine tag: `theta` (default, classic report JSON), a
-    /// single engine id, or `portfolio` (racing, `argus-engine/v1` JSON).
-    engine: &'static str,
+    /// The engines to run and whether to race them, resolved from the
+    /// `engine` tag; `None` for `theta` (the default), which keeps the
+    /// classic report JSON instead of `argus-engine/v1`.
+    engines: Option<(Vec<Box<dyn argus_core::Engine>>, bool)>,
     /// Canonical content address (everything that determines the bytes).
     cache_key: String,
-}
-
-/// Resolve a validated engine tag to the engine list and race flag, as
-/// the CLI does: `portfolio` races the full registry, a single id runs
-/// that engine alone un-raced.
-fn engines_for(tag: &str) -> (Vec<Box<dyn argus_core::Engine>>, bool) {
-    if tag == "portfolio" {
-        (argus_baselines::standard_engines(), true)
-    } else {
-        (vec![argus_baselines::engine_by_id(tag).expect("validated engine tag")], false)
-    }
 }
 
 impl ServerState {
@@ -545,20 +535,19 @@ impl ServerState {
         let deadline = Instant::now() + Duration::from_millis(self.options.deadline_ms);
         let mut options = prepared.options;
         options.deadline = Some(deadline);
-        if prepared.engine != "theta" {
+        if let Some((engines, race)) = &prepared.engines {
             // Engine-selected requests render `argus-engine/v1` bodies;
             // they share the report cache (the engine tag is part of the
             // cache key).
-            let (engines, race) = engines_for(prepared.engine);
             let memo = if prepared.stats { None } else { Some(&self.scc) };
             let report = argus_core::run_portfolio(
-                &engines,
+                engines,
                 &prepared.program,
                 &prepared.query,
                 &prepared.adornment,
                 &options,
                 options.parallelism,
-                race,
+                *race,
                 memo,
             );
             if Instant::now() >= deadline {
@@ -692,18 +681,13 @@ impl ServerState {
             options.parallelism = jobs as usize;
         }
         let stats = bool_field("stats")?;
-        let engine: &'static str = match str_field("engine")? {
-            None | Some("theta") => "theta",
-            Some("portfolio") => "portfolio",
-            Some(other) => match argus_baselines::ENGINE_IDS.iter().find(|id| **id == other) {
-                Some(id) => id,
-                None => {
-                    return Err(bad(format!(
-                        "\"engine\" wants theta|sct|bs|uvg|naish|portfolio, got {other:?}"
-                    )));
-                }
-            },
+        let engine = str_field("engine")?.unwrap_or("theta");
+        let Some(resolved) = argus_baselines::engines_for(engine) else {
+            return Err(bad(format!(
+                "\"engine\" wants theta|sct|bs|uvg|naish|portfolio, got {engine:?}"
+            )));
         };
+        let engines = (engine != "theta").then_some(resolved);
 
         let (query, adornment) =
             argus_logic::parse_query_spec(query_spec, adn_spec).map_err(bad)?;
@@ -735,7 +719,7 @@ impl ServerState {
         }
 
         let cache_key = analyze_key(&query, &adornment, &options, engine, src);
-        Ok(Prepared { program, query, adornment, options, stats, engine, cache_key })
+        Ok(Prepared { program, query, adornment, options, stats, engines, cache_key })
     }
 }
 

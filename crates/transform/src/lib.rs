@@ -186,17 +186,6 @@ fn args_unify(goal: &Atom, head: &Atom) -> bool {
         .all(|(a, b)| argus_logic::unify::unify(&mut s, a, b, true))
 }
 
-/// Apply predicate splitting exhaustively (it terminates: rules are only
-/// partitioned, never substituted into).
-pub fn split_exhaustively(program: &Program) -> Program {
-    let mut cur = program.clone();
-    let mut counter = 0usize;
-    while let Some(next) = split_step(&cur, &mut counter) {
-        cur = next;
-    }
-    cur
-}
-
 /// Most resolvents one unfold step may be estimated to create. Unfolding
 /// is cartesian (each host rule yields `|proc(p)|^occurrences` resolvents),
 /// so without a budget a mutual-recursion ring whose rules make several

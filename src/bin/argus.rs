@@ -284,18 +284,6 @@ fn open_scc_cache(cache_dir: Option<std::path::PathBuf>) -> argus::core::SccCach
     }
 }
 
-/// Resolve an `--engine` value to the engine list (and whether to race).
-/// `portfolio` races every registered engine; a single id runs just that
-/// engine, un-raced, through the same runner so output shapes match.
-fn resolve_engines(engine_id: &str) -> Option<(Vec<Box<dyn argus::core::Engine>>, bool)> {
-    use argus::baselines::{engine_by_id, standard_engines};
-    if engine_id == "portfolio" {
-        Some((standard_engines(), true))
-    } else {
-        engine_by_id(engine_id).map(|e| (vec![e], false))
-    }
-}
-
 /// `argus analyze --engine <id>`: run one engine (or the racing
 /// portfolio) and render the `argus-engine/v1` report. The default
 /// `--engine theta` never reaches here — it keeps the original
@@ -311,7 +299,7 @@ fn engine_analyze(
     stats: bool,
     memo: Option<&argus::core::SccCache>,
 ) -> ExitCode {
-    let Some((engines, race)) = resolve_engines(engine_id) else {
+    let Some((engines, race)) = argus::baselines::engines_for(engine_id) else {
         eprintln!("--engine wants theta|sct|bs|uvg|naish|portfolio, got {engine_id:?}");
         return ExitCode::FAILURE;
     };
@@ -550,7 +538,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
             eprintln!("--engine is not supported with --corpus (the corpus lane is theta-only)");
             return ExitCode::FAILURE;
         }
-        let Some((engines, race)) = resolve_engines(&engine_id) else {
+        let Some((engines, race)) = argus::baselines::engines_for(&engine_id) else {
             eprintln!("--engine wants theta|sct|bs|uvg|naish|portfolio, got {engine_id:?}");
             return ExitCode::FAILURE;
         };
