@@ -22,7 +22,10 @@
 //!    recursive descent.
 
 use crate::delta::{assign_deltas, DeltaOutcome};
-use crate::dual::{dual_fm_config, eq9_systems, feasibility_system, project_pair_with, DeltaTerm};
+use crate::dual::{
+    dual_fm_config, eq9_systems, feasibility_system, project_pair_with, refutation_system,
+    theta_point, DeltaTerm,
+};
 use crate::incremental::{IncrementalRunStats, SccCache};
 use crate::negweight::{positive_cycle_constraints, DeltaVars};
 use crate::pairs::{ProjectionCache, RuleSubgoalSystem};
@@ -283,13 +286,10 @@ pub struct SccAnalysis {
 
 impl SccAnalysis {
     /// The system a [`SccOutcome::NoLinearDecrease`] refutation certifies
-    /// against: the reduced θ constraints plus the `θ ≥ 0` rows.
+    /// against: the reduced θ constraints plus the `θ ≥ 0` rows, built by
+    /// the same [`refutation_system`] the search used.
     pub fn refutation_system(&self) -> ConstraintSystem {
-        let mut sys = self.theta_constraints.clone();
-        for v in self.theta_space.all_vars() {
-            sys.push(argus_linear::Constraint::nonneg(v));
-        }
-        sys
+        refutation_system(&self.theta_constraints, &self.theta_space)
     }
 
     /// If the outcome carries a Farkas refutation, re-verify it against
@@ -797,19 +797,6 @@ fn analyze_one_scc(
     (analysis, incr)
 }
 
-/// A Farkas refutation of the θ feasibility system (including its
-/// nonnegativity rows); `None` only if the system is feasible.
-fn refute_theta(
-    theta_sys: &ConstraintSystem,
-    nonneg: &BTreeSet<Var>,
-) -> Option<argus_linear::FarkasCertificate> {
-    let mut sys = theta_sys.clone();
-    for &v in nonneg {
-        sys.push(argus_linear::Constraint::nonneg(v));
-    }
-    argus_linear::farkas::refute(&sys)
-}
-
 /// Appendix B restriction: keep only constraints with at most two
 /// variables, both with coefficient ±1 after canonicalization — i.e. plain
 /// partial-order (and difference) constraints between argument positions.
@@ -989,7 +976,7 @@ fn theta_search(
     }
     let mut projected = plan.base.clone();
     projected.extend(pair_systems.iter().cloned());
-    let (theta_sys, nonneg) = feasibility_system(&projected, &space);
+    let theta_sys = feasibility_system(&projected);
     // FM checks the deadline only between eliminations, so projections
     // with nothing to eliminate return past it: check once here, before
     // the simplex, the Farkas refutation and the blame LPs.
@@ -997,12 +984,14 @@ fn theta_search(
     let outcome = if !ok || spent {
         SccOutcome::NoLinearDecrease { refutation: None }
     } else {
-        match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
+        match theta_point(&theta_sys, &space) {
             Some(point) => SccOutcome::Proved {
                 witness: space.extract_witness(&point),
                 deltas: plan.read_deltas(&point),
             },
-            None => SccOutcome::NoLinearDecrease { refutation: refute_theta(&theta_sys, &nonneg) },
+            None => SccOutcome::NoLinearDecrease {
+                refutation: argus_linear::farkas::refute(&refutation_system(&theta_sys, &space)),
+            },
         }
     };
     let blame = match &outcome {
@@ -1051,10 +1040,8 @@ fn compute_blame(
             kind,
         })
     };
-    let infeasible = |systems: &[ConstraintSystem]| -> bool {
-        let (sys, nonneg) = feasibility_system(systems, space);
-        argus_linear::simplex::feasible_point(&sys, &nonneg).is_none()
-    };
+    let infeasible =
+        |systems: &[ConstraintSystem]| theta_point(&feasibility_system(systems), space).is_none();
 
     if projection_failed {
         return blame_from(pair_systems.len(), BlameKind::Alone);

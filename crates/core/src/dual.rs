@@ -248,20 +248,32 @@ fn minimize_rows(sys: &ConstraintSystem) -> Option<ConstraintSystem> {
 }
 
 /// The θ-feasibility problem for a whole SCC: the conjunction of all pairs'
-/// projected systems plus `θ ≥ 0` for every distinguished variable.
-pub fn feasibility_system(
-    projected: &[ConstraintSystem],
-    space: &ThetaSpace,
-) -> (ConstraintSystem, BTreeSet<Var>) {
+/// projected systems, over θ variables that range over `θ ≥ 0`
+/// ([`theta_point`] solves it, [`refutation_system`] states it whole).
+pub fn feasibility_system(projected: &[ConstraintSystem]) -> ConstraintSystem {
     let mut sys = ConstraintSystem::new();
     for p in projected {
         sys.extend(p);
     }
-    let mut nonneg = BTreeSet::new();
+    sys.dedup()
+}
+
+/// A point of the θ system `sys` with every θ variable of `space`
+/// nonnegative, if there is one.
+pub fn theta_point(sys: &ConstraintSystem, space: &ThetaSpace) -> Option<BTreeMap<Var, Rat>> {
+    simplex::feasible_point(sys, &space.all_vars().collect())
+}
+
+/// The θ system `sys` with its `θ ≥ 0` rows appended, one per variable of
+/// `space` in [`ThetaSpace::all_vars`] order: the system a Farkas
+/// refutation of an infeasible θ search is computed and verified against.
+/// A certificate names rows by index, so both sides build it here.
+pub fn refutation_system(sys: &ConstraintSystem, space: &ThetaSpace) -> ConstraintSystem {
+    let mut out = sys.clone();
     for v in space.all_vars() {
-        nonneg.insert(v);
+        out.push(Constraint::nonneg(v));
     }
-    (sys.dedup(), nonneg)
+    out
 }
 
 #[cfg(test)]
@@ -341,7 +353,7 @@ mod tests {
             assert!(w.is_empty(), "no c rows in merge");
             systems.push(project_pair(&sys, &w).unwrap());
         }
-        let (all, _) = feasibility_system(&systems, &space);
+        let all = feasibility_system(&systems);
         let t = space.vars(&root);
         let at = |a: Rat, b: Rat| {
             let mut pt = std::collections::BTreeMap::new();

@@ -21,7 +21,7 @@
 //! strict pair and δ = 0 for the rest, so the machinery of §4 is reused
 //! verbatim.
 
-use crate::dual::{eq9_systems, feasibility_system, project_pair_with, DeltaTerm};
+use crate::dual::{eq9_systems, feasibility_system, project_pair_with, theta_point, DeltaTerm};
 use crate::pairs::{ProjectionCache, RuleSubgoalSystem};
 use crate::theta::ThetaSpace;
 use argus_linear::fm::{FmConfig, FmStats};
@@ -84,8 +84,7 @@ pub fn prove_lexicographic(
                     None => continue 'candidates,
                 }
             }
-            let (theta_sys, nonneg) = feasibility_system(&projected, space);
-            let Some(point) = argus_linear::simplex::feasible_point(&theta_sys, &nonneg) else {
+            let Some(point) = theta_point(&feasibility_system(&projected), space) else {
                 continue 'candidates;
             };
             let level = space.extract_witness(&point);

@@ -24,6 +24,13 @@
 //! Adjacency is decided combinatorially on saturation bitsets: two rays
 //! are adjacent iff no third ray saturates every constraint both saturate.
 //!
+//! The other direction, generators to constraints, runs the same method on
+//! the polar cone `C° = {a : a·g ≤ 0 on every ray g, a·l = 0 on every line
+//! l}`: its extreme rays are the facet normals of `C` and its lines span
+//! `C`'s implicit equalities ([`Generators::hull_rows`]). Fed the union of
+//! two polyhedra's generators, that yields the facets of their closed
+//! convex hull.
+//!
 //! Generators are primitive integer vectors (content gcd 1), the same
 //! normalization [`IntRow`] gives constraint rows. The arithmetic runs on
 //! `i64` coordinates with checked `i128` intermediates; a value outside
@@ -32,7 +39,8 @@
 
 use crate::bigint::{BigInt, Sign};
 use crate::canon::IntRow;
-use crate::expr::{Constraint, Rel};
+use crate::expr::{Constraint, LinExpr, Rel};
+use crate::rat::Rat;
 
 /// Ray-count ceiling for one conversion. Each constraint step tests
 /// adjacency over every straddling pair against every ray, so past this
@@ -62,6 +70,10 @@ impl Bits {
 
     fn and(&self, other: &Bits) -> Bits {
         Bits(self.0.iter().zip(&other.0).map(|(a, b)| a & b).collect())
+    }
+
+    fn is_zero(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
     }
 
     fn is_subset(&self, other: &Bits) -> bool {
@@ -181,6 +193,49 @@ impl Generators {
             })
             .collect();
         Some(keep)
+    }
+
+    /// The rows of the closed convex hull of the nonempty polyhedra over
+    /// `0..dim` that `parts` generate: its implicit equalities (`=` rows)
+    /// and one `≤` row per facet, with no redundant row. `None` when the
+    /// conversion gives up, as [`Generators::of`] does.
+    ///
+    /// The hull's homogenized cone is generated by every part's rays and
+    /// lines, and its facets are the extreme rays of the polar cone. The
+    /// polar ray of `t ≥ 0` (present when the hull is unbounded) is the one
+    /// whose facet saturates no ray with `t > 0`; at `t = 1` it reads
+    /// `-1 ≤ 0`, so it is dropped.
+    pub fn hull_rows(dim: usize, parts: &[&Generators]) -> Option<Vec<Constraint>> {
+        debug_assert!(parts.iter().all(|g| !g.is_empty()), "hull of an empty part");
+        let width = dim + 1;
+        let lines: Vec<&Vec<i64>> = parts.iter().flat_map(|g| &g.lines).collect();
+        let mut rays: Vec<&Vec<i64>> = parts.iter().flat_map(|g| &g.rays).collect();
+        rays.sort_unstable();
+        rays.dedup();
+        let mut polar = Cone {
+            rays: Vec::new(),
+            lines: (0..width).map(|i| unit(width, i)).collect(),
+            sat: Vec::new(),
+            seen: Bits::new(lines.len() + rays.len()),
+        };
+        for (i, line) in lines.iter().enumerate() {
+            polar.intersect(i, line, Rel::Eq)?;
+        }
+        let mut vertices = Bits::new(lines.len() + rays.len());
+        for (i, ray) in rays.iter().enumerate() {
+            polar.intersect(lines.len() + i, ray, Rel::Le)?;
+            if ray[dim] > 0 {
+                vertices.insert(lines.len() + i);
+            }
+        }
+        let row = |a: &[i64], rel: Rel| {
+            let terms = a[..dim].iter().enumerate().map(|(v, &k)| (v, Rat::from_int(k)));
+            Constraint { expr: LinExpr::from_terms(terms, Rat::from_int(a[dim])), rel }
+        };
+        let eqs = polar.lines.iter().map(|a| row(a, Rel::Eq));
+        let facets = polar.rays.iter().zip(&polar.sat);
+        let les = facets.filter(|(_, sat)| !sat.and(&vertices).is_zero());
+        Some(eqs.chain(les.map(|(a, _)| row(a, Rel::Le))).collect())
     }
 }
 

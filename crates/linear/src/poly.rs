@@ -7,13 +7,17 @@
 //!
 //! * meet (conjunction) — concatenate constraints;
 //! * projection — Fourier–Motzkin ([`crate::fm`]);
-//! * emptiness — exact LP ([`crate::simplex`]);
+//! * emptiness — no generator with `t > 0` ([`crate::generators`]), or an
+//!   exact LP ([`crate::simplex`]);
 //! * implication and inclusion — from the polyhedron's generators
 //!   ([`crate::generators`]): a row holds on it iff it holds on every
 //!   vertex and ray and is constant along every line;
-//! * convex hull — the λ-combination encoding projected by FM
-//!   (Benoy–King: the hull of P₁ ∪ P₂ is the projection of
-//!   `x = y + z, y ∈ σ₁·P₁, z ∈ σ₂·P₂, σ₁ + σ₂ = 1, σ ≥ 0`);
+//! * convex hull — from generators: the facets of the cone spanned by both
+//!   operands' generators, read off its polar cone
+//!   ([`Generators::hull_rows`]), already irredundant. Above
+//!   [`GENERATOR_DIM_MAX`] or when a conversion gives up, the λ-combination
+//!   encoding projected by FM (Benoy–King: the hull of P₁ ∪ P₂ is the
+//!   projection of `x = y + z, y ∈ σ₁·P₁, z ∈ σ₂·P₂, σ₁ + σ₂ = 1, σ ≥ 0`);
 //! * widening — the standard constraint widening (keep the constraints of
 //!   the old polyhedron that the new one still entails), which guarantees
 //!   fixpoint termination;
@@ -28,7 +32,8 @@
 //! where the generator count can blow up, and when a conversion gives up
 //! (see [`Generators::of`]), the same questions go to LPs instead: a
 //! warm-started [`simplex::ImplicationProbe`] per batch. Both routes are
-//! exact, so they give the same answers.
+//! exact, so they give the same answers. The two hull routes give the same
+//! set, though not always the same rows.
 //!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
@@ -41,15 +46,16 @@ use crate::simplex::{self, ImplicationProbe};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Row cap for the lifted FM projection inside [`Poly::hull`]; past it the
-/// hull falls back to the sound weak join rather than risking FM's
-/// worst-case blowup.
+/// Row cap for [`Poly::hull`]. On the generator route it caps the exact
+/// hull's rows; on the FM route, the lifted projection's. Past it the hull
+/// falls back to the sound weak join: a hull with that many facets is a
+/// costly iterate to carry, and FM risks its worst-case blowup.
 pub const HULL_ROW_CAP: usize = 120;
 
-/// Highest dimension at which implication, inclusion and minimization are
-/// answered from generators. A polyhedron with m rows in n dimensions can
-/// have on the order of m^⌊n/2⌋ vertices, so above this the LP route
-/// guards high-arity predicates against that blowup.
+/// Highest dimension at which emptiness, implication, inclusion, hulls and
+/// minimization are answered from generators. A polyhedron with m rows in
+/// n dimensions can have on the order of m^⌊n/2⌋ vertices, so above this
+/// the LP and FM routes guard high-arity predicates against that blowup.
 pub const GENERATOR_DIM_MAX: usize = 6;
 
 /// A closed convex polyhedron over dimensions `0..dim`.
@@ -145,7 +151,10 @@ impl Poly {
     }
 
     fn compute_is_empty(&self) -> bool {
-        simplex::feasible_point(&self.sys, &BTreeSet::new()).is_none()
+        match self.generators(&self.sys) {
+            Some(gens) => gens.is_empty(),
+            None => simplex::feasible_point(&self.sys, &BTreeSet::new()).is_none(),
+        }
     }
 
     /// Membership test.
@@ -244,9 +253,14 @@ impl Poly {
         self.hull_with(other, &cfg, &mut fm::FmStats::default())
     }
 
-    /// [`Poly::hull`] under an explicit FM configuration (tier, row cap, LP
-    /// budget all caller-controlled), accumulating the FM work into
-    /// `stats`. Exceeding `cfg.max_rows` falls back to the weak join.
+    /// [`Poly::hull`] under an explicit row cap `cfg.max_rows`: a hull with
+    /// more rows falls back to the weak join.
+    ///
+    /// Within [`GENERATOR_DIM_MAX`] the hull comes from both operands'
+    /// generators, exact and irredundant, and the cap applies to its rows.
+    /// Above the bound, or when a conversion gives up, it is the lifted FM
+    /// projection under `cfg` (tier, row cap, LP budget), which accumulates
+    /// its work into `stats`; the cap then applies to FM's rows.
     ///
     /// The result's emptiness comes from the operands' flags, not from an
     /// LP: it is empty iff both operands are. Every constructor keeps the
@@ -260,6 +274,36 @@ impl Poly {
         if other.empty {
             return self.clone();
         }
+        match self.generator_hull(other) {
+            Some(rows) if rows.len() > cfg.max_rows => self.weak_join(other),
+            // Irredundant, so `minimized` would return the deduplicated
+            // rows unchanged.
+            Some(rows) => Poly {
+                dim: self.dim,
+                sys: ConstraintSystem::from_constraints(rows).dedup(),
+                empty: false,
+                minimal: true,
+            },
+            None => self.lifted_hull(other, cfg, stats),
+        }
+    }
+
+    /// The rows of the closed hull of two nonempty polyhedra, from their
+    /// generators; `None` where [`Poly::generators`] gives none or a
+    /// conversion gives up.
+    fn generator_hull(&self, other: &Poly) -> Option<Vec<Constraint>> {
+        let (a, b) = (self.generators(&self.sys)?, other.generators(&other.sys)?);
+        if a.is_empty() || b.is_empty() {
+            // Only a `from_raw_parts` flag can disagree with the rows;
+            // the FM route keeps its old answer for that.
+            return None;
+        }
+        Generators::hull_rows(self.dim, &[&a, &b])
+    }
+
+    /// The Benoy–King hull: the λ-lift of both operands projected onto
+    /// `x` by FM under `cfg`, or the weak join past `cfg.max_rows`.
+    fn lifted_hull(&self, other: &Poly, cfg: &fm::FmConfig, stats: &mut fm::FmStats) -> Poly {
         let n = self.dim;
         // Variable layout in the big system:
         //   0..n        : x (result)
@@ -680,6 +724,42 @@ mod tests {
                 simplex::irredundant(&old.constraints().dedup(), &mut Default::default());
             assert_eq!(Some(min.constraints().clone()), reference);
             assert_eq!(min.constraints().len(), 2 * dim + 1, "dim {dim}:\n{min}");
+        }
+    }
+
+    #[test]
+    fn hull_runs_no_fm_within_the_dimension_bound() {
+        for dim in 1..=GENERATOR_DIM_MAX + 1 {
+            let mut stats = fm::FmStats::default();
+            let cfg = fm::FmConfig::capped(HULL_ROW_CAP);
+            let hull = cut_box(dim, 2).hull_with(&cut_box(dim, 5), &cfg, &mut stats);
+            assert!(hull.same_set(&cut_box(dim, 5)), "dim {dim}:\n{hull}");
+            if dim <= GENERATOR_DIM_MAX {
+                assert_eq!(stats.rows_in, 0, "dim {dim}");
+                assert!(hull.is_minimal());
+            } else {
+                assert!(stats.rows_in > 0, "dim {dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn emptiness_solves_no_lp_within_the_dimension_bound() {
+        let contradiction = |dim: usize| {
+            let mut sys = cut_box(dim, 2).constraints().clone();
+            sys.push(Constraint::ge(LinExpr::var(0), LinExpr::constant(r(3, 1))));
+            sys
+        };
+        for dim in [3, GENERATOR_DIM_MAX + 1] {
+            let (feasible, lps) = lps_solved(|| cut_box(dim, 2));
+            let (infeasible, infeasible_lps) =
+                lps_solved(|| Poly::from_constraints(dim, contradiction(dim)));
+            assert!(!feasible.is_empty() && infeasible.is_empty(), "dim {dim}");
+            if dim <= GENERATOR_DIM_MAX {
+                assert_eq!((lps, infeasible_lps), (0, 0), "dim {dim}");
+            } else {
+                assert!(lps > 0 && infeasible_lps > 0, "dim {dim}");
+            }
         }
     }
 

@@ -171,20 +171,28 @@ fn widen_against_new_equals_widen_against_hull() {
 }
 
 /// The same identity where the production hull itself runs over
-/// [`HULL_ROW_CAP`]: dense operands make the lifted FM projection blow up,
-/// so `hull` falls back to `weak_join`. A case counts as over the cap when
-/// the capped hull differs from one computed under a much larger cap (FM
-/// is deterministic, so below the cap the two agree).
+/// [`HULL_ROW_CAP`]: two dense 5-dimensional polytopes whose exact hull
+/// has more facets than the cap, so `hull` falls back to `weak_join`. A
+/// case counts as over the cap when the capped hull differs from one
+/// computed under a much larger cap (the hull is deterministic, so below
+/// the cap the two agree); it reaches the fallback from the generator
+/// route, without running FM.
 #[test]
 fn widen_identity_holds_when_hull_exceeds_row_cap() {
     let mut r = Rng64::new(0xCA9);
     let roomy = FmConfig { max_rows: 8 * HULL_ROW_CAP, ..FmConfig::default() };
     let mut over_cap = 0;
     for _ in 0..8 {
-        let old = gen_poly_dense(&mut r, 3, 8).minimized();
-        let new = gen_poly_dense(&mut r, 3, 8);
-        let joined = old.hull(&new);
-        if joined != old.hull_with(&new, &roomy, &mut FmStats::default()) {
+        let old = gen_poly_dense(&mut r, 5, 8).minimized();
+        let new = gen_poly_dense(&mut r, 5, 8);
+        let mut stats = FmStats::default();
+        let joined = old.hull_with(&new, &FmConfig::capped(HULL_ROW_CAP), &mut stats);
+        assert_eq!(joined, old.hull(&new));
+        let exact = old.hull_with(&new, &roomy, &mut stats);
+        assert_eq!(stats.rows_in, 0, "FM ran; old:\n{old}\nnew:\n{new}");
+        if joined != exact {
+            assert!(exact.constraints().len() > HULL_ROW_CAP);
+            assert_eq!(joined, old.weak_join(&new));
             over_cap += 1;
         }
         assert_eq!(old.widen(&new), old.widen(&joined), "old:\n{old}\nnew:\n{new}");
@@ -233,6 +241,101 @@ fn hull_emptiness_is_exact_without_an_lp() {
             }
         }
     }
+}
+
+/// `p` in `dim ≥ p.dim()` dimensions, the extra ones unconstrained.
+fn padded(p: &Poly, dim: usize) -> Poly {
+    if p.is_empty() {
+        return Poly::empty(dim);
+    }
+    Poly::from_constraints(dim, p.constraints().clone())
+}
+
+/// The generator hull and the Benoy–King λ-lift projected by FM describe
+/// the same set, on both operands of every shape the fixpoint meets
+/// (lines, the universe, implicit equalities, constant rows, an empty
+/// operand), at every dimension the generator route serves. The FM hull is
+/// the same pair's hull one dimension past [`GENERATOR_DIM_MAX`], where
+/// the extra dimension is unconstrained; under a roomy cap FM usually
+/// finishes, and where it does not the weak join that stands in must still
+/// contain the exact hull. The generator hull is also irredundant:
+/// `minimized` returns its rows unchanged (checked on hulls of up to 40
+/// rows, since with implicit equalities that runs the quadratic LP pass).
+#[test]
+fn generator_hull_matches_lifted_fm_hull() {
+    let mut r = Rng64::new(0x6E11);
+    let roomy = FmConfig { max_rows: 8 * HULL_ROW_CAP, ..FmConfig::default() };
+    let wide = GENERATOR_DIM_MAX + 1;
+    let (mut same, mut gave_up) = (0, 0);
+    for dim in 1..=GENERATOR_DIM_MAX {
+        for _ in 0..30 {
+            let a = gen_shape(&mut r, dim);
+            let b = if r.below(8) == 0 {
+                gen_hull_operand(&mut r, dim)
+            } else {
+                gen_shape(&mut r, dim)
+            };
+            let ctx = format!("dim {dim}\na:\n{a}\nb:\n{b}");
+            let mut stats = FmStats::default();
+            let exact = a.hull_with(&b, &roomy, &mut stats);
+            assert_eq!(exact.is_empty(), a.is_empty() && b.is_empty(), "{ctx}");
+            if stats.rows_in > 0 {
+                // A conversion gave up, and the FM route served the hull.
+                gave_up += 1;
+                continue;
+            }
+            if exact.is_empty() {
+                continue;
+            }
+            if !a.is_empty() && !b.is_empty() && exact.constraints().len() <= 40 {
+                let fresh = Poly::from_raw_parts(dim, exact.constraints().clone(), false);
+                assert_eq!(fresh.minimized(), exact, "{ctx}\nhull:\n{exact}");
+            }
+
+            let (wa, wb) = (padded(&a, wide), padded(&b, wide));
+            let lifted = wa.hull_with(&wb, &roomy, &mut stats);
+            assert!(stats.rows_in > 0 || a.is_empty() || b.is_empty(), "{ctx}");
+            assert!(lifted.constraints().vars().iter().all(|&v| v < dim), "{ctx}\n{lifted}");
+            let lifted_here = Poly::from_constraints(dim, lifted.constraints().clone());
+            assert!(exact.includes_in(&lifted_here), "{ctx}\nhull:\n{exact}\nfm:\n{lifted}");
+            if lifted_here.includes_in(&exact) {
+                same += 1;
+            } else {
+                assert_eq!(lifted, wa.weak_join(&wb), "{ctx}\nhull:\n{exact}\nfm:\n{lifted}");
+            }
+        }
+    }
+    assert!(same >= 120, "only {same} of 180 hulls match the FM hull");
+    assert!(gave_up <= 5, "{gave_up} conversions gave up");
+}
+
+/// `from_constraints` decides emptiness from generators within
+/// [`GENERATOR_DIM_MAX`] and by LP above it; both agree with the primal
+/// LP, on feasible systems and on infeasible ones (unanchored rows, and
+/// rows that contradict each other outright). A hull is empty iff both
+/// operands are, on both routes.
+#[test]
+fn emptiness_matches_primal_lp_across_the_dimension_bound() {
+    let mut r = Rng64::new(0xE3E7);
+    let mut empties = 0;
+    for dim in dims_across_the_bound() {
+        for _ in 0..60 {
+            let mut sys = random_system(&mut r, dim, 2 * dim + 2);
+            if r.below(6) == 0 {
+                sys.push(Constraint::ge(LinExpr::var(dim - 1), LinExpr::constant(Rat::one())));
+                sys.push(Constraint::le(LinExpr::var(dim - 1), LinExpr::zero()));
+            }
+            let lp = LpProblem::feasibility(sys.clone(), BTreeSet::new());
+            let infeasible = matches!(lp.maximize(LinExpr::zero()), LpOutcome::Infeasible);
+            let p = Poly::from_constraints(dim, sys);
+            assert_eq!(p.is_empty(), infeasible, "dim {dim}:\n{p}");
+            empties += usize::from(infeasible);
+            let q = gen_hull_operand(&mut r, dim);
+            let hull = p.hull(&q);
+            assert_eq!(hull.is_empty(), p.is_empty() && q.is_empty(), "p:\n{p}\nq:\n{q}");
+        }
+    }
+    assert!(empties >= 40, "only {empties} infeasible systems");
 }
 
 /// Dense inequality rows through a common anchor: nonempty, and with every
