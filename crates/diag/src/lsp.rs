@@ -22,7 +22,9 @@
 
 use crate::render::json_str;
 use crate::{Diagnostic, Severity};
+use argus_logic::json::escape_into;
 use argus_logic::span::{LineIndex, Span};
+use std::fmt::Write as _;
 
 /// The LSP `DiagnosticSeverity` value for `s`: Error → 1, Warning → 2,
 /// Note → 3 (`Information`).
@@ -40,57 +42,97 @@ pub fn lsp_range(index: &LineIndex, src: &str, span: &Span) -> ((usize, usize), 
     (index.utf16_position(src, span.start), index.utf16_position(src, span.end))
 }
 
-fn range_json(range: ((usize, usize), (usize, usize))) -> String {
+/// Append the JSON of `range` to `out`.
+fn write_range(out: &mut String, range: ((usize, usize), (usize, usize))) {
     let ((sl, sc), (el, ec)) = range;
-    format!(
+    let _ = write!(
+        out,
         "{{\"start\":{{\"line\":{sl},\"character\":{sc}}},\
          \"end\":{{\"line\":{el},\"character\":{ec}}}}}"
-    )
+    );
+}
+
+/// Append `s` to `out` as a JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append one diagnostic's LSP object to `out`. `uri_json` is the
+/// document URI already rendered as a JSON string literal, and `range` is
+/// scratch space: the range JSON is rendered into it once and copied into
+/// the object and into every `relatedInformation` location.
+fn write_lsp_diagnostic(
+    out: &mut String,
+    range: &mut String,
+    d: &Diagnostic,
+    src: &str,
+    index: &LineIndex,
+    uri_json: &str,
+) {
+    range.clear();
+    write_range(
+        range,
+        match &d.span {
+            Some(span) => lsp_range(index, src, span),
+            None => ((0, 0), (0, 0)),
+        },
+    );
+    out.push_str("{\"range\":");
+    out.push_str(range);
+    let _ = write!(out, ",\"severity\":{},\"code\":", lsp_severity(d.severity));
+    write_str(out, d.code);
+    out.push_str(",\"source\":\"argus\",\"message\":");
+    write_str(out, &d.message);
+    if !d.notes.is_empty() {
+        out.push_str(",\"relatedInformation\":[");
+        for (i, note) in d.notes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"location\":{\"uri\":");
+            out.push_str(uri_json);
+            out.push_str(",\"range\":");
+            out.push_str(range);
+            out.push_str("},\"message\":");
+            write_str(out, note);
+            out.push('}');
+        }
+        out.push(']');
+    }
+    if let Some(span) = &d.span {
+        let _ = write!(out, ",\"data\":{{\"start\":{},\"end\":{}}}", span.start, span.end);
+    }
+    out.push('}');
 }
 
 /// Render one diagnostic as an LSP `Diagnostic` JSON object. `uri` is the
 /// document the diagnostic belongs to (needed because
 /// `relatedInformation` entries carry full locations).
 pub fn render_lsp_diagnostic(d: &Diagnostic, src: &str, index: &LineIndex, uri: &str) -> String {
-    let range = match &d.span {
-        Some(span) => lsp_range(index, src, span),
-        None => ((0, 0), (0, 0)),
-    };
-    let mut fields = vec![
-        format!("\"range\":{}", range_json(range)),
-        format!("\"severity\":{}", lsp_severity(d.severity)),
-        format!("\"code\":{}", json_str(d.code)),
-        "\"source\":\"argus\"".to_string(),
-        format!("\"message\":{}", json_str(&d.message)),
-    ];
-    if !d.notes.is_empty() {
-        let related: Vec<String> = d
-            .notes
-            .iter()
-            .map(|note| {
-                format!(
-                    "{{\"location\":{{\"uri\":{},\"range\":{}}},\"message\":{}}}",
-                    json_str(uri),
-                    range_json(range),
-                    json_str(note)
-                )
-            })
-            .collect();
-        fields.push(format!("\"relatedInformation\":[{}]", related.join(",")));
-    }
-    if let Some(span) = &d.span {
-        fields.push(format!("\"data\":{{\"start\":{},\"end\":{}}}", span.start, span.end));
-    }
-    format!("{{{}}}", fields.join(","))
+    let mut out = String::new();
+    write_lsp_diagnostic(&mut out, &mut String::new(), d, src, index, &json_str(uri));
+    out
 }
 
 /// Render `diags` as the LSP `diagnostics` JSON array for a
-/// `textDocument/publishDiagnostics` notification over `src`.
+/// `textDocument/publishDiagnostics` notification over `src`, into one
+/// buffer: the URI is escaped once per publish and each range once per
+/// diagnostic.
 pub fn render_lsp_diagnostics(diags: &[Diagnostic], src: &str, uri: &str) -> String {
     let index = LineIndex::new(src);
-    let items: Vec<String> =
-        diags.iter().map(|d| render_lsp_diagnostic(d, src, &index, uri)).collect();
-    format!("[{}]", items.join(","))
+    let uri_json = json_str(uri);
+    let mut range = String::new();
+    let mut out = String::from("[");
+    for (i, d) in diags.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_lsp_diagnostic(&mut out, &mut range, d, src, &index, &uri_json);
+    }
+    out.push(']');
+    out
 }
 
 #[cfg(test)]
