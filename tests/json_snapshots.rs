@@ -338,3 +338,39 @@ fn sizerel_snapshot_on_high_arity() {
     .unwrap();
     check_golden("sizerel/high_arity.txt", &sizerel_snapshot(&program));
 }
+
+/// Every [`argus::linear::fm::FmStats`] counter of the whole-program
+/// fixpoint, per corpus entry (raw and query-adorned) and for the
+/// 250-clause `scale_case`. The relation goldens above pin FM's output
+/// rows; this pins its decisions: how many rows each dedup, subsumption
+/// and Chernikov cut dropped, how many pairs were combined and on which
+/// integer kernel.
+#[test]
+fn sizerel_fm_counters_snapshot() {
+    use argus::linear::fm::{FmConfig, FmStats};
+    fn line(label: &str, program: &Program) -> String {
+        let mut stats = FmStats::default();
+        argus::sizerel::infer_size_relations_instrumented(
+            program,
+            &InferOptions::default(),
+            &FmConfig::default(),
+            &mut stats,
+        );
+        let counters: Vec<String> =
+            stats.counters().iter().map(|(name, v)| format!("{name}={v}")).collect();
+        format!("{label}: {}\n", counters.join(" "))
+    }
+    let mut text = String::new();
+    for entry in argus::corpus::corpus() {
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let adorned = argus::logic::adorn_program(&program, &query, adornment);
+        text.push_str(&line(&format!("{} raw", entry.name), &program));
+        text.push_str(&line(&format!("{} adorned", entry.name), &adorned.program));
+    }
+    let case = argus::fuzz::gen::scale_case(0xA11CE, 250);
+    let adorned = argus::logic::adorn_program(&case.program, &case.query, case.adornment);
+    text.push_str(&line("scale_a11ce_250 raw", &case.program));
+    text.push_str(&line("scale_a11ce_250 adorned", &adorned.program));
+    check_golden("sizerel/fm_counters.txt", &text);
+}
