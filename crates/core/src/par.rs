@@ -38,7 +38,9 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
 /// plain sequential map on the calling thread — no threads, no overhead.
 ///
 /// `f` receives `(index, &item)`. Work is claimed from a shared atomic
-/// counter, so threads self-balance across items of uneven cost.
+/// counter, so threads self-balance across items of uneven cost. The
+/// calling thread is one of the `workers`: it spawns `workers − 1`
+/// threads and works through its own share beside them.
 pub fn par_map_indexed<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -51,25 +53,24 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
+    let share = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+        local
+    };
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..w)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let share = &share;
+        let handles: Vec<_> = (1..w).map(|_| scope.spawn(share)).collect();
+        // A panic in this share unwinds out of the scope once the spawned
+        // workers finish; a panic in theirs surfaces at `join`.
+        collected.extend(share());
         for h in handles {
             collected.extend(h.join().expect("analysis worker panicked"));
         }
@@ -94,6 +95,33 @@ mod tests {
                 x * 2
             });
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        // `workers` items behind a barrier of `workers` parties: every
+        // share claims exactly one item before any item finishes, so the
+        // panic lands in the chosen share, the calling thread's or a
+        // spawned worker's, and the caller must see it either way.
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 4] {
+            let items: Vec<usize> = (0..workers).collect();
+            for in_caller in [true, false] {
+                if workers == 1 && !in_caller {
+                    continue; // one worker spawns nothing
+                }
+                let barrier = std::sync::Barrier::new(workers);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    par_map_indexed(&items, workers, |_, &x| {
+                        barrier.wait();
+                        let here = std::thread::current().id() == caller;
+                        assert_ne!(here, in_caller, "this share's item fails on purpose");
+                        x
+                    })
+                }));
+                assert!(run.is_err(), "workers={workers}, in_caller={in_caller}: panic lost");
+            }
         }
     }
 
