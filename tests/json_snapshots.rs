@@ -344,22 +344,28 @@ fn sizerel_snapshot_on_high_arity() {
 /// 250-clause `scale_case`. The relation goldens above pin FM's output
 /// rows; this pins its decisions: how many rows each dedup, subsumption
 /// and Chernikov cut dropped, how many pairs were combined and on which
-/// integer kernel.
+/// integer kernel. The trailing `lp` lines do the same at tier 3, whose
+/// LP implication tests also drop rows: the fixpoint's counters and the
+/// θ projections' counters summed over the SCCs of `analyze`.
 #[test]
 fn sizerel_fm_counters_snapshot() {
-    use argus::linear::fm::{FmConfig, FmStats};
-    fn line(label: &str, program: &Program) -> String {
-        let mut stats = FmStats::default();
-        argus::sizerel::infer_size_relations_instrumented(
-            program,
-            &InferOptions::default(),
-            &FmConfig::default(),
-            &mut stats,
-        );
+    use argus::linear::fm::{FmConfig, FmStats, FmTier};
+    fn counters_line(label: &str, stats: &FmStats) -> String {
         let counters: Vec<String> =
             stats.counters().iter().map(|(name, v)| format!("{name}={v}")).collect();
         format!("{label}: {}\n", counters.join(" "))
     }
+    fn sizerel_line(label: &str, program: &Program, cfg: &FmConfig) -> String {
+        let mut stats = FmStats::default();
+        argus::sizerel::infer_size_relations_instrumented(
+            program,
+            &InferOptions::default(),
+            cfg,
+            &mut stats,
+        );
+        counters_line(label, &stats)
+    }
+    let line = |label: &str, program: &Program| sizerel_line(label, program, &FmConfig::default());
     let mut text = String::new();
     for entry in argus::corpus::corpus() {
         let program = entry.program().unwrap();
@@ -372,5 +378,20 @@ fn sizerel_fm_counters_snapshot() {
     let adorned = argus::logic::adorn_program(&case.program, &case.query, case.adornment);
     text.push_str(&line("scale_a11ce_250 raw", &case.program));
     text.push_str(&line("scale_a11ce_250 adorned", &adorned.program));
+    let lp = FmConfig::tiered(FmTier::Lp);
+    for entry in argus::corpus::corpus() {
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let adorned = argus::logic::adorn_program(&program, &query, adornment.clone());
+        text.push_str(&sizerel_line(&format!("{} raw lp", entry.name), &program, &lp));
+        text.push_str(&sizerel_line(&format!("{} adorned lp", entry.name), &adorned.program, &lp));
+        let options =
+            AnalysisOptions { parallelism: 1, fm_tier: FmTier::Lp, ..AnalysisOptions::default() };
+        let mut theta = FmStats::default();
+        for scc in &analyze(&program, &query, adornment, &options).sccs {
+            theta.merge(&scc.stats.fm);
+        }
+        text.push_str(&counters_line(&format!("{} theta lp", entry.name), &theta));
+    }
     check_golden("sizerel/fm_counters.txt", &text);
 }
