@@ -31,6 +31,26 @@ fn analyze_proved_exits_zero() {
 }
 
 #[test]
+fn undefined_predicate_stderr_is_pinned() {
+    // A typo'd query (`analyze`) and a typo'd target (`infer`) print the
+    // L002 diagnostic with its `did you mean` note, byte for byte.
+    let path = temp_program(APPEND);
+    let p = path.to_str().unwrap();
+    for (args, headline) in [
+        (vec!["analyze", p, "appendd/3", "bff"], "query predicate"),
+        (vec!["infer", p, "appendd/3"], "predicate"),
+    ] {
+        let out = argus().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let expected = format!(
+            "error[L002]: {headline} appendd/3 is not defined in {p}\n   \
+             = note: did you mean `append/3`?\n\n{p}: 1 error(s), 0 warning(s), 0 note(s)\n"
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{args:?}");
+    }
+}
+
+#[test]
 fn analyze_unproved_exits_two() {
     let path = temp_program("p(X) :- p(X).\n");
     let out = argus().args(["analyze", path.to_str().unwrap(), "p/1", "b"]).output().unwrap();
