@@ -23,9 +23,9 @@
 //! * **tier 2** (default) — Chernikov/Imbert ancestor counting: a row
 //!   derived after `k` eliminations from more than `k + 1` original rows
 //!   is redundant and dropped — the classic quasi-redundancy cut;
-//! * **tier 3** — budgeted LP implication probes against the round's
-//!   untouched rows, sharing one warm-started simplex tableau
-//!   ([`crate::simplex::ImplicationProbe`]) across the batch.
+//! * **tier 3** — budgeted LP implication tests: each derived row is
+//!   checked with [`crate::simplex::is_implied`] against a snapshot of
+//!   the round's untouched rows and dropped if they imply it.
 //!
 //! Every tier preserves the projected solution set exactly (lower tiers
 //! just carry more redundant rows), which the proptests in
@@ -49,7 +49,7 @@
 use crate::bigint::BigInt;
 use crate::canon::IntRow;
 use crate::expr::{ConstraintSystem, Rel, Var};
-use crate::simplex::ImplicationProbe;
+use crate::simplex;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -121,7 +121,7 @@ pub enum FmTier {
     /// Plus Chernikov/Imbert ancestor-count quasi-redundancy drops.
     #[default]
     Chernikov,
-    /// Plus budgeted LP implication probes with a warm-started tableau.
+    /// Plus budgeted LP implication tests against the untouched rows.
     Lp,
 }
 
@@ -135,7 +135,7 @@ impl FmTier {
     }
 }
 
-/// Maximum LP implication probes per projection (tier 3 only).
+/// Maximum LP implication tests per projection (tier 3 only).
 const LP_PROBE_BUDGET: usize = 256;
 
 /// Knobs for one elimination/projection run.
@@ -194,7 +194,7 @@ pub struct FmStats {
     pub subsume_hits: u64,
     /// Rows dropped by the Chernikov/Imbert ancestor bound (tier ≥ 2).
     pub chernikov_drops: u64,
-    /// Rows dropped by LP implication probes (tier 3).
+    /// Rows dropped by LP implication tests (tier 3).
     pub lp_drops: u64,
     /// Maximum rows materialized at any point.
     pub peak_rows: u64,
@@ -574,7 +574,7 @@ impl Reducer {
         d: DRow,
         derived: bool,
         stats: &mut FmStats,
-        mut probe: Option<(&mut ImplicationProbe, &mut usize)>,
+        mut lp: Option<(&ConstraintSystem, &mut usize)>,
     ) -> Push {
         match d.row.constant_truth() {
             Some(true) => return Push::Dropped,
@@ -589,7 +589,7 @@ impl Reducer {
             stats.chernikov_drops += 1;
             return Push::Dropped;
         }
-        // Subsumption lookup (mutation deferred until the LP probe passes).
+        // Subsumption lookup (mutation deferred until the LP test passes).
         let subsumes = self.tier >= FmTier::Subsume && d.row.rel == Rel::Le;
         let twin = if subsumes { self.same_direction(&d) } else { None };
         if let Some(i) = twin {
@@ -600,10 +600,10 @@ impl Reducer {
             }
         }
         if derived && self.tier >= FmTier::Lp && d.row.rel == Rel::Le {
-            if let Some((probe, budget)) = probe.as_mut() {
+            if let Some((untouched, budget)) = lp.as_mut() {
                 if **budget > 0 {
                     **budget -= 1;
-                    if probe.implies_le(&d.row.to_constraint().expr) {
+                    if simplex::is_implied(untouched, &BTreeSet::new(), &d.row.to_constraint()) {
                         stats.lp_drops += 1;
                         return Push::Dropped;
                     }
@@ -676,7 +676,7 @@ fn init_rows(sys: &ConstraintSystem, cfg: &FmConfig, stats: &mut FmStats) -> Rou
 
 /// One elimination round for `v` over `rows`. `steps_done` is the number of
 /// variables already eliminated (sets the Imbert ancestor bound);
-/// `lp_budget` is decremented per tier-3 probe.
+/// `lp_budget` is decremented per tier-3 LP.
 fn eliminate_round(
     mut rows: Vec<DRow>,
     v: Var,
@@ -751,19 +751,16 @@ fn eliminate_round(
         }
     }
 
-    // Tier 3: probe derived rows against the untouched rows with one
-    // warm-started tableau (phase 1 solved once, re-priced per row).
-    let mut probe = if cfg.tier >= FmTier::Lp
+    // Tier 3: test derived rows against a snapshot of the untouched rows,
+    // one exact LP per row.
+    let untouched = if cfg.tier >= FmTier::Lp
         && *lp_budget > 0
         && !red.out.is_empty()
         && !lowers.is_empty()
         && !uppers.is_empty()
     {
-        let mut kept_sys = ConstraintSystem::new();
-        for d in &red.out {
-            kept_sys.push(d.row.to_constraint());
-        }
-        Some(ImplicationProbe::new(&kept_sys, &BTreeSet::new()))
+        let rows = red.out.iter().map(|d| d.row.to_constraint()).collect();
+        Some(ConstraintSystem::from_constraints(rows))
     } else {
         None
     };
@@ -790,7 +787,7 @@ fn eliminate_round(
                 DRow::new(row, hist),
                 true,
                 stats,
-                probe.as_mut().map(|p| (p, &mut *lp_budget)),
+                untouched.as_ref().map(|sys| (sys, &mut *lp_budget)),
             );
             match res {
                 Push::Infeasible => return Ok(RoundOut::Infeasible),
@@ -830,42 +827,6 @@ fn rows_to_system(rows: Vec<DRow>) -> ConstraintSystem {
 }
 
 // ------------------------------------------------------------------ driver
-
-/// Eliminate a single variable from `sys` by Fourier–Motzkin.
-///
-/// The result mentions every variable of `sys` except `v` and is satisfiable
-/// by exactly the projections of satisfying points of `sys`. Trivially true
-/// rows are dropped; a trivially false row yields [`FmResult::Infeasible`].
-pub fn eliminate(sys: &ConstraintSystem, v: Var) -> FmResult {
-    let mut stats = FmStats::default();
-    eliminate_with(sys, v, &FmConfig::default(), &mut stats)
-        .expect("uncapped elimination cannot overflow")
-}
-
-/// [`eliminate`] with explicit configuration and counters.
-pub fn eliminate_with(
-    sys: &ConstraintSystem,
-    v: Var,
-    cfg: &FmConfig,
-    stats: &mut FmStats,
-) -> Result<FmResult, FmBlowup> {
-    let rows = match init_rows(sys, cfg, stats) {
-        RoundOut::Infeasible => return Ok(FmResult::Infeasible),
-        RoundOut::Rows(rows) => rows,
-    };
-    if rows.len() > cfg.max_rows {
-        return Err(FmBlowup { rows: rows.len(), max_rows: cfg.max_rows, timed_out: false });
-    }
-    stats.peak_rows = stats.peak_rows.max(rows.len() as u64);
-    let mut lp_budget = LP_PROBE_BUDGET;
-    match eliminate_round(rows, v, 0, cfg, stats, &mut lp_budget)? {
-        RoundOut::Infeasible => Ok(FmResult::Infeasible),
-        RoundOut::Rows(rows) => {
-            stats.peak_rows = stats.peak_rows.max(rows.len() as u64);
-            Ok(FmResult::Projected(rows_to_system(rows)))
-        }
-    }
-}
 
 /// Project `sys` onto `keep`: eliminate every variable not in `keep`.
 /// Variables are eliminated in a greedy order that minimizes the product of
@@ -1018,7 +979,7 @@ mod tests {
         sys.push(Constraint::ge(LinExpr::var(y), LinExpr::zero()));
         sys.push(le(LinExpr::var(y), 1));
         sys.push(Constraint::le(&LinExpr::var(x) + &LinExpr::var(y), LinExpr::constant(r(3, 2))));
-        let out = eliminate(&sys, y).expect_projected();
+        let out = project_onto(&sys, &[x].into()).expect_projected();
         // Projection is 0 <= x <= 1 (x + y <= 3/2 is subsumed for x <= 1).
         let mut p = std::collections::BTreeMap::new();
         p.insert(x, r(1, 1));
@@ -1038,7 +999,7 @@ mod tests {
         let mut sys = ConstraintSystem::new();
         sys.push(Constraint::eq(LinExpr::var(x), &LinExpr::var(y) + &LinExpr::constant(r(1, 1))));
         sys.push(le(LinExpr::var(x), 3));
-        let out = eliminate(&sys, x).expect_projected();
+        let out = project_onto(&sys, &[y].into()).expect_projected();
         let mut p = std::collections::BTreeMap::new();
         p.insert(y, r(2, 1));
         assert!(out.holds_at(&p));
@@ -1053,7 +1014,7 @@ mod tests {
         let mut sys = ConstraintSystem::new();
         sys.push(Constraint::ge(LinExpr::var(x), LinExpr::constant(r(2, 1))));
         sys.push(le(LinExpr::var(x), 1));
-        assert_eq!(eliminate(&sys, x), FmResult::Infeasible);
+        assert_eq!(project_onto(&sys, &BTreeSet::new()), FmResult::Infeasible);
         assert!(!is_satisfiable_fm(&sys));
     }
 
@@ -1066,7 +1027,7 @@ mod tests {
         let mut sys = ConstraintSystem::new();
         sys.push(Constraint::ge(LinExpr::var(x), LinExpr::var(y)));
         sys.push(le(LinExpr::var(y), 7));
-        let out = eliminate(&sys, x).expect_projected();
+        let out = project_onto(&sys, &[y].into()).expect_projected();
         assert_eq!(out.len(), 1);
         assert!(!out.vars().contains(&x));
     }
@@ -1234,7 +1195,8 @@ mod tests {
         for i in 0..10 {
             sys.push(le(&LinExpr::var(0) + &LinExpr::term(2 + i, r(1, 1)), i as i64));
         }
-        match eliminate_with(&sys, 0, &FmConfig::capped(3), &mut FmStats::default()) {
+        let keep: BTreeSet<Var> = (1..12).collect();
+        match project_onto_with(&sys, &keep, &FmConfig::capped(3), &mut FmStats::default()) {
             Err(blowup) => assert!(blowup.rows > 3),
             Ok(_) => panic!("10 substituted rows cannot fit a 3-row cap"),
         }
@@ -1433,7 +1395,8 @@ mod tests {
     /// as an oracle: a `HashSet` of every accepted row for dedup, and a
     /// map from the gcd-divided coefficient vector to the survivor and
     /// its rational bound for subsumption. Its elimination driver scans
-    /// the rows once per candidate variable for the greedy order.
+    /// the rows once per candidate variable for the greedy order. Its
+    /// tier-3 test asks `simplex::is_implied`, as the kernel does.
     mod reference {
         use crate::bigint::BigInt;
         use crate::canon::IntRow;
@@ -1442,7 +1405,7 @@ mod tests {
             check_deadline, FmBlowup, FmConfig, FmStats, FmTier, DEADLINE_STRIDE, LP_PROBE_BUDGET,
         };
         use crate::rat::Rat;
-        use crate::simplex::ImplicationProbe;
+        use crate::simplex;
         use std::collections::{BTreeSet, HashMap, HashSet};
 
         /// A derived row with its ancestor set: the indices of the original
@@ -1530,7 +1493,7 @@ mod tests {
                 d: DRow,
                 derived: bool,
                 stats: &mut FmStats,
-                mut probe: Option<(&mut ImplicationProbe, &mut usize)>,
+                mut lp: Option<(&ConstraintSystem, &mut usize)>,
             ) -> Push {
                 match d.row.constant_truth() {
                     Some(true) => return Push::Dropped,
@@ -1545,7 +1508,7 @@ mod tests {
                     stats.chernikov_drops += 1;
                     return Push::Dropped;
                 }
-                // Subsumption lookup (mutation deferred until the LP probe passes).
+                // Subsumption lookup (mutation deferred until the LP test passes).
                 let subsume_key = if self.tier >= FmTier::Subsume && d.row.rel == Rel::Le {
                     let mut g = BigInt::zero();
                     for (_, k) in &d.row.coeffs {
@@ -1566,10 +1529,14 @@ mod tests {
                     None
                 };
                 if derived && self.tier >= FmTier::Lp && d.row.rel == Rel::Le {
-                    if let Some((probe, budget)) = probe.as_mut() {
+                    if let Some((untouched, budget)) = lp.as_mut() {
                         if **budget > 0 {
                             **budget -= 1;
-                            if probe.implies_le(&d.row.to_constraint().expr) {
+                            if simplex::is_implied(
+                                untouched,
+                                &BTreeSet::new(),
+                                &d.row.to_constraint(),
+                            ) {
                                 stats.lp_drops += 1;
                                 return Push::Dropped;
                             }
@@ -1612,7 +1579,7 @@ mod tests {
 
         /// One elimination round for `v` over `rows`. `steps_done` is the number of
         /// variables already eliminated (sets the Imbert ancestor bound);
-        /// `lp_budget` is decremented per tier-3 probe.
+        /// `lp_budget` is decremented per tier-3 LP.
         fn eliminate_round(
             rows: Vec<DRow>,
             v: Var,
@@ -1695,19 +1662,16 @@ mod tests {
                 }
             }
 
-            // Tier 3: probe derived rows against the untouched rows with one
-            // warm-started tableau (phase 1 solved once, re-priced per row).
-            let mut probe = if cfg.tier >= FmTier::Lp
+            // Tier 3: test derived rows against a snapshot of the untouched rows,
+            // one exact LP per row.
+            let untouched = if cfg.tier >= FmTier::Lp
                 && *lp_budget > 0
                 && !red.out.is_empty()
                 && !lowers.is_empty()
                 && !uppers.is_empty()
             {
-                let mut kept_sys = ConstraintSystem::new();
-                for d in &red.out {
-                    kept_sys.push(d.row.to_constraint());
-                }
-                Some(ImplicationProbe::new(&kept_sys, &BTreeSet::new()))
+                let rows = red.out.iter().map(|d| d.row.to_constraint()).collect();
+                Some(ConstraintSystem::from_constraints(rows))
             } else {
                 None
             };
@@ -1736,7 +1700,7 @@ mod tests {
                         DRow { row, hist },
                         true,
                         stats,
-                        probe.as_mut().map(|p| (p, &mut *lp_budget)),
+                        untouched.as_ref().map(|sys| (sys, &mut *lp_budget)),
                     );
                     match res {
                         Push::Infeasible => return Ok(RoundOut::Infeasible),

@@ -30,10 +30,10 @@
 //! weak join) convert that system to generators once and test each row
 //! against them, solving no LP. Above [`GENERATOR_DIM_MAX`] dimensions,
 //! where the generator count can blow up, and when a conversion gives up
-//! (see [`Generators::of`]), the same questions go to LPs instead: a
-//! warm-started [`simplex::ImplicationProbe`] per batch. Both routes are
-//! exact, so they give the same answers. The two hull routes give the same
-//! set, though not always the same rows.
+//! (see [`Generators::of`]), each row goes to the exact LP test
+//! [`simplex::is_implied`] instead. Both routes are exact, so they give the
+//! same answers. The two hull routes give the same set, though not always
+//! the same rows.
 //!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
@@ -42,7 +42,7 @@ use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
 use crate::fm::{self, FmResult};
 use crate::generators::Generators;
 use crate::rat::Rat;
-use crate::simplex::{self, ImplicationProbe};
+use crate::simplex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -194,7 +194,7 @@ impl Poly {
         if other.sys.is_empty() {
             return true;
         }
-        let mut implier = Implier::new(self);
+        let implier = Implier::new(self);
         other.sys.constraints().iter().all(|c| implier.implies(c))
     }
 
@@ -418,8 +418,8 @@ impl Poly {
 
     /// The rows of `self`, in order, that `other`'s system implies, all
     /// answered against one conversion of `other`.
-    fn rows_implied_by<'a>(&'a self, other: &Poly) -> impl Iterator<Item = &'a Constraint> {
-        let mut implier = Implier::new(other);
+    fn rows_implied_by<'a>(&'a self, other: &'a Poly) -> impl Iterator<Item = &'a Constraint> {
+        let implier = Implier::new(other);
         self.sys.constraints().iter().filter(move |c| implier.implies(c))
     }
 
@@ -472,24 +472,24 @@ impl Poly {
 
 /// Answers "does this polyhedron imply the row?" for a batch of rows:
 /// from its generators when [`Poly::generators`] has them, otherwise by
-/// one warm-started LP probe.
-enum Implier {
+/// one [`simplex::is_implied`] LP per row against its system.
+enum Implier<'a> {
     Generators(Generators),
-    Lp(ImplicationProbe),
+    Lp(&'a ConstraintSystem),
 }
 
-impl Implier {
-    fn new(p: &Poly) -> Implier {
+impl Implier<'_> {
+    fn new(p: &Poly) -> Implier<'_> {
         match p.generators(&p.sys) {
             Some(gens) => Implier::Generators(gens),
-            None => Implier::Lp(ImplicationProbe::new(&p.sys, &BTreeSet::new())),
+            None => Implier::Lp(&p.sys),
         }
     }
 
-    fn implies(&mut self, c: &Constraint) -> bool {
+    fn implies(&self, c: &Constraint) -> bool {
         match self {
             Implier::Generators(gens) => gens.implies(c),
-            Implier::Lp(probe) => probe.implies(c),
+            Implier::Lp(sys) => simplex::is_implied(sys, &BTreeSet::new(), c),
         }
     }
 }

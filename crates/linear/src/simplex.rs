@@ -23,6 +23,11 @@
 //! (so it implies everything), and an infeasible dual means the system is
 //! infeasible or the maximum is unbounded, which one primal feasibility
 //! check tells apart.
+//!
+//! This dual is the crate's one LP implication test. [`is_implied`] asks
+//! it once per row: for polyhedra that the generator route does not cover
+//! ([`crate::poly`]) and for the FM tier 3 redundancy test ([`crate::fm`]).
+//! [`irredundant`] asks it once per row of a leave-one-out pass.
 
 use crate::expr::{Constraint, ConstraintSystem, LinExpr, Rel, Var};
 use crate::rat::Rat;
@@ -31,16 +36,8 @@ use std::collections::{BTreeMap, BTreeSet};
 #[cfg(test)]
 thread_local! {
     /// Unit-test instrumentation: counts the LPs solved (every tableau
-    /// solve, probe construction and probe query) so callers' tests can pin
-    /// "answered without an LP".
+    /// solve) so callers' tests can pin "answered without an LP".
     pub(crate) static LP_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Count one LP solve into `LP_SOLVES` (a no-op outside unit tests).
-#[inline]
-fn count_solve() {
-    #[cfg(test)]
-    LP_SOLVES.with(|c| c.set(c.get() + 1));
 }
 
 /// Result of solving a linear program.
@@ -130,7 +127,7 @@ pub fn feasible_point(
 /// Check whether `candidate` (an inequality or equality) is implied by
 /// `system` over the given sign restrictions: i.e. no feasible point of
 /// `system` violates it. ([`irredundant`] runs a batch of these for
-/// redundancy removal, [`ImplicationProbe`] one against a fixed system.)
+/// redundancy removal.)
 ///
 /// Solved through the Farkas dual (see the module docs).
 pub fn is_implied(
@@ -289,154 +286,6 @@ impl AxisBounds {
     }
 }
 
-/// A warm-started batch variant of [`is_implied`] for a *fixed* system:
-/// phase 1 runs once at construction; each [`ImplicationProbe::implies_le`]
-/// call installs a new objective over the existing feasible basis and runs
-/// only phase 2. Simplex pivots preserve feasibility, so the basis the
-/// previous probe ended on (optimal or mid-ray on an unbounded probe) is a
-/// valid warm start for the next — this is what makes tier-3 FM redundancy
-/// probes affordable across a batch of candidate rows.
-pub struct ImplicationProbe {
-    rows: Vec<Vec<Rat>>,
-    basis: Vec<usize>,
-    /// Structural + slack columns.
-    n: usize,
-    /// Columns including artificials; rhs lives at index `total`.
-    total: usize,
-    var_cols: BTreeMap<Var, (usize, Option<usize>)>,
-    nonneg: BTreeSet<Var>,
-    /// Phase-1 verdict; an infeasible system implies everything.
-    infeasible: bool,
-}
-
-impl ImplicationProbe {
-    /// Prepare probes against `system` with the given sign restrictions.
-    /// Runs phase 1 once.
-    pub fn new(system: &ConstraintSystem, nonneg: &BTreeSet<Var>) -> ImplicationProbe {
-        count_solve();
-        let t = Tableau::build(&LinExpr::zero(), system.constraints().iter(), nonneg);
-        let m = t.rows.len();
-        let n = t.num_cols;
-        let total = n + m;
-        let mut probe = ImplicationProbe {
-            rows: t.rows,
-            basis: Vec::new(),
-            n,
-            total,
-            var_cols: t.var_cols,
-            nonneg: nonneg.clone(),
-            infeasible: false,
-        };
-        if m == 0 {
-            return probe;
-        }
-        // Phase 1, exactly as in `Tableau::solve`.
-        for (i, row) in probe.rows.iter_mut().enumerate() {
-            let rhs = row.pop().expect("rhs");
-            row.extend(std::iter::repeat_with(Rat::zero).take(m));
-            row[n + i] = Rat::one();
-            row.push(rhs);
-        }
-        probe.basis = (n..n + m).collect();
-        let mut obj = vec![Rat::zero(); total + 1];
-        for row in &probe.rows {
-            for j in 0..=total {
-                obj[j] -= &row[j];
-            }
-        }
-        for o in obj.iter_mut().take(total).skip(n) {
-            *o = Rat::zero();
-        }
-        if !Tableau::run_simplex(&mut probe.rows, &mut obj, &mut probe.basis, total) {
-            unreachable!("phase 1 is bounded below by 0");
-        }
-        if obj[total].is_negative() {
-            probe.infeasible = true;
-            return probe;
-        }
-        for i in 0..m {
-            if probe.basis[i] >= n {
-                if let Some(j) = (0..n).find(|&j| !probe.rows[i][j].is_zero()) {
-                    Tableau::pivot(&mut probe.rows, &mut obj, &mut probe.basis, i, j);
-                }
-            }
-        }
-        probe
-    }
-
-    /// Whether the system was infeasible (in which case every candidate is
-    /// vacuously implied).
-    pub fn system_infeasible(&self) -> bool {
-        self.infeasible
-    }
-
-    /// Does the system imply `candidate`? The batch form of [`is_implied`],
-    /// with the same answer: an equality is implied iff both of its
-    /// inequality halves are.
-    pub fn implies(&mut self, candidate: &Constraint) -> bool {
-        self.implies_le(&candidate.expr)
-            && (candidate.rel == Rel::Le || self.implies_le(&-&candidate.expr))
-    }
-
-    /// Does the system imply `expr ≤ 0`? Exact: maximizes `expr` over the
-    /// system by re-pricing the warm tableau and checks the optimum.
-    pub fn implies_le(&mut self, expr: &LinExpr) -> bool {
-        count_solve();
-        if self.infeasible {
-            return true;
-        }
-        // Maximize expr = minimize −expr. Variables absent from the system
-        // are unconstrained by it: a free one with a nonzero coefficient
-        // (or a nonnegative one pushed upward) makes the max unbounded; a
-        // nonnegative one with a negative coefficient sits at 0 and drops.
-        let mut cost = vec![Rat::zero(); self.total + 1];
-        for (v, a) in expr.terms() {
-            match self.var_cols.get(&v) {
-                Some(&(pc, mc)) => {
-                    cost[pc] -= a;
-                    if let Some(mc) = mc {
-                        cost[mc] += a;
-                    }
-                }
-                None => {
-                    if !self.nonneg.contains(&v) || a.is_positive() {
-                        return false;
-                    }
-                }
-            }
-        }
-        if self.rows.is_empty() {
-            // No rows at all: the max over the origin-anchored cone is the
-            // constant iff no coefficient survived above.
-            return !expr.constant_term().is_positive();
-        }
-        // Price out the current basis, then phase 2 with artificials barred.
-        for (i, &b) in self.basis.iter().enumerate() {
-            if b < self.n && !cost[b].is_zero() {
-                let factor = cost[b].clone();
-                for (o, cell) in cost.iter_mut().zip(&self.rows[i]) {
-                    if cell.is_zero() {
-                        continue;
-                    }
-                    *o -= &(&factor * cell);
-                }
-            }
-        }
-        if !Tableau::run_simplex_restricted(
-            &mut self.rows,
-            &mut cost,
-            &mut self.basis,
-            self.total,
-            self.n,
-        ) {
-            return false; // max expr unbounded above
-        }
-        // min(−expr) = −constant + (−cost[total]); max expr = −min(−expr).
-        let min_neg = &(-expr.constant_term().clone()) + &(-cost[self.total].clone());
-        !(-min_neg).is_positive()
-    }
-}
-
 /// Internal dense simplex tableau in equality standard form
 /// `A·x = b, x ≥ 0`, minimize `c·x`.
 struct Tableau {
@@ -591,7 +440,8 @@ impl Tableau {
     }
 
     fn solve(mut self) -> LpOutcome {
-        count_solve();
+        #[cfg(test)]
+        LP_SOLVES.with(|c| c.set(c.get() + 1));
         let m = self.rows.len();
         if m == 0 {
             // No constraints: objective must be constant or the LP is
@@ -955,15 +805,41 @@ mod tests {
 
     #[test]
     fn implication_checks() {
-        // {x <= 1} implies x <= 2 but not x <= 1/2 (x >= 0).
-        let x = 0;
+        let (x, y, z) = (0, 1, 2);
+        let le = |e: LinExpr, k: i64| Constraint::le(e, LinExpr::constant(r(k, 1)));
+        let konst = |k: i64| le(LinExpr::constant(r(k, 1)), 0);
+        // {x <= 1, y <= x} with x, y, z >= 0.
         let mut sys = ConstraintSystem::new();
-        sys.push(Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 1))));
-        let nn = all_nonneg([x]);
-        let weak = Constraint::le(LinExpr::var(x), LinExpr::constant(r(2, 1)));
-        let strong = Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 2)));
-        assert!(is_implied(&sys, &nn, &weak));
-        assert!(!is_implied(&sys, &nn, &strong));
+        sys.push(le(LinExpr::var(x), 1));
+        sys.push(Constraint::le(LinExpr::var(y), LinExpr::var(x)));
+        // {x >= 2, x <= 1}: infeasible.
+        let mut infeasible = ConstraintSystem::new();
+        infeasible.push(Constraint::ge(LinExpr::var(x), LinExpr::constant(r(2, 1))));
+        infeasible.push(le(LinExpr::var(x), 1));
+        let empty = ConstraintSystem::new();
+        let (nn, free) = (all_nonneg([x, y, z]), BTreeSet::new());
+        let cases = [
+            (&sys, &nn, le(LinExpr::var(x), 2), true),
+            (&sys, &nn, Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 2))), false),
+            (&sys, &nn, le(LinExpr::var(y), 1), true),
+            (&sys, &nn, le(&LinExpr::var(x) + &LinExpr::var(y), 2), true),
+            // z is absent from the system: unbounded above, and a
+            // nonnegative z sits at 0 for -z <= 0; a free one does not.
+            (&sys, &nn, le(LinExpr::var(z), 10), false),
+            (&sys, &nn, le(-&LinExpr::var(z), 0), true),
+            (&sys, &free, le(-&LinExpr::var(z), 0), false),
+            // An infeasible system implies everything, a false row too.
+            (&infeasible, &free, konst(5), true),
+            (&infeasible, &free, le(LinExpr::var(z), 0), true),
+            // The empty system implies only true constant rows.
+            (&empty, &free, konst(-1), true),
+            (&empty, &free, konst(1), false),
+            (&empty, &free, le(LinExpr::var(x), 0), false),
+            (&empty, &nn, le(-&LinExpr::var(x), 0), true),
+        ];
+        for (system, nonneg, cand, expected) in cases {
+            assert_eq!(is_implied(system, nonneg, &cand), expected, "{system} ⊨ {cand:?}");
+        }
     }
 
     #[test]
@@ -978,50 +854,6 @@ mod tests {
         assert!(is_implied(&sys, &nn, &cand));
         let wrong = Constraint::eq(LinExpr::var(x), LinExpr::constant(r(1, 1)));
         assert!(!is_implied(&sys, &nn, &wrong));
-    }
-
-    #[test]
-    fn probe_matches_is_implied_across_a_batch() {
-        // {x <= 1, y <= x} with x, y >= 0: one warm tableau, many probes.
-        let (x, y, z) = (0, 1, 2);
-        let mut sys = ConstraintSystem::new();
-        sys.push(Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 1))));
-        sys.push(Constraint::le(LinExpr::var(y), LinExpr::var(x)));
-        let nn = all_nonneg([x, y, z]);
-        let mut probe = ImplicationProbe::new(&sys, &nn);
-        let cases = [
-            (Constraint::le(LinExpr::var(y), LinExpr::constant(r(1, 1))), true),
-            (Constraint::le(LinExpr::var(y), LinExpr::constant(r(1, 2))), false),
-            (Constraint::le(&LinExpr::var(x) + &LinExpr::var(y), LinExpr::constant(r(2, 1))), true),
-            // Mentions z, absent from the system and unbounded above.
-            (Constraint::le(LinExpr::var(z), LinExpr::constant(r(10, 1))), false),
-            // −z <= 0 holds at the nonneg optimum z = 0.
-            (Constraint::le(-&LinExpr::var(z), LinExpr::zero()), true),
-            (Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 1))), true),
-        ];
-        for (cand, expected) in cases {
-            assert_eq!(is_implied(&sys, &nn, &cand), expected, "oracle: {cand:?}");
-            assert_eq!(probe.implies_le(&cand.expr), expected, "probe: {cand:?}");
-        }
-    }
-
-    #[test]
-    fn probe_on_infeasible_system_implies_everything() {
-        let x = 0;
-        let mut sys = ConstraintSystem::new();
-        sys.push(Constraint::ge(LinExpr::var(x), LinExpr::constant(r(2, 1))));
-        sys.push(Constraint::le(LinExpr::var(x), LinExpr::constant(r(1, 1))));
-        let mut probe = ImplicationProbe::new(&sys, &BTreeSet::new());
-        assert!(probe.system_infeasible());
-        assert!(probe.implies_le(&LinExpr::constant(r(5, 1))));
-    }
-
-    #[test]
-    fn probe_with_empty_system() {
-        let mut probe = ImplicationProbe::new(&ConstraintSystem::new(), &BTreeSet::new());
-        assert!(probe.implies_le(&LinExpr::constant(r(-1, 1))));
-        assert!(!probe.implies_le(&LinExpr::constant(r(1, 1))));
-        assert!(!probe.implies_le(&LinExpr::var(0)));
     }
 
     #[test]

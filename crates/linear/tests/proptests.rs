@@ -321,7 +321,8 @@ fn fm_projection_preserves_points() {
     for _ in 0..64 {
         let sys = gen_system(&mut r, 3, 5);
         if let Some(pt) = simplex::feasible_point(&sys, &BTreeSet::new()) {
-            match fm::eliminate(&sys, 0) {
+            let keep: BTreeSet<usize> = sys.vars().into_iter().filter(|&v| v != 0).collect();
+            match fm::project_onto(&sys, &keep) {
                 FmResult::Infeasible => panic!("witness exists yet FM says infeasible:\n{sys}"),
                 FmResult::Projected(projected) => {
                     let mut reduced: BTreeMap<usize, Rat> = pt.clone();
@@ -341,7 +342,8 @@ fn fm_projection_points_extend() {
     let mut r = Rng64::new(0xC0);
     for _ in 0..64 {
         let sys = gen_system(&mut r, 3, 4);
-        if let FmResult::Projected(projected) = fm::eliminate(&sys, 0) {
+        let keep: BTreeSet<usize> = sys.vars().into_iter().filter(|&v| v != 0).collect();
+        if let FmResult::Projected(projected) = fm::project_onto(&sys, &keep) {
             if let Some(ppt) = simplex::feasible_point(&projected, &BTreeSet::new()) {
                 // Substitute the projected values into the original system.
                 let mut narrowed = sys.clone();
