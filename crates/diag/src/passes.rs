@@ -7,7 +7,7 @@ use crate::{Diagnostic, LintContext, LintPass, Severity};
 use argus_logic::modes::is_builtin;
 use argus_logic::parser::variable_spans;
 use argus_logic::span::Span;
-use argus_logic::{PredKey, Rule, Sym};
+use argus_logic::{PredKey, Program, Rule, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// L001: a named variable occurring exactly once in its clause. Almost
@@ -100,6 +100,25 @@ impl LintPass for UndefinedPredicates {
                 }
             }
         }
+    }
+}
+
+/// The L002 error for a predicate named outside the program, such as a
+/// query or an `infer` target, that `program` does not define. It reads
+/// "`{what} {key} is not defined in {place}`", with a `did you mean` note
+/// when [`best_typo_candidate`] finds a defined predicate one edit away.
+pub fn undefined_predicate_error(
+    program: &Program,
+    what: &str,
+    key: &PredKey,
+    place: &str,
+) -> Diagnostic {
+    let defined: Vec<PredKey> = program.idb_predicates().into_iter().collect();
+    let message = format!("{what} {key} is not defined in {place}");
+    let d = Diagnostic::new("L002", Severity::Error, None, message);
+    match best_typo_candidate(key, &defined) {
+        Some(hit) => d.with_note(format!("did you mean `{hit}`?")),
+        None => d,
     }
 }
 

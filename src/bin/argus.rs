@@ -34,6 +34,7 @@
 //! (or lint produced warnings), 1 = usage/parse/lint error.
 
 use argus::baselines::all_methods;
+use argus::diag::passes::undefined_predicate_error;
 use argus::interp::sld::{solve, InterpOptions};
 use argus::logic::parser::{parse_program, parse_query};
 use argus::logic::Norm;
@@ -203,16 +204,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     if !program.idb_predicates().contains(&query) {
         // Route the failure through the diagnostics renderer so the error
         // reads like any other lint finding.
-        let defined: Vec<PredKey> = program.idb_predicates().into_iter().collect();
-        let mut d = Diagnostic::new(
-            "L002",
-            Severity::Error,
-            None,
-            format!("query predicate {query} is not defined in {path}"),
-        );
-        if let Some(hit) = argus::diag::passes::best_typo_candidate(&query, &defined) {
-            d = d.with_note(format!("did you mean `{hit}`?"));
-        }
+        let d = undefined_predicate_error(&program, "query predicate", &query, path);
         eprint!("{}", argus::diag::render::render_text(&[d], "", path));
         return ExitCode::FAILURE;
     }
@@ -587,16 +579,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
                 }
             };
             if !idb.contains(&pred) {
-                let defined: Vec<PredKey> = idb.iter().cloned().collect();
-                let mut d = Diagnostic::new(
-                    "L002",
-                    Severity::Error,
-                    None,
-                    format!("predicate {pred} is not defined in {path}"),
-                );
-                if let Some(hit) = argus::diag::passes::best_typo_candidate(&pred, &defined) {
-                    d = d.with_note(format!("did you mean `{hit}`?"));
-                }
+                let d = undefined_predicate_error(&program, "predicate", &pred, path);
                 eprint!("{}", argus::diag::render::render_text(&[d], &src, path));
                 return ExitCode::FAILURE;
             }
