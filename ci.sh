@@ -15,8 +15,10 @@ fi
 
 echo "==> fast lane: argus-linear unit tests"
 # The exact-arithmetic substrate underpins every soundness claim; run its
-# (cheap, seconds-long) suite first so number bugs fail the gate before
-# the full build/test cycle spends minutes.
+# suite first so number bugs fail the gate before the full build/test
+# cycle. The unit tests take seconds; the whole lane takes about two
+# minutes, nearly all of it one `poly_props` test
+# (`shapes_across_the_dimension_bound_*`).
 cargo test -q -p argus-linear "${CARGO_FLAGS[@]}"
 
 echo "==> cargo fmt --check"
