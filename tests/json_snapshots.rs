@@ -303,6 +303,45 @@ fn sizerel_relations_on_scale_seeds() {
     check_golden("sizerel/scale_seeds.txt", &text);
 }
 
+/// The rendered [`infer_size_relations`] output under `Norm::ListLength`
+/// (the right-spine norm) for every corpus entry, raw and query-adorned,
+/// and for the 250-clause `scale_case`: the goldens above all run the
+/// structural norm. Each is checked first against the per-SCC
+/// `infer_scc_sizes` path under the same norm.
+#[test]
+fn sizerel_relations_under_list_length() {
+    let options = InferOptions { norm: argus::logic::Norm::ListLength, ..InferOptions::default() };
+    let relations = |program: &Program| {
+        let whole = infer_size_relations(program, &options).to_string();
+        let mut per_scc = SizeRelations::new();
+        for (p, poly) in per_scc_sizes(program, &options, |_, _, _| {}).iter() {
+            per_scc.insert(p.clone(), poly.minimized());
+        }
+        assert_eq!(whole, per_scc.to_string());
+        whole
+    };
+    let mut inputs: Vec<(String, Program, PredKey, Adornment)> = argus::corpus::corpus()
+        .iter()
+        .map(|entry| {
+            let (query, adornment) = entry.query_key();
+            (entry.name.to_string(), entry.program().unwrap(), query, adornment)
+        })
+        .collect();
+    let case = argus::fuzz::gen::scale_case(0xA11CE, 250);
+    inputs.push(("scale_a11ce_250".into(), case.program, case.query, case.adornment));
+    let mut text = String::new();
+    for (name, program, query, adornment) in &inputs {
+        let adorned = argus::logic::adorn_program(program, query, adornment.clone());
+        text.push_str(&format!("# {name} raw\n{}", relations(program)));
+        text.push_str(&format!(
+            "# {name} adorned {}\n{}",
+            adorned.query,
+            relations(&adorned.program)
+        ));
+    }
+    check_golden("sizerel/list_length.txt", &text);
+}
+
 /// A recursive SCC whose members settle in different rounds: `a` stops
 /// growing once `b` is nonempty, while `b`'s second argument keeps growing
 /// until widening. `b`'s last rule reads only `a`, so the later rounds
