@@ -99,7 +99,7 @@ const CHECKS: &[Check] = &[
     Check::Min { id: "scale/analyze/50k", key: "analyzed_sccs", floor: 9_000.0 },
     Check::Min { id: "scale/analyze/50k", key: "fm_rows_in", floor: 100_000.0 },
     Check::Min { id: "scale/analyze/50k", key: "fm_pairs_combined", floor: 50_000.0 },
-    // The substrate (interning, arena terms, small-int rows) is a perf
+    // The substrate (interning, small-int rows) is a perf
     // claim, so its end-to-end time is gated: 480 s, ~4× the measured
     // 111 s yet below the 514 s before the substrate. Loaded CI machines
     // stay green; losing the substrate wins does not.

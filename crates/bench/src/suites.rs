@@ -566,8 +566,8 @@ pub fn infer_suite(scale: Scale) -> Vec<Sample> {
 
 /// E14 — the million-clause substrate: generated chains of thousands of
 /// SCCs at 10k–100k clauses, timed per stage (parse, adorn, size-relation
-/// FM, end-to-end analyze). These are the cases the interner + arena +
-/// sparse-row layout exists for; each sample carries deterministic
+/// FM, end-to-end analyze). These are the cases the interner and the
+/// sparse-row layout exist for; each sample carries deterministic
 /// workload counters (rules, predicates, SCCs, FM rows) so `bench_gate`
 /// floors can pin the substrate, not just wall time.
 ///

@@ -421,10 +421,9 @@ impl TerminationReport {
         // they would break byte-stability of the JSON report).
         let _ = writeln!(
             out,
-            "  substrate: {} symbol(s) interned ({} bytes), {} arena byte(s) live",
+            "  substrate: {} symbol(s) interned ({} bytes)",
             argus_logic::intern::symbols_interned(),
             argus_logic::intern::interned_bytes(),
-            argus_logic::arena::arena_bytes(),
         );
         out
     }

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod adorn;
-pub mod arena;
 pub mod cond;
 pub mod depgraph;
 pub mod groundness;
@@ -45,7 +44,6 @@ pub mod term;
 pub mod unify;
 
 pub use adorn::{adorn_program, AdornedProgram};
-pub use arena::{TermArena, TermId};
 pub use cond::Dnf;
 pub use depgraph::DepGraph;
 pub use groundness::{analyze_groundness, Groundness};

@@ -22,7 +22,6 @@
 //! `StructuralSize`; a recursion into the left branch of a tree is
 //! invisible to `ListLength` (the right spine is unchanged).
 
-use crate::arena::{TermArena, TermId};
 use crate::term::{SizePolynomial, Term};
 
 /// A linear term-size measure.
@@ -49,18 +48,6 @@ impl Norm {
                 p
             }
         }
-    }
-
-    /// The size polynomial of an arena-interned term: same result as
-    /// [`Norm::polynomial`] on the tree form, computed on flat indices
-    /// without touching the pointer tree (the fixpoint hot path).
-    pub fn polynomial_id(self, arena: &TermArena, id: TermId) -> SizePolynomial {
-        let mut p = SizePolynomial::default();
-        match self {
-            Norm::StructuralSize => arena.size_polynomial_into(id, &mut p),
-            Norm::ListLength => arena.right_spine_into(id, &mut p),
-        }
-        p
     }
 
     /// Size of a ground term under this norm, if ground.

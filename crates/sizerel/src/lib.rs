@@ -37,8 +37,8 @@
 use argus_linear::fm::{self, FmResult};
 use argus_linear::{Constraint, ConstraintSystem, LinExpr, Poly, Rat, Rel, Var};
 use argus_logic::program::ProcIndex;
-use argus_logic::{DepGraph, Norm, PredKey, Program, Rule, Sym, TermArena, TermId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use argus_logic::{DepGraph, Norm, PredKey, Program, Rule, SizePolynomial, Sym, Term};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Options controlling the fixpoint iteration.
@@ -176,78 +176,47 @@ pub fn rule_poly_instrumented(
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
 ) -> Poly {
-    let mut ctx = SizeCtx::new(norm);
-    let ids = RuleIds::of(rule, &mut ctx);
-    rule_poly_ids(rule, &ids, env, cfg, stats, &mut ctx)
+    rule_poly_of(rule, &RulePolys::of(rule, norm), env, cfg, stats)
 }
 
-/// Per-program size-polynomial context: every argument term is interned
-/// into one flat [`TermArena`] (hash-consed, so repeated argument shapes
-/// share nodes) and its norm polynomial is computed on indices exactly
-/// once, no matter how many fixpoint iterations revisit the rule.
-struct SizeCtx {
-    arena: TermArena,
-    memo: HashMap<TermId, argus_logic::SizePolynomial>,
-    norm: Norm,
-}
-
-impl SizeCtx {
-    fn new(norm: Norm) -> SizeCtx {
-        SizeCtx { arena: TermArena::new(), memo: HashMap::new(), norm }
-    }
-
-    fn poly(&mut self, id: TermId) -> &argus_logic::SizePolynomial {
-        if !self.memo.contains_key(&id) {
-            let p = self.norm.polynomial_id(&self.arena, id);
-            self.memo.insert(id, p);
-        }
-        &self.memo[&id]
-    }
-}
-
-/// Arena ids of one rule's argument terms: `head[i]` for the head,
+/// Size polynomials of one rule's argument terms: `head[i]` for the head,
 /// `body[k][j]` for positive literal `k` (negative literals get an empty
-/// row — they contribute no size information).
-struct RuleIds {
-    head: Vec<TermId>,
-    body: Vec<Vec<TermId>>,
+/// row — they contribute no size information). Built once when the rule's
+/// SCC is first visited, then read by every fixpoint iteration.
+struct RulePolys {
+    head: Vec<SizePolynomial>,
+    body: Vec<Vec<SizePolynomial>>,
 }
 
-impl RuleIds {
-    fn of(rule: &Rule, ctx: &mut SizeCtx) -> RuleIds {
-        RuleIds {
-            head: rule.head.args.iter().map(|t| ctx.arena.insert(t)).collect(),
+impl RulePolys {
+    fn of(rule: &Rule, norm: Norm) -> RulePolys {
+        let polys = |args: &[Term]| args.iter().map(|t| norm.polynomial(t)).collect();
+        RulePolys {
+            head: polys(&rule.head.args),
             body: rule
                 .body
                 .iter()
-                .map(|lit| {
-                    if lit.positive {
-                        lit.atom.args.iter().map(|t| ctx.arena.insert(t)).collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
+                .map(|lit| if lit.positive { polys(&lit.atom.args) } else { Vec::new() })
                 .collect(),
         }
     }
 }
 
-/// [`rule_poly_instrumented`] on pre-interned argument ids — the fixpoint
-/// body. All size polynomials come memoized out of `ctx`.
-fn rule_poly_ids(
+/// [`rule_poly_instrumented`] on the rule's precomputed size polynomials —
+/// the fixpoint body.
+fn rule_poly_of(
     rule: &Rule,
-    ids: &RuleIds,
+    polys: &RulePolys,
     env: &SizeRelations,
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
-    ctx: &mut SizeCtx,
 ) -> Poly {
     let head_arity = rule.head.args.len();
     let mut next: Var = head_arity;
     let mut var_of: BTreeMap<Sym, Var> = BTreeMap::new();
     let mut sys = ConstraintSystem::new();
 
-    let size_expr = |poly: &argus_logic::SizePolynomial,
+    let size_expr = |poly: &SizePolynomial,
                      var_of: &mut BTreeMap<Sym, Var>,
                      next: &mut Var,
                      sys: &mut ConstraintSystem| {
@@ -266,15 +235,14 @@ fn rule_poly_ids(
     };
 
     // Head argument-size equations: x_i = size(t_i), x_i >= 0.
-    for (i, id) in ids.head.iter().enumerate() {
-        let sp = ctx.poly(*id);
+    for (i, sp) in polys.head.iter().enumerate() {
         let e = size_expr(sp, &mut var_of, &mut next, &mut sys);
         sys.push(Constraint::eq(LinExpr::var(i), e));
         sys.push(Constraint::nonneg(i));
     }
 
     // Subgoal contributions.
-    for (lit, lit_ids) in rule.body.iter().zip(&ids.body) {
+    for (lit, lit_polys) in rule.body.iter().zip(&polys.body) {
         if !lit.positive {
             // Negative subgoals yield no size information (Appendix D).
             continue;
@@ -282,21 +250,17 @@ fn rule_poly_ids(
         let key = lit.atom.key();
         match (&*key.name, key.arity) {
             ("=", 2) => {
-                // Unification: equal terms have equal sizes. (`a` is
-                // cloned out of the memo so `b`'s lookup can re-borrow
-                // `ctx`; the expression build order — `ea` before `eb` —
-                // fixes fresh-variable numbering and must not change.)
-                let a = ctx.poly(lit_ids[0]).clone();
-                let ea = size_expr(&a, &mut var_of, &mut next, &mut sys);
-                let b = ctx.poly(lit_ids[1]);
-                let eb = size_expr(b, &mut var_of, &mut next, &mut sys);
+                // Unification: equal terms have equal sizes. (The build
+                // order — `ea` before `eb` — fixes fresh-variable numbering
+                // and must not change.)
+                let ea = size_expr(&lit_polys[0], &mut var_of, &mut next, &mut sys);
+                let eb = size_expr(&lit_polys[1], &mut var_of, &mut next, &mut sys);
                 sys.push(Constraint::eq(ea, eb));
             }
             ("is", 2) => {
                 // The left argument becomes an integer constant, which has
                 // size 0 under either norm.
-                let a = ctx.poly(lit_ids[0]);
-                let ea = size_expr(a, &mut var_of, &mut next, &mut sys);
+                let ea = size_expr(&lit_polys[0], &mut var_of, &mut next, &mut sys);
                 sys.push(Constraint::eq(ea, LinExpr::zero()));
             }
             (op, 2) if argus_logic::modes::TEST_BUILTINS.contains(&op) => {
@@ -314,8 +278,7 @@ fn rule_poly_ids(
                 }
                 let base = next;
                 next += key.arity;
-                for (j, id) in lit_ids.iter().enumerate() {
-                    let sp = ctx.poly(*id);
+                for (j, sp) in lit_polys.iter().enumerate() {
                     let e = size_expr(sp, &mut var_of, &mut next, &mut sys);
                     sys.push(Constraint::eq(LinExpr::var(base + j), e));
                     sys.push(Constraint::nonneg(base + j));
@@ -368,16 +331,8 @@ pub fn infer_size_relations_instrumented(
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
 ) -> SizeRelations {
-    let rule_cfg = fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..*cfg };
-    let hull_cfg =
-        fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..*cfg };
     let graph = DepGraph::build(program);
     let index = ProcIndex::build(program);
-    // One arena + polynomial memo for the whole program: argument-term
-    // polynomials are computed once, then every fixpoint iteration (and
-    // every SCC) reuses them by id.
-    let mut ctx = SizeCtx::new(options.norm);
-    let rule_ids: Vec<RuleIds> = program.rules.iter().map(|r| RuleIds::of(r, &mut ctx)).collect();
     let mut rels = SizeRelations::new();
 
     for scc_id in graph.sccs_bottom_up() {
@@ -387,19 +342,7 @@ pub fn infer_size_relations_instrumented(
             continue; // EDB-only SCC; stays at implicit top.
         }
         let recursive = members.iter().any(|p| graph.is_recursive(p));
-        infer_scc_inner(
-            program,
-            &index,
-            &members,
-            recursive,
-            &mut rels,
-            options,
-            &rule_cfg,
-            &hull_cfg,
-            stats,
-            &mut ctx,
-            &IdsTable::Full(&rule_ids),
-        );
+        infer_scc_inner(program, &index, &members, recursive, &mut rels, options, cfg, stats);
     }
     // Canonicalize: drop redundant rows so downstream consumers (the
     // termination analyzer's Eq. 1 assembly) see minimal systems, matching
@@ -412,30 +355,14 @@ pub fn infer_size_relations_instrumented(
     rels
 }
 
-/// Rule-id lookup used by the shared per-SCC fixpoint body: the global
-/// entry point precomputes ids for the whole program, while the per-SCC
-/// entry point builds them only for the SCC's own rules.
-enum IdsTable<'a> {
-    Full(&'a [RuleIds]),
-    Sparse(&'a BTreeMap<usize, RuleIds>),
-}
-
-impl IdsTable<'_> {
-    fn get(&self, ri: usize) -> &RuleIds {
-        match self {
-            IdsTable::Full(v) => &v[ri],
-            IdsTable::Sparse(m) => &m[&ri],
-        }
-    }
-}
-
 /// The per-SCC inference body shared by [`infer_size_relations_instrumented`]
 /// and [`infer_scc_sizes`]: a single pass for non-recursive SCCs, a Kleene
 /// iteration (semi-naive, delayed widening) for recursive ones. On return `rels`
 /// holds the SCC's *work-state* polyhedra (inserted pre-minimized between
 /// iterations, not re-minimized at the end) — callers that feed the result
 /// to the termination analyzer must still canonicalize with
-/// [`Poly::minimized`].
+/// [`Poly::minimized`]. Each rule's [`RulePolys`] are computed here, once;
+/// the production row caps apply on top of `cfg`.
 #[allow(clippy::too_many_arguments)]
 fn infer_scc_inner(
     program: &Program,
@@ -444,18 +371,19 @@ fn infer_scc_inner(
     recursive: bool,
     rels: &mut SizeRelations,
     options: &InferOptions,
-    rule_cfg: &fm::FmConfig,
-    hull_cfg: &fm::FmConfig,
+    cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
-    ctx: &mut SizeCtx,
-    ids: &IdsTable<'_>,
 ) {
+    let rule_cfg = &fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..*cfg };
+    let hull_cfg =
+        &fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..*cfg };
     // Non-recursive SCC: single pass.
     if !recursive {
         for p in members {
             let mut acc = Poly::empty(p.arity);
             for &ri in index.rule_indices(p) {
-                let rp = rule_poly_ids(&program.rules[ri], ids.get(ri), rels, rule_cfg, stats, ctx);
+                let rp =
+                    rule_poly_instrumented(&program.rules[ri], rels, options.norm, rule_cfg, stats);
                 acc = acc.hull_with(&rp, hull_cfg, stats);
             }
             rels.insert(p.clone(), acc.minimized());
@@ -470,8 +398,10 @@ fn infer_scc_inner(
     // the hull fold restarts at the first rule whose polyhedron changed.
     let slot: BTreeMap<&PredKey, usize> = members.iter().enumerate().map(|(i, p)| (p, i)).collect();
     let mut version = vec![0u64; members.len()];
-    let mut folds: Vec<MemberFold> =
-        members.iter().map(|p| MemberFold::new(index.rule_indices(p), program, &slot)).collect();
+    let mut folds: Vec<MemberFold> = members
+        .iter()
+        .map(|p| MemberFold::new(index.rule_indices(p), program, options.norm, &slot))
+        .collect();
     for p in members {
         rels.insert(p.clone(), Poly::empty(p.arity));
     }
@@ -486,14 +416,8 @@ fn infer_scc_inner(
                 if rule.last.as_ref().is_some_and(|(v, _)| *v == seen) {
                     continue;
                 }
-                let rp = rule_poly_ids(
-                    &program.rules[rule.index],
-                    ids.get(rule.index),
-                    rels,
-                    rule_cfg,
-                    stats,
-                    ctx,
-                );
+                let rp =
+                    rule_poly_of(&program.rules[rule.index], &rule.polys, rels, rule_cfg, stats);
                 if rule.last.as_ref().is_none_or(|(_, poly)| *poly != rp) {
                     first_changed.get_or_insert(k);
                 }
@@ -560,27 +484,35 @@ struct MemberFold {
     prefix: Vec<Poly>,
 }
 
-/// One rule of a recursive member: the SCC members its positive body
-/// atoms read (by slot), and its last polyhedron with the member versions
-/// it was computed from.
+/// One rule of a recursive member: its size polynomials, the SCC members
+/// its positive body atoms read (by slot), and its last polyhedron with
+/// the member versions it was computed from.
 struct RuleEval {
     index: usize,
+    polys: RulePolys,
     reads: Vec<usize>,
     last: Option<(Vec<u64>, Poly)>,
 }
 
 impl MemberFold {
-    fn new(rule_indices: &[usize], program: &Program, slot: &BTreeMap<&PredKey, usize>) -> Self {
+    fn new(
+        rule_indices: &[usize],
+        program: &Program,
+        norm: Norm,
+        slot: &BTreeMap<&PredKey, usize>,
+    ) -> Self {
         let rules = rule_indices
             .iter()
             .map(|&index| {
-                let reads: BTreeSet<usize> = program.rules[index]
+                let rule = &program.rules[index];
+                let reads: BTreeSet<usize> = rule
                     .body
                     .iter()
                     .filter(|lit| lit.positive)
                     .filter_map(|lit| slot.get(&lit.atom.key()).copied())
                     .collect();
-                RuleEval { index, reads: reads.into_iter().collect(), last: None }
+                let polys = RulePolys::of(rule, norm);
+                RuleEval { index, polys, reads: reads.into_iter().collect(), last: None }
             })
             .collect();
         MemberFold { rules, prefix: Vec::new() }
@@ -595,9 +527,7 @@ impl MemberFold {
 /// [`DepGraph::scc`] order, and `recursive` must be the SCC's
 /// [`DepGraph::is_recursive`] status — passing the same values the global
 /// pass derives makes the inserted polyhedra byte-identical to a cold
-/// [`infer_size_relations`] run. A fresh term arena is built for just this
-/// SCC's rules; the arena is a pure memo, so sharing or not sharing it
-/// does not change any result.
+/// [`infer_size_relations`] run.
 pub fn infer_scc_sizes(
     program: &Program,
     index: &ProcIndex,
@@ -607,17 +537,6 @@ pub fn infer_scc_sizes(
     options: &InferOptions,
 ) {
     let cfg = fm::FmConfig::default();
-    let rule_cfg = fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..cfg };
-    let hull_cfg =
-        fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..cfg };
-    let mut stats = fm::FmStats::default();
-    let mut ctx = SizeCtx::new(options.norm);
-    let mut ids: BTreeMap<usize, RuleIds> = BTreeMap::new();
-    for p in members {
-        for &ri in index.rule_indices(p) {
-            ids.entry(ri).or_insert_with(|| RuleIds::of(&program.rules[ri], &mut ctx));
-        }
-    }
     infer_scc_inner(
         program,
         index,
@@ -625,11 +544,8 @@ pub fn infer_scc_sizes(
         recursive,
         rels,
         options,
-        &rule_cfg,
-        &hull_cfg,
-        &mut stats,
-        &mut ctx,
-        &IdsTable::Sparse(&ids),
+        &cfg,
+        &mut fm::FmStats::default(),
     );
 }
 
