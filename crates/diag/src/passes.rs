@@ -124,7 +124,7 @@ pub fn undefined_predicate_error(
 
 /// The unique defined predicate with the same arity within Damerau-
 /// Levenshtein distance 1 of `key`, if any.
-pub fn best_typo_candidate<'a>(key: &PredKey, defined: &'a [PredKey]) -> Option<&'a PredKey> {
+fn best_typo_candidate<'a>(key: &PredKey, defined: &'a [PredKey]) -> Option<&'a PredKey> {
     let mut hits =
         defined.iter().filter(|d| d.arity == key.arity && osa_distance(&d.name, &key.name) == 1);
     let first = hits.next()?;

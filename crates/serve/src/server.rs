@@ -415,15 +415,8 @@ impl ServerState {
                         Err(e) => return bad(e),
                     };
                     if !idb.contains(&key) {
-                        let defined: Vec<PredKey> = idb.iter().cloned().collect();
-                        let mut message = format!("predicate {key} is not defined in the program");
-                        if let Some(hit) = argus_diag::passes::best_typo_candidate(&key, &defined) {
-                            message.push_str(&format!(" (did you mean `{hit}`?)"));
-                        }
-                        return AnalyzeOutcome::Error {
-                            status: 422,
-                            error_obj: error_obj(422, &message, &[]),
-                        };
+                        let error_obj = undefined_predicate_body(&program, "predicate", &key);
+                        return AnalyzeOutcome::Error { status: 422, error_obj };
                     }
                     set.insert(key);
                 }
@@ -698,10 +691,7 @@ impl ServerState {
             Err(e) => return Err(program_parse_error(src, &e)),
         };
         if !program.idb_predicates().contains(&query) {
-            let d = undefined_predicate_error(&program, "query predicate", &query, "the program");
-            let rendered = render_text(std::slice::from_ref(&d), "", "program");
-            let diagnostic = [("diagnostic", json_str(&rendered))];
-            return Err((422, error_obj(422, &d.message, &diagnostic)));
+            return Err((422, undefined_predicate_body(&program, "query predicate", &query)));
         }
 
         let cache_key = analyze_key(&query, &adornment, &options, engine, src);
@@ -736,6 +726,14 @@ fn line_col(src: &str, offset: usize) -> (usize, usize, usize) {
     let line = prefix.bytes().filter(|&b| b == b'\n').count() + 1;
     let col = prefix[prefix.rfind('\n').map_or(0, |i| i + 1)..].chars().count() + 1;
     (off, line, col)
+}
+
+/// The 422 body for a predicate `key` the program does not define: the
+/// L002 message plus the rendered diagnostic, `did you mean` note included.
+fn undefined_predicate_body(program: &Program, what: &str, key: &PredKey) -> String {
+    let d = undefined_predicate_error(program, what, key, "the program");
+    let rendered = render_text(std::slice::from_ref(&d), "", "program");
+    error_obj(422, &d.message, &[("diagnostic", json_str(&rendered))])
 }
 
 /// A caret-rendered one-span diagnostic over `src`.
@@ -1239,7 +1237,16 @@ mod tests {
         let body = format!("{{\"program\":{},\"predicates\":[\"appendd/3\"]}}", json_str(APPEND));
         let resp = s.handle(&post("/v1/infer", &body));
         assert_eq!(resp.status, 422);
-        assert!(String::from_utf8(resp.body).unwrap().contains("did you mean"), "typo hint");
+        // The same L002 body `/v1/analyze` sends for an unknown query.
+        let expected = concat!(
+            r#"{"error":{"status":422,"#,
+            r#""message":"predicate appendd/3 is not defined in the program","#,
+            r#""diagnostic":"error[L002]: predicate appendd/3 is not defined in the program"#,
+            r#"\n   = note: did you mean `append/3`?"#,
+            r#"\n\nprogram: 1 error(s), 0 warning(s), 0 note(s)\n"}}"#,
+            "\n",
+        );
+        assert_eq!(String::from_utf8(resp.body).unwrap(), expected);
         let resp = s.handle(&post("/v1/infer", "{\"program\":\"p.\",\"bogus\":1}"));
         assert_eq!(resp.status, 400);
     }
