@@ -697,7 +697,8 @@ fn eliminate_round(
         let pivot = rows.remove(pi);
         let ce = pivot.row.coeff(v).expect("pivot coefficient").clone();
         let p = ce.abs();
-        let mut red = Reducer::new(cfg.tier, hist_bound, rows.len());
+        let offered = rows.len();
+        let mut red = Reducer::new(cfg.tier, hist_bound, offered);
         for d in rows {
             let Some(cr) = d.row.coeff(v) else {
                 if let Push::Infeasible = red.push(d, false, stats, None) {
@@ -714,18 +715,14 @@ fn eliminate_round(
                 stats.big_combs += 1;
             }
             let hist = d.hist.union(&pivot.hist);
-            match red.push(DRow::new(row, hist), true, stats, None) {
-                Push::Infeasible => return Ok(RoundOut::Infeasible),
-                Push::Added if red.out.len() > cfg.max_rows => {
-                    return Err(FmBlowup {
-                        rows: red.out.len(),
-                        max_rows: cfg.max_rows,
-                        timed_out: false,
-                    });
-                }
-                _ => {}
+            if let Push::Infeasible = red.push(DRow::new(row, hist), true, stats, None) {
+                return Ok(RoundOut::Infeasible);
             }
         }
+        // The round returns fewer rows than it received (the pivot is
+        // gone), and `project_rows` bails out on an input over the cap, so
+        // no row cap check is needed here.
+        debug_assert!(red.out.len() <= offered);
         stats.rows_out += red.out.len() as u64;
         return Ok(RoundOut::Rows(red.out));
     }
@@ -1188,8 +1185,9 @@ mod tests {
 
     #[test]
     fn gaussian_step_respects_the_cap() {
-        // Many inequalities hanging off one equality: the substitution step
-        // itself must honor the row bound.
+        // Many inequalities hanging off one equality: 11 input rows over a
+        // 3-row cap, so the projection bails out on its input, before any
+        // substitution (a Gaussian round never adds rows).
         let mut sys = ConstraintSystem::new();
         sys.push(Constraint::eq(LinExpr::var(0), LinExpr::var(1)));
         for i in 0..10 {
