@@ -181,9 +181,9 @@ echo "==> bench gate (floors and ceilings)"
 # Chernikov, dedup and the projection cache all firing), the incremental
 # and LSP dirty cones (a warm edit recomputes < 10% of the SCC
 # computations, a no-op exactly 0), and the 50k substrate (workload-shape
-# floors, so the generator can't silently shrink, plus a 480 s analyze
-# ceiling, ~4× the reference 111 s yet below the 514 s before it). Wall
-# time is otherwise not gated — only work done.
+# floors, so the generator can't silently shrink, plus a 14 s analyze
+# ceiling, ~4× the committed 3.4 s). Wall time is otherwise not gated —
+# only work done.
 cargo run --release -q -p argus-bench "${CARGO_FLAGS[@]}" \
     --bin bench_gate -- /tmp/argus-bench-smoke.json /tmp/argus-scale-smoke.json
 

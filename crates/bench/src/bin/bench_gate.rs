@@ -99,11 +99,12 @@ const CHECKS: &[Check] = &[
     Check::Min { id: "scale/analyze/50k", key: "analyzed_sccs", floor: 9_000.0 },
     Check::Min { id: "scale/analyze/50k", key: "fm_rows_in", floor: 100_000.0 },
     Check::Min { id: "scale/analyze/50k", key: "fm_pairs_combined", floor: 50_000.0 },
-    // The substrate (interning, small-int rows) is a perf
-    // claim, so its end-to-end time is gated: 480 s, ~4× the measured
-    // 111 s yet below the 514 s before the substrate. Loaded CI machines
-    // stay green; losing the substrate wins does not.
-    Check::Max { id: "scale/analyze/50k", key: "ns_per_iter", ceiling: 480e9 },
+    // The substrate (interning, small-int rows) and the cold fixpoint
+    // work since are perf claims, so the end-to-end time is gated: 14 s,
+    // ~4× the committed single run of 3.42 s (E29; one run of the same
+    // commit has read up to 4.24 s on a loaded 2-core host). Loaded CI
+    // machines stay green; losing several times that speed does not.
+    Check::Max { id: "scale/analyze/50k", key: "ns_per_iter", ceiling: 14e9 },
     // The size-relation fixpoint is semi-naive (E22): a rule polyhedron
     // or hull-fold prefix whose inputs did not change since the last
     // Kleene round is reused, not recomputed. Its FM input rows, per size

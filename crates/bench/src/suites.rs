@@ -564,6 +564,25 @@ pub fn infer_suite(scale: Scale) -> Vec<Sample> {
     out
 }
 
+/// Runs behind each fixpoint and end-to-end sample of [`scale_suite`] up
+/// to 10k clauses: the sample records their median.
+const MEDIAN_RUNS: usize = 5;
+
+/// Time `runs` calls of `f` one at a time: the median time in ns, and the
+/// first run's result (so counters it returns are one run's, not a sum).
+fn median_run<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut first = None;
+    let mut times = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        let start = std::time::Instant::now();
+        let out = f();
+        times.push(start.elapsed().as_nanos() as f64);
+        first.get_or_insert(out);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[runs / 2], first.expect("at least one run"))
+}
+
 /// E14 — the million-clause substrate: generated chains of thousands of
 /// SCCs at 10k–100k clauses, timed per stage (parse, adorn, size-relation
 /// FM, end-to-end analyze). These are the cases the interner and the
@@ -571,11 +590,12 @@ pub fn infer_suite(scale: Scale) -> Vec<Sample> {
 /// workload counters (rules, predicates, SCCs, FM rows) so `bench_gate`
 /// floors can pin the substrate, not just wall time.
 ///
-/// The end-to-end sample is timed as a single run (no warmup) with its
-/// counters read off the same run: at these sizes a second analysis per
-/// case would dominate the whole report, and the deltas the suite tracks
-/// are ≥3×. `ARGUS_SCALE_ONLY=50k,100k` restricts the size list — used to
-/// split the long pre-refactor baseline capture across processes.
+/// The fixpoint and end-to-end samples are timed without warmup, with
+/// their counters read off one run: at 50k and 100k a single run
+/// (seconds each), up to 10k the median of [`MEDIAN_RUNS`] runs, since
+/// one run there spreads by ±25% on a 2-core host, more than a change to
+/// one layer moves it. `ARGUS_SCALE_ONLY=50k,100k` restricts the size
+/// list — used to split a long capture across processes.
 pub fn scale_suite(scale: Scale) -> Vec<Sample> {
     let sizes: &[(&str, usize)] = match scale {
         Scale::Smoke => &[("2k", 2_000)],
@@ -600,9 +620,11 @@ pub fn scale_suite(scale: Scale) -> Vec<Sample> {
             ("predicates", graph.predicates().len() as u64),
             ("sccs", graph.scc_count() as u64),
         ];
-        // Large cases are single-iteration: each run is seconds-to-minutes
-        // pre-refactor, and the deltas this suite tracks are ≥3×.
+        // Parse and adorn are cheap and steady: a mean over two iterations
+        // at 10k, one run at 50k and 100k.
         let iters = if clauses >= 50_000 { 1 } else { scale.iters().min(2) };
+        // Runs per fixpoint and end-to-end sample (see the doc comment).
+        let runs = if clauses <= 10_000 { MEDIAN_RUNS } else { 1 };
 
         out.push(
             bench_case("scale", &format!("parse/{label}"), 0, iters, || {
@@ -623,28 +645,38 @@ pub fn scale_suite(scale: Scale) -> Vec<Sample> {
         // The FM-dominated size-relation stage in isolation, at the small
         // size only: it re-runs the per-SCC fixpoint the end-to-end sample
         // already contains, so one size is enough to pin the stage. Its
-        // FM counters come from the timed run itself, through the
-        // instrumented entry point at the default configuration (what
-        // `infer_size_relations` runs).
+        // FM counters come from one timed run (each run starts from fresh
+        // counters), through the instrumented entry point at the default
+        // configuration (what `infer_size_relations` runs).
         if clauses <= 10_000 {
-            let mut fm_stats = fm::FmStats::default();
-            let sample = bench_case("scale", &format!("sizerel-fm/{label}"), 0, 1, || {
+            let (ns, fm_stats) = median_run(runs, || {
+                let mut fm_stats = fm::FmStats::default();
                 black_box(argus_sizerel::infer_size_relations_instrumented(
                     black_box(&program),
                     &argus_sizerel::InferOptions::default(),
                     &fm::FmConfig::default(),
                     &mut fm_stats,
-                ))
+                ));
+                fm_stats
             });
             let mut counters = shape.clone();
             counters.push(("fm_rows_in", fm_stats.rows_in));
             counters.push(("fm_pairs_combined", fm_stats.pairs_combined));
-            out.push(sample.with_counters(counters));
+            out.push(
+                Sample {
+                    suite: "scale".to_string(),
+                    name: format!("sizerel-fm/{label}"),
+                    iters: runs as u32,
+                    ns_per_iter: ns,
+                    counters: Vec::new(),
+                }
+                .with_counters(counters),
+            );
         }
         let options = AnalysisOptions::default();
-        let start = std::time::Instant::now();
-        let report = black_box(analyze(&program, &case.query, case.adornment.clone(), &options));
-        let analyze_ns = start.elapsed().as_nanos() as f64;
+        let (analyze_ns, report) = median_run(runs, || {
+            black_box(analyze(&program, &case.query, case.adornment.clone(), &options))
+        });
         let mut fm_stats = fm::FmStats::default();
         for scc in &report.sccs {
             fm_stats.merge(&scc.stats.fm);
@@ -657,7 +689,7 @@ pub fn scale_suite(scale: Scale) -> Vec<Sample> {
             Sample {
                 suite: "scale".to_string(),
                 name: format!("analyze/{label}"),
-                iters: 1,
+                iters: runs as u32,
                 ns_per_iter: analyze_ns,
                 counters: Vec::new(),
             }

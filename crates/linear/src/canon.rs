@@ -70,6 +70,18 @@ impl IntRow {
         Constraint { expr, rel: self.rel }
     }
 
+    /// The row with every variable `v` renamed to `v + by`. The renaming
+    /// keeps the variables' order, so the result is the canonical form of
+    /// the renamed row: `of_constraint(c).shifted(by)` equals
+    /// `of_constraint` of `c` renamed.
+    pub fn shifted(&self, by: Var) -> IntRow {
+        IntRow {
+            coeffs: self.coeffs.iter().map(|(v, k)| (v + by, k.clone())).collect(),
+            constant: self.constant.clone(),
+            rel: self.rel,
+        }
+    }
+
     /// The coefficient of `v`, if present.
     pub fn coeff(&self, v: Var) -> Option<&BigInt> {
         self.coeffs.binary_search_by_key(&v, |(w, _)| *w).ok().map(|i| &self.coeffs[i].1)

@@ -340,6 +340,13 @@ type KeyIndex = HashMap<u64, u32, BuildHasherDefault<PreHashed>>;
 /// End of an index chain.
 const NIL: u32 = u32::MAX;
 
+#[cfg(test)]
+thread_local! {
+    /// Unit-test instrumentation: counts [`Reducer::new`] calls, so the
+    /// tests can pin one reducer per projection.
+    static REDUCERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// A row's ancestor set: a bitset over the ids of the original rows it
 /// was combined from (an original row's id is its index in the input
 /// system). Imbert's bound says a row with more than `k + 1` ancestors
@@ -501,6 +508,9 @@ enum Seen {
 /// coefficient gcds. Both answer exactly the questions a set of rows and
 /// a map from direction to tightest bound would, so every drop,
 /// replacement and counter is the same as with those structures.
+///
+/// One reducer serves a whole projection: [`Reducer::reset`] empties it
+/// between rounds and keeps its allocations.
 struct Reducer {
     tier: FmTier,
     /// Chernikov ancestor bound for derived rows (`usize::MAX` disables).
@@ -518,10 +528,12 @@ struct Reducer {
 }
 
 impl Reducer {
-    fn new(tier: FmTier, hist_bound: usize, capacity: usize) -> Reducer {
+    fn new(tier: FmTier, capacity: usize) -> Reducer {
+        #[cfg(test)]
+        REDUCERS.with(|c| c.set(c.get() + 1));
         Reducer {
             tier,
-            hist_bound,
+            hist_bound: usize::MAX,
             out: Vec::with_capacity(capacity),
             retired: Vec::new(),
             seen_heads: KeyIndex::with_capacity_and_hasher(capacity, Default::default()),
@@ -529,6 +541,25 @@ impl Reducer {
             dir_heads: KeyIndex::with_capacity_and_hasher(capacity, Default::default()),
             dirs: Vec::with_capacity(capacity),
         }
+    }
+
+    /// Empty every list and index for a new round with ancestor bound
+    /// `hist_bound`, keeping the allocations.
+    fn reset(&mut self, hist_bound: usize) {
+        self.hist_bound = hist_bound;
+        self.out.clear();
+        self.retired.clear();
+        self.seen_heads.clear();
+        self.seen.clear();
+        self.dir_heads.clear();
+        self.dirs.clear();
+    }
+
+    /// The survivors, with the emptied `spare` taking their place as the
+    /// next round's output buffer.
+    fn take_out(&mut self, spare: Vec<DRow>) -> Vec<DRow> {
+        debug_assert!(spare.is_empty());
+        std::mem::replace(&mut self.out, spare)
     }
 
     fn seen_row(&self, at: Seen) -> &IntRow {
@@ -660,25 +691,27 @@ fn check_deadline(cfg: &FmConfig, rows: usize) -> Result<(), FmBlowup> {
 /// stride just keeps the common (no-deadline) path branch-cheap.
 const DEADLINE_STRIDE: u64 = 256;
 
-/// Convert and initially reduce the input system. Every row gets a fresh
-/// ancestor id; the Chernikov bound never applies to originals.
-fn init_rows(sys: &ConstraintSystem, cfg: &FmConfig, stats: &mut FmStats) -> RoundOut {
-    let originals = sys.len();
-    let mut red = Reducer::new(cfg.tier, usize::MAX, originals);
-    for (i, c) in sys.constraints().iter().enumerate() {
-        let d = DRow::new(IntRow::of_constraint(c), Ancestors::single(i, originals));
+/// Initially reduce the input rows. Every row gets a fresh ancestor id;
+/// the Chernikov bound never applies to originals.
+fn init_rows(rows: Vec<IntRow>, red: &mut Reducer, stats: &mut FmStats) -> RoundOut {
+    let originals = rows.len();
+    red.reset(usize::MAX);
+    for (i, row) in rows.into_iter().enumerate() {
+        let d = DRow::new(row, Ancestors::single(i, originals));
         if let Push::Infeasible = red.push(d, false, stats, None) {
             return RoundOut::Infeasible;
         }
     }
-    RoundOut::Rows(red.out)
+    RoundOut::Rows(red.take_out(Vec::with_capacity(originals)))
 }
 
-/// One elimination round for `v` over `rows`. `steps_done` is the number of
-/// variables already eliminated (sets the Imbert ancestor bound);
-/// `lp_budget` is decremented per tier-3 LP.
+/// One elimination round for `v` over `rows`, through the projection's
+/// reducer `red`. `steps_done` is the number of variables already
+/// eliminated (sets the Imbert ancestor bound); `lp_budget` is decremented
+/// per tier-3 LP.
 fn eliminate_round(
     mut rows: Vec<DRow>,
+    red: &mut Reducer,
     v: Var,
     steps_done: usize,
     cfg: &FmConfig,
@@ -688,7 +721,7 @@ fn eliminate_round(
     stats.eliminations += 1;
     stats.rows_in += rows.len() as u64;
     check_deadline(cfg, rows.len())?;
-    let hist_bound = steps_done.saturating_add(2);
+    red.reset(steps_done.saturating_add(2));
 
     // Gaussian step: the first equality mentioning v substitutes it away.
     let pivot_idx = rows.iter().position(|d| d.row.rel == Rel::Eq && d.row.coeff(v).is_some());
@@ -698,8 +731,7 @@ fn eliminate_round(
         let ce = pivot.row.coeff(v).expect("pivot coefficient").clone();
         let p = ce.abs();
         let offered = rows.len();
-        let mut red = Reducer::new(cfg.tier, hist_bound, offered);
-        for d in rows {
+        for d in rows.drain(..) {
             let Some(cr) = d.row.coeff(v) else {
                 if let Push::Infeasible = red.push(d, false, stats, None) {
                     return Ok(RoundOut::Infeasible);
@@ -724,15 +756,14 @@ fn eliminate_round(
         // no row cap check is needed here.
         debug_assert!(red.out.len() <= offered);
         stats.rows_out += red.out.len() as u64;
-        return Ok(RoundOut::Rows(red.out));
+        return Ok(RoundOut::Rows(red.take_out(rows)));
     }
 
     // Pure inequality elimination. A row (a·v + rest ≤ 0) with a > 0 is an
     // upper bound on v; with a < 0 a lower bound.
     let mut uppers: Vec<(BigInt, DRow)> = Vec::new();
     let mut lowers: Vec<(BigInt, DRow)> = Vec::new();
-    let mut red = Reducer::new(cfg.tier, hist_bound, rows.len());
-    for d in rows {
+    for d in rows.drain(..) {
         let Some(a) = d.row.coeff(v) else {
             if let Push::Infeasible = red.push(d, false, stats, None) {
                 return Ok(RoundOut::Infeasible);
@@ -800,7 +831,7 @@ fn eliminate_round(
         }
     }
     stats.rows_out += red.out.len() as u64;
-    Ok(RoundOut::Rows(red.out))
+    Ok(RoundOut::Rows(red.take_out(rows)))
 }
 
 /// Render surviving rows back to a [`ConstraintSystem`]: equalities first
@@ -877,21 +908,37 @@ pub fn project_onto_with(
     cfg: &FmConfig,
     stats: &mut FmStats,
 ) -> Result<FmResult, FmBlowup> {
-    Ok(match project_rows(sys, keep, cfg, stats)? {
+    let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
+    project_int_rows_with(rows, keep, cfg, stats)
+}
+
+/// [`project_onto_with`] on a system already in canonical integer form:
+/// `rows[i]` is `IntRow::of_constraint` of the system's `i`-th row. The
+/// result, the bailouts and every counter are those of
+/// [`project_onto_with`] on that system; no row is converted.
+pub fn project_int_rows_with(
+    rows: Vec<IntRow>,
+    keep: &BTreeSet<Var>,
+    cfg: &FmConfig,
+    stats: &mut FmStats,
+) -> Result<FmResult, FmBlowup> {
+    Ok(match project_rows(rows, keep, cfg, stats)? {
         RoundOut::Rows(rows) => FmResult::Projected(rows_to_system(rows)),
         RoundOut::Infeasible => FmResult::Infeasible,
     })
 }
 
-/// The elimination loop of [`project_onto_with`]: the surviving rows in
-/// survivor order, before [`rows_to_system`] sorts them.
+/// The elimination loop of [`project_int_rows_with`], with one reducer
+/// for every round: the surviving rows in survivor order, before
+/// [`rows_to_system`] sorts them.
 fn project_rows(
-    sys: &ConstraintSystem,
+    rows: Vec<IntRow>,
     keep: &BTreeSet<Var>,
     cfg: &FmConfig,
     stats: &mut FmStats,
 ) -> Result<RoundOut, FmBlowup> {
-    let mut rows = match init_rows(sys, cfg, stats) {
+    let mut red = Reducer::new(cfg.tier, rows.len());
+    let mut rows = match init_rows(rows, &mut red, stats) {
         RoundOut::Infeasible => return Ok(RoundOut::Infeasible),
         RoundOut::Rows(rows) => rows,
     };
@@ -932,7 +979,7 @@ fn project_rows(
         let Some(best) = occurrences.iter().min_by_key(|o| o.cost()) else {
             return Ok(RoundOut::Rows(rows));
         };
-        rows = match eliminate_round(rows, best.var, steps, cfg, stats, &mut lp_budget)? {
+        rows = match eliminate_round(rows, &mut red, best.var, steps, cfg, stats, &mut lp_budget)? {
             RoundOut::Infeasible => return Ok(RoundOut::Infeasible),
             RoundOut::Rows(next) => next,
         };
@@ -1298,7 +1345,8 @@ mod tests {
         what: &str,
     ) -> FmStats {
         let (mut got_stats, mut want_stats) = (FmStats::default(), FmStats::default());
-        let got = project_rows(sys, keep, cfg, &mut got_stats);
+        let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
+        let got = project_rows(rows, keep, cfg, &mut got_stats);
         let want = reference::project_rows(sys, keep, cfg, &mut want_stats);
         assert_eq!(got_stats, want_stats, "counters differ on {what}");
         match (got, want) {
@@ -1316,6 +1364,16 @@ mod tests {
             ),
         }
         got_stats
+    }
+
+    #[test]
+    fn one_reducer_per_projection() {
+        for seed in 0..200u64 {
+            let (sys, keep) = reducer_system(seed);
+            let before = REDUCERS.with(|c| c.get());
+            let _ = project_onto_with(&sys, &keep, &FmConfig::capped(400), &mut FmStats::default());
+            assert_eq!(REDUCERS.with(|c| c.get()) - before, 1, "seed {seed}");
+        }
     }
 
     #[test]

@@ -42,6 +42,14 @@ use crate::canon::IntRow;
 use crate::expr::{Constraint, LinExpr, Rel};
 use crate::rat::Rat;
 
+#[cfg(test)]
+thread_local! {
+    /// Unit-test instrumentation: counts H→V conversions
+    /// ([`Generators::of`]), so the tests can pin how often a
+    /// polyhedron is converted.
+    pub(crate) static CONVERSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Ray-count ceiling for one conversion. Each constraint step tests
 /// adjacency over every straddling pair against every ray, so past this
 /// the LP route is the cheaper exact answer.
@@ -94,10 +102,12 @@ pub struct Generators {
 }
 
 impl Generators {
-    /// Convert the rows over `0..dim` (every variable `< dim`) to
-    /// generators. `None` when an integer leaves `i64` or the rays pass
-    /// [`MAX_RAYS`].
-    pub fn of(dim: usize, rows: &[Constraint]) -> Option<Generators> {
+    /// Convert the rows over `0..dim` (every variable `< dim`), in
+    /// canonical integer form, to generators. `None` when an integer
+    /// leaves `i64` or the rays pass [`MAX_RAYS`].
+    pub fn of(dim: usize, rows: &[IntRow]) -> Option<Generators> {
+        #[cfg(test)]
+        CONVERSIONS.with(|c| c.set(c.get() + 1));
         let width = dim + 1;
         let nbits = rows.len() + 1;
         let mut cone = Cone {
@@ -111,7 +121,7 @@ impl Generators {
         cone.intersect(0, &t_nonneg, Rel::Le)?;
         // Equalities first: each one cuts the dimension before any
         // inequality multiplies the rays.
-        let ints = rows.iter().map(|c| int_row(c, dim)).collect::<Option<Vec<_>>>()?;
+        let ints = rows.iter().map(|row| int_row(row, dim)).collect::<Option<Vec<_>>>()?;
         for rel in [Rel::Eq, Rel::Le] {
             for (i, (row, c)) in ints.iter().zip(rows).enumerate() {
                 if c.rel == rel {
@@ -127,13 +137,12 @@ impl Generators {
         self.rays.iter().all(|r| r[r.len() - 1] == 0)
     }
 
-    /// Does every point of the polyhedron satisfy `c` (variables `< dim`)?
-    /// An empty polyhedron implies everything.
-    pub fn implies(&self, c: &Constraint) -> bool {
+    /// Does every point of the polyhedron satisfy `row` (variables
+    /// `< dim`)? An empty polyhedron implies everything.
+    pub fn implies(&self, row: &IntRow) -> bool {
         if self.is_empty() {
             return true;
         }
-        let row = IntRow::of_constraint(c);
         let sign = |g: &[i64]| {
             let mut at = &row.constant * &BigInt::from(g[g.len() - 1]);
             for (v, k) in &row.coeffs {
@@ -142,7 +151,7 @@ impl Generators {
             at.sign()
         };
         self.lines.iter().all(|l| sign(l) == Sign::Zero)
-            && self.rays.iter().all(|r| match c.rel {
+            && self.rays.iter().all(|r| match row.rel {
                 Rel::Le => sign(r) != Sign::Positive,
                 Rel::Eq => sign(r) == Sign::Zero,
             })
@@ -361,10 +370,9 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
     a
 }
 
-/// The homogenized integer row `(h, k)` of `c` over `0..dim`, scaled to
-/// primitive integers as [`IntRow`] does, or `None` outside `i64`.
-fn int_row(c: &Constraint, dim: usize) -> Option<Vec<i64>> {
-    let row = IntRow::of_constraint(c);
+/// The homogenized integer row `(h, k)` of `row` over `0..dim`, or `None`
+/// outside `i64`.
+fn int_row(row: &IntRow, dim: usize) -> Option<Vec<i64>> {
     let mut out = vec![0; dim + 1];
     for (v, k) in &row.coeffs {
         out[*v] = k.to_i64()?;

@@ -27,17 +27,24 @@
 //!   equalities.
 //!
 //! Implication batches against one fixed system (widening, inclusion, the
-//! weak join) convert that system to generators once and test each row
-//! against them, solving no LP. Above [`GENERATOR_DIM_MAX`] dimensions,
-//! where the generator count can blow up, and when a conversion gives up
-//! (see [`Generators::of`]), each row goes to the exact LP test
-//! [`simplex::is_implied`] instead. Both routes are exact, so they give the
-//! same answers. The two hull routes give the same set, though not always
-//! the same rows.
+//! weak join) test each row against that system's generators, solving no
+//! LP. Above [`GENERATOR_DIM_MAX`] dimensions, where the generator count
+//! can blow up, and when a conversion gives up (see [`Generators::of`]),
+//! each row goes to the exact LP test [`simplex::is_implied`] instead.
+//! Both routes are exact, so they give the same answers. The two hull
+//! routes give the same set, though not always the same rows.
+//!
+//! A polyhedron converts its rows to generators at most once: the first
+//! operation that needs them fills a cache that clones share, and
+//! emptiness, implication, inclusion, hulls, widening and minimization
+//! all read it. A second cache holds the rows in canonical integer form
+//! ([`Poly::int_rows`]), the form Fourier–Motzkin and the generators take
+//! them in.
 //!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
 
+use crate::canon::IntRow;
 use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
 use crate::fm::{self, FmResult};
 use crate::generators::Generators;
@@ -45,6 +52,7 @@ use crate::rat::Rat;
 use crate::simplex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Row cap for [`Poly::hull`]. On the generator route it caps the exact
 /// hull's rows; on the FM route, the lifted projection's. Past it the hull
@@ -62,7 +70,7 @@ pub const GENERATOR_DIM_MAX: usize = 6;
 ///
 /// An explicitly-empty polyhedron is represented by `empty = true`; the
 /// constraint system is then irrelevant.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Poly {
     dim: usize,
     sys: ConstraintSystem,
@@ -73,6 +81,15 @@ pub struct Poly {
     /// system is one too); every other constructor clears it. A cache of a
     /// derived property, so equality ignores it.
     minimal: bool,
+    /// `Generators::of` of exactly these rows over `0..dim`,
+    /// filled on first use: `None` above [`GENERATOR_DIM_MAX`] or when the
+    /// conversion gives up. Only a polyhedron with the same `dim` and rows
+    /// may share it, because the generators' order and the hull rows read
+    /// off them depend on how the rows are written, not only on the set.
+    gens: OnceLock<Option<Arc<Generators>>>,
+    /// The rows in canonical integer form, `IntRow::of_constraint` of
+    /// each, filled on first use.
+    int_rows: OnceLock<Arc<[IntRow]>>,
 }
 
 impl PartialEq for Poly {
@@ -83,12 +100,30 @@ impl PartialEq for Poly {
 
 impl Eq for Poly {}
 
+/// The fields a derived `Debug` printed before the caches existed: the
+/// caches are derived data and never part of any output.
+impl fmt::Debug for Poly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Poly")
+            .field("dim", &self.dim)
+            .field("sys", &self.sys)
+            .field("empty", &self.empty)
+            .field("minimal", &self.minimal)
+            .finish()
+    }
+}
+
 impl Poly {
+    /// A polyhedron with empty caches.
+    fn new(dim: usize, sys: ConstraintSystem, empty: bool, minimal: bool) -> Poly {
+        Poly { dim, sys, empty, minimal, gens: OnceLock::new(), int_rows: OnceLock::new() }
+    }
+
     /// The full space ℚⁿ, restricted by nothing (note: *not* restricted to
     /// nonnegatives; callers wanting size semantics should use
     /// [`Poly::nonneg_universe`]).
     pub fn universe(dim: usize) -> Poly {
-        Poly { dim, sys: ConstraintSystem::new(), empty: false, minimal: false }
+        Poly::new(dim, ConstraintSystem::new(), false, false)
     }
 
     /// The nonnegative orthant `xᵢ ≥ 0` for all dimensions — the natural
@@ -99,18 +134,18 @@ impl Poly {
         for v in 0..dim {
             sys.push(Constraint::nonneg(v));
         }
-        Poly { dim, sys, empty: false, minimal: false }
+        Poly::new(dim, sys, false, false)
     }
 
     /// The empty polyhedron.
     pub fn empty(dim: usize) -> Poly {
-        Poly { dim, sys: ConstraintSystem::new(), empty: true, minimal: false }
+        Poly::new(dim, ConstraintSystem::new(), true, false)
     }
 
     /// Build from constraints (variables must be `< dim`).
     pub fn from_constraints(dim: usize, sys: ConstraintSystem) -> Poly {
         debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        let mut p = Poly { dim, sys, empty: false, minimal: false };
+        let mut p = Poly::new(dim, sys, false, false);
         if p.compute_is_empty() {
             p.empty = true;
         }
@@ -122,10 +157,11 @@ impl Poly {
     /// trusting `empty` instead of re-running the feasibility LP. Intended
     /// for deserializing polyhedra this library produced (e.g. the
     /// incremental analyzer's on-disk cache); handing it an inconsistent
-    /// `empty` flag yields a polyhedron that misreports emptiness.
+    /// `empty` flag yields a polyhedron that misreports emptiness. Its
+    /// caches start empty.
     pub fn from_raw_parts(dim: usize, sys: ConstraintSystem, empty: bool) -> Poly {
         debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        Poly { dim, sys, empty, minimal: false }
+        Poly::new(dim, sys, empty, false)
     }
 
     /// Number of dimensions.
@@ -136,6 +172,14 @@ impl Poly {
     /// The constraints (meaningless if [`Poly::is_empty`]).
     pub fn constraints(&self) -> &ConstraintSystem {
         &self.sys
+    }
+
+    /// The constraints in canonical integer form, in order: each row's
+    /// `IntRow::of_constraint`, converted once per polyhedron and shared
+    /// by its clones.
+    pub fn int_rows(&self) -> &[IntRow] {
+        self.int_rows
+            .get_or_init(|| self.sys.constraints().iter().map(IntRow::of_constraint).collect())
     }
 
     /// True iff the polyhedron has no points.
@@ -151,7 +195,7 @@ impl Poly {
     }
 
     fn compute_is_empty(&self) -> bool {
-        match self.generators(&self.sys) {
+        match self.generators() {
             Some(gens) => gens.is_empty(),
             None => simplex::feasible_point(&self.sys, &BTreeSet::new()).is_none(),
         }
@@ -195,7 +239,7 @@ impl Poly {
             return true;
         }
         let implier = Implier::new(self);
-        other.sys.constraints().iter().all(|c| implier.implies(c))
+        other.rows().all(|row| implier.implies(row))
     }
 
     /// Does every point of the polyhedron satisfy `c`? An empty polyhedron
@@ -205,7 +249,8 @@ impl Poly {
         if self.empty {
             return true;
         }
-        c.expr.vars().all(|v| v < self.dim) && Implier::new(self).implies(c)
+        c.expr.vars().all(|v| v < self.dim)
+            && Implier::new(self).implies((c, &IntRow::of_constraint(c)))
     }
 
     /// Semantic equality (mutual inclusion).
@@ -222,7 +267,7 @@ impl Poly {
         }
         let keep: BTreeSet<Var> = (0..self.dim).filter(|v| !drop.contains(v)).collect();
         match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly { dim: self.dim, sys, empty: false, minimal: false },
+            FmResult::Projected(sys) => Poly::new(self.dim, sys, false, false),
             FmResult::Infeasible => Poly::empty(self.dim),
         }
     }
@@ -236,14 +281,14 @@ impl Poly {
         }
         let keep: BTreeSet<Var> = (0..new_dim).collect();
         match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly { dim: new_dim, sys, empty: false, minimal: false },
+            FmResult::Projected(sys) => Poly::new(new_dim, sys, false, false),
             FmResult::Infeasible => Poly::empty(new_dim),
         }
     }
 
     /// Rename dimensions through `map` (entries absent map to themselves).
     pub fn rename(&self, map: &BTreeMap<Var, Var>, new_dim: usize) -> Poly {
-        Poly { dim: new_dim, sys: self.sys.rename(map), empty: self.empty, minimal: false }
+        Poly::new(new_dim, self.sys.rename(map), self.empty, false)
     }
 
     /// Closed convex hull of the union (the abstract `join`), with the
@@ -278,12 +323,9 @@ impl Poly {
             Some(rows) if rows.len() > cfg.max_rows => self.weak_join(other),
             // Irredundant, so `minimized` would return the deduplicated
             // rows unchanged.
-            Some(rows) => Poly {
-                dim: self.dim,
-                sys: ConstraintSystem::from_constraints(rows).dedup(),
-                empty: false,
-                minimal: true,
-            },
+            Some(rows) => {
+                Poly::new(self.dim, ConstraintSystem::from_constraints(rows).dedup(), false, true)
+            }
             None => self.lifted_hull(other, cfg, stats),
         }
     }
@@ -292,13 +334,13 @@ impl Poly {
     /// generators; `None` where [`Poly::generators`] gives none or a
     /// conversion gives up.
     fn generator_hull(&self, other: &Poly) -> Option<Vec<Constraint>> {
-        let (a, b) = (self.generators(&self.sys)?, other.generators(&other.sys)?);
+        let (a, b) = (self.generators()?, other.generators()?);
         if a.is_empty() || b.is_empty() {
             // Only a `from_raw_parts` flag can disagree with the rows;
             // the FM route keeps its old answer for that.
             return None;
         }
-        Generators::hull_rows(self.dim, &[&a, &b])
+        Generators::hull_rows(self.dim, &[a, b])
     }
 
     /// The Benoy–King hull: the λ-lift of both operands projected onto
@@ -360,7 +402,7 @@ impl Poly {
             Ok(FmResult::Projected(sys)) => {
                 // The hull contains both operands, and neither is empty, so
                 // it is not empty either: no feasibility LP on the result.
-                let hull = Poly { dim: n, sys: sys.dedup(), empty: false, minimal: false };
+                let hull = Poly::new(n, sys.dedup(), false, false);
                 debug_assert!(!hull.compute_is_empty(), "hull of nonempty operands is empty");
                 hull
             }
@@ -386,7 +428,7 @@ impl Poly {
         for c in self.rows_implied_by(other).chain(other.rows_implied_by(self)) {
             rows.push(c.clone());
         }
-        Poly { dim: self.dim, sys: rows.dedup(), empty: false, minimal: false }
+        Poly::new(self.dim, rows.dedup(), false, false)
     }
 
     /// Standard widening: keep those constraints of `self` (the previous
@@ -398,7 +440,8 @@ impl Poly {
     /// `self.widen(other)` equals `self.widen(&self.hull(other))`, and a
     /// fixpoint engine widens against the next iterate without joining
     /// first. The kept rows are a subset of `self`'s, in order, so a
-    /// [`Poly::is_minimal`] `self` gives a minimal result.
+    /// [`Poly::is_minimal`] `self` gives a minimal result. A widening that
+    /// keeps every row is `self` again, caches included.
     pub fn widen(&self, other: &Poly) -> Poly {
         assert_eq!(self.dim, other.dim, "dimension mismatch in widen");
         if self.empty {
@@ -407,29 +450,36 @@ impl Poly {
         if other.empty {
             return self.clone();
         }
-        let kept = self.rows_implied_by(other).cloned().collect();
-        Poly {
-            dim: self.dim,
-            sys: ConstraintSystem::from_constraints(kept),
-            empty: false,
-            minimal: self.minimal,
+        let kept: Vec<Constraint> = self.rows_implied_by(other).cloned().collect();
+        if kept.len() == self.sys.len() {
+            return self.clone();
         }
+        Poly::new(self.dim, ConstraintSystem::from_constraints(kept), false, self.minimal)
     }
 
     /// The rows of `self`, in order, that `other`'s system implies, all
-    /// answered against one conversion of `other`.
+    /// answered against `other`'s generators.
     fn rows_implied_by<'a>(&'a self, other: &'a Poly) -> impl Iterator<Item = &'a Constraint> {
         let implier = Implier::new(other);
-        self.sys.constraints().iter().filter(move |c| implier.implies(c))
+        self.rows().filter(move |&row| implier.implies(row)).map(|(c, _)| c)
     }
 
-    /// The generators of `sys` over this polyhedron's dimensions; `None`
-    /// above [`GENERATOR_DIM_MAX`] or when the conversion gives up.
-    fn generators(&self, sys: &ConstraintSystem) -> Option<Generators> {
-        if self.dim > GENERATOR_DIM_MAX {
-            return None;
-        }
-        Generators::of(self.dim, sys.constraints())
+    /// Each row with its canonical integer form.
+    fn rows(&self) -> impl Iterator<Item = (&Constraint, &IntRow)> {
+        self.sys.constraints().iter().zip(self.int_rows())
+    }
+
+    /// The generators of this polyhedron's rows, from the cache (converted
+    /// on first use); `None` above [`GENERATOR_DIM_MAX`] or when the
+    /// conversion gives up.
+    fn generators(&self) -> Option<&Generators> {
+        self.gens
+            .get_or_init(|| {
+                let gens = (self.dim <= GENERATOR_DIM_MAX)
+                    .then(|| Generators::of(self.dim, self.int_rows()));
+                gens.flatten().map(Arc::new)
+            })
+            .as_deref()
     }
 
     /// Remove redundant constraints (each one implied by the others) to get
@@ -444,27 +494,43 @@ impl Poly {
     /// the cheap syntactic dedup is applied (the result is the same set,
     /// just less canonical). A [`Poly::is_minimal`] input is returned as
     /// is, and an infeasible system becomes [`Poly::empty`].
+    ///
+    /// The generators are the cached ones when deduplication leaves the
+    /// rows as they are (every system the fixpoint builds is already
+    /// deduplicated), and a result that keeps every row shares them.
     pub fn minimized(&self) -> Poly {
         if self.empty || self.minimal {
             return self.clone();
         }
         let deduped = self.sys.dedup();
         if deduped.len() > 160 {
-            return Poly { dim: self.dim, sys: deduped, empty: false, minimal: false };
+            return Poly::new(self.dim, deduped, false, false);
         }
-        if let Some(gens) = self.generators(&deduped) {
+        let fresh = if deduped == self.sys {
+            None
+        } else {
+            Some(Poly::new(self.dim, deduped, false, false))
+        };
+        let source = fresh.as_ref().unwrap_or(self);
+        if let Some(gens) = source.generators() {
             if gens.is_empty() {
                 return Poly::empty(self.dim);
             }
-            if let Some(keep) = gens.facets(deduped.constraints()) {
-                let rows = deduped.constraints().iter().zip(keep).filter(|&(_, k)| k);
+            if let Some(keep) = gens.facets(source.sys.constraints()) {
+                if keep.iter().all(|&k| k) {
+                    return match fresh {
+                        Some(p) => Poly { minimal: true, ..p },
+                        None => Poly { minimal: true, ..self.clone() },
+                    };
+                }
+                let rows = source.sys.constraints().iter().zip(keep).filter(|&(_, k)| k);
                 let sys =
                     ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect());
-                return Poly { dim: self.dim, sys, empty: false, minimal: true };
+                return Poly::new(self.dim, sys, false, true);
             }
         }
-        match simplex::irredundant(&deduped, &mut simplex::LpStats::default()) {
-            Some(sys) => Poly { dim: self.dim, sys, empty: false, minimal: true },
+        match simplex::irredundant(&source.sys, &mut simplex::LpStats::default()) {
+            Some(sys) => Poly::new(self.dim, sys, false, true),
             None => Poly::empty(self.dim),
         }
     }
@@ -474,21 +540,22 @@ impl Poly {
 /// from its generators when [`Poly::generators`] has them, otherwise by
 /// one [`simplex::is_implied`] LP per row against its system.
 enum Implier<'a> {
-    Generators(Generators),
+    Generators(&'a Generators),
     Lp(&'a ConstraintSystem),
 }
 
 impl Implier<'_> {
     fn new(p: &Poly) -> Implier<'_> {
-        match p.generators(&p.sys) {
+        match p.generators() {
             Some(gens) => Implier::Generators(gens),
             None => Implier::Lp(&p.sys),
         }
     }
 
-    fn implies(&self, c: &Constraint) -> bool {
+    /// Is the row, given with its canonical integer form, implied?
+    fn implies(&self, (c, row): (&Constraint, &IntRow)) -> bool {
         match self {
-            Implier::Generators(gens) => gens.implies(c),
+            Implier::Generators(gens) => gens.implies(row),
             Implier::Lp(sys) => simplex::is_implied(sys, &BTreeSet::new(), c),
         }
     }
@@ -760,6 +827,56 @@ mod tests {
             } else {
                 assert!(lps > 0 && infeasible_lps > 0, "dim {dim}");
             }
+        }
+    }
+
+    /// The H→V conversions `f` runs.
+    fn conversions<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let count = || crate::generators::CONVERSIONS.with(|c| c.get());
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn each_polyhedron_converts_to_generators_once() {
+        let cfg = fm::FmConfig::capped(HULL_ROW_CAP);
+        let nonneg = Constraint::nonneg(0);
+        for dim in [2, GENERATOR_DIM_MAX] {
+            // Deduplicated rows, as the fixpoint writes them, so that
+            // `minimized` converts no other system; no conversion yet.
+            let fixed = |hi| Poly::from_raw_parts(dim, cut_box(dim, hi).sys.dedup(), false);
+            let (a, b) = (fixed(2), fixed(3));
+            let (copies, n) = conversions(|| {
+                let mut copies = Vec::new();
+                for _ in 0..3 {
+                    let hull = a.hull_with(&b, &cfg, &mut fm::FmStats::default());
+                    assert!(hull.same_set(&b));
+                    assert!(a.includes_in(&b) && !b.includes_in(&a));
+                    assert!(a.implies(&nonneg) && b.implies(&nonneg));
+                    b.widen(&a);
+                    a.widen(&b);
+                    a.minimized();
+                    b.minimized();
+                    copies.push(a.clone());
+                }
+                copies
+            });
+            // `same_set` above converts each hull once.
+            assert_eq!(n, 2 + 3, "dim {dim}");
+            let (_, n) = conversions(|| {
+                for copy in &copies {
+                    copy.hull_with(&b, &cfg, &mut fm::FmStats::default());
+                    assert!(copy.includes_in(&b) && copy.implies(&nonneg));
+                    b.widen(copy);
+                    copy.minimized();
+                }
+            });
+            assert_eq!(n, 0, "dim {dim}: clones share the conversion");
+            // Deciding emptiness fills the cache too.
+            let (p, n) = conversions(|| Poly::from_constraints(dim, b.sys.clone()));
+            let (_, again) = conversions(|| (p.includes_in(&a), a.widen(&p), p.minimized()));
+            assert_eq!((n, again), (1, 0), "dim {dim}");
         }
     }
 

@@ -702,3 +702,107 @@ fn fold_prefix_systems_match_primal_lp() {
     }
     assert_eq!(reduced, GENERATOR_DIM_MAX + 1, "a system without redundant rows");
 }
+
+/// A copy of `p` with empty caches.
+fn uncached(p: &Poly) -> Poly {
+    Poly::from_raw_parts(p.dim(), p.constraints().clone(), p.is_empty())
+}
+
+/// The answers of every cache-reading operation on `(old, new)`: both
+/// hulls, both widenings, both minimizations, both inclusions and
+/// `implies` on `probes`. Each of the six results, whose caches may be
+/// shared with an operand, must also answer inclusion both ways against
+/// each operand as a copy of it with empty caches does. (A copy made by
+/// `from_raw_parts` does not keep the `is_minimal` flag, which `widen`
+/// passes on, so the flags are left out.)
+fn cached_ops(old: &Poly, new: &Poly, probes: &[Constraint]) -> impl PartialEq + std::fmt::Debug {
+    let cfg = FmConfig::capped(HULL_ROW_CAP);
+    let results = [
+        old.hull_with(new, &cfg, &mut FmStats::default()),
+        new.hull(old),
+        old.widen(new),
+        new.widen(old),
+        old.minimized(),
+        new.minimized(),
+    ];
+    let inclusions =
+        |r: &Poly| [r.includes_in(old), old.includes_in(r), r.includes_in(new), new.includes_in(r)];
+    for r in &results {
+        assert_eq!(inclusions(r), inclusions(&uncached(r)), "result:\n{r}");
+    }
+    (
+        results,
+        [old.includes_in(new), new.includes_in(old)],
+        probes.iter().map(|c| [old.implies(c), new.implies(c)]).collect::<Vec<_>>(),
+    )
+}
+
+/// A polyhedron whose generator and integer-row caches are filled gives
+/// the answers of a copy with empty caches, and so does a clone that
+/// shares them: the caches only spare conversions. Random pairs and the
+/// shapes above (lines, implicit equalities, constant rows), on both
+/// sides of the dimension bound.
+#[test]
+fn cached_answers_match_a_fresh_copy() {
+    let mut r = Rng64::new(0xCAC4E);
+    for dim in dims_across_the_bound() {
+        for _ in 0..30 {
+            let (old, new) = match r.below(3) {
+                0 => gen_pair(&mut r, dim, 2 * dim + 2),
+                1 => (gen_shape(&mut r, dim), gen_shape(&mut r, dim)),
+                _ => {
+                    let old = gen_shape(&mut r, dim);
+                    let new = old.hull(&gen_poly(&mut r, dim, 2 * dim + 2));
+                    (old, new)
+                }
+            };
+            let mut probes: Vec<Constraint> = old.constraints().constraints().to_vec();
+            probes.extend(new.constraints().constraints().iter().cloned());
+            probes.push(random_row(&mut r, dim, None, Rel::Le));
+            probes.push(random_row(&mut r, dim, None, Rel::Eq));
+            probes.push(Constraint::nonneg(dim));
+            let fresh = cached_ops(&uncached(&old), &uncached(&new), &probes);
+            let filling = cached_ops(&old, &new, &probes);
+            let ctx = format!("old:\n{old}\nnew:\n{new}");
+            assert_eq!(filling, fresh, "{ctx}");
+            assert_eq!(cached_ops(&old, &new, &probes), fresh, "filled caches; {ctx}");
+            assert_eq!(cached_ops(&old.clone(), &new.clone(), &probes), fresh, "clones; {ctx}");
+        }
+    }
+}
+
+/// Fourier–Motzkin on a system's canonical integer rows equals it on the
+/// system, and integer rows renamed by a shift equal the rows of the
+/// renamed system (how the fixpoint splices a callee's relation onto its
+/// argument-size variables): the same projection or bailout and the same
+/// counters, at every tier.
+#[test]
+fn fm_on_int_rows_matches_fm_on_the_system() {
+    use argus_linear::fm::{self, FmTier};
+    use argus_linear::IntRow;
+    let mut r = Rng64::new(0x1D7);
+    for tier in FmTier::ALL {
+        for _ in 0..150 {
+            let dim = r.range_usize(2, 7);
+            let sys = random_system(&mut r, dim, 12);
+            let keep: BTreeSet<Var> = (0..dim).filter(|_| r.bool()).collect();
+            let cfg = FmConfig { tier, max_rows: 300, deadline: None };
+            let by = r.range_usize(0, 4);
+            let map: BTreeMap<Var, Var> = (0..dim).map(|v| (v, v + by)).collect();
+            let keep_shifted: BTreeSet<Var> = keep.iter().map(|v| v + by).collect();
+            let rows = |shift: usize| -> Vec<IntRow> {
+                sys.constraints().iter().map(|c| IntRow::of_constraint(c).shifted(shift)).collect()
+            };
+            for (system, keep, rows) in
+                [(sys.clone(), &keep, rows(0)), (sys.rename(&map), &keep_shifted, rows(by))]
+            {
+                let (mut want, mut got) = (FmStats::default(), FmStats::default());
+                let expected = fm::project_onto_with(&system, keep, &cfg, &mut want);
+                let projected = fm::project_int_rows_with(rows, keep, &cfg, &mut got);
+                let ctx = format!("{tier:?}, keep {keep:?}:\n{system}");
+                assert_eq!(projected, expected, "{ctx}");
+                assert_eq!(got.counters(), want.counters(), "{ctx}");
+            }
+        }
+    }
+}

@@ -35,9 +35,9 @@
 #![warn(missing_docs)]
 
 use argus_linear::fm::{self, FmResult};
-use argus_linear::{Constraint, ConstraintSystem, LinExpr, Poly, Rat, Rel, Var};
+use argus_linear::{Constraint, ConstraintSystem, IntRow, LinExpr, Poly, Rat, Rel, Var};
 use argus_logic::program::ProcIndex;
-use argus_logic::{DepGraph, Norm, PredKey, Program, Rule, SizePolynomial, Sym, Term};
+use argus_logic::{DepGraph, Norm, PredKey, Program, Rule, Sym, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -176,125 +176,161 @@ pub fn rule_poly_instrumented(
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
 ) -> Poly {
-    rule_poly_of(rule, &RulePolys::of(rule, norm), env, cfg, stats)
+    rule_poly_of(&RulePolys::of(rule, norm), env, cfg, stats)
 }
 
-/// Size polynomials of one rule's argument terms: `head[i]` for the head,
-/// `body[k][j]` for positive literal `k` (negative literals get an empty
-/// row — they contribute no size information). Built once when the rule's
-/// SCC is first visited, then read by every fixpoint iteration.
+/// One rule's size system without its callee relations, built once when
+/// the rule's SCC is first visited and read by every fixpoint iteration:
+/// the rows that do not depend on the environment, in canonical integer
+/// form and in the order the system writes them, and where each ordinary
+/// subgoal's relation goes among them.
 struct RulePolys {
-    head: Vec<SizePolynomial>,
-    body: Vec<Vec<SizePolynomial>>,
+    head_arity: usize,
+    /// The head dimensions, which the projection keeps.
+    keep: BTreeSet<Var>,
+    fixed: Vec<IntRow>,
+    callees: Vec<Callee>,
+}
+
+/// An ordinary subgoal of a rule, whose relation the environment supplies.
+struct Callee {
+    /// How many of the rule's fixed rows precede the relation's rows.
+    at: usize,
+    key: PredKey,
+    /// The first of the subgoal's argument-size variables: the relation's
+    /// dimension `j` is variable `base + j`.
+    base: Var,
+    /// The rows of top (sizes nonnegative) on those variables, which
+    /// stand in for a predicate the environment does not hold.
+    top: Vec<IntRow>,
 }
 
 impl RulePolys {
+    /// The construction of [`rule_poly_instrumented`] (paper §2.2 + §3),
+    /// with the term size polynomials computed once by `norm`.
     fn of(rule: &Rule, norm: Norm) -> RulePolys {
-        let polys = |args: &[Term]| args.iter().map(|t| norm.polynomial(t)).collect();
+        let head_arity = rule.head.args.len();
+        let mut next: Var = head_arity;
+        let mut var_of: BTreeMap<Sym, Var> = BTreeMap::new();
+        let mut sys = ConstraintSystem::new();
+        let mut callees = Vec::new();
+
+        let size_expr = |term: &Term,
+                         var_of: &mut BTreeMap<Sym, Var>,
+                         next: &mut Var,
+                         sys: &mut ConstraintSystem| {
+            let poly = norm.polynomial(term);
+            let mut e = LinExpr::constant(Rat::from_int(poly.constant as i64));
+            for (name, coeff) in &poly.coeffs {
+                let v = *var_of.entry(*name).or_insert_with(|| {
+                    let v = *next;
+                    *next += 1;
+                    // Logical-variable sizes are nonnegative (§2.2).
+                    sys.push(Constraint::nonneg(v));
+                    v
+                });
+                e.add_term(v, Rat::from_int(*coeff as i64));
+            }
+            e
+        };
+
+        // Head argument-size equations: x_i = size(t_i), x_i >= 0.
+        for (i, t) in rule.head.args.iter().enumerate() {
+            let e = size_expr(t, &mut var_of, &mut next, &mut sys);
+            sys.push(Constraint::eq(LinExpr::var(i), e));
+            sys.push(Constraint::nonneg(i));
+        }
+
+        // Subgoal contributions.
+        for lit in &rule.body {
+            if !lit.positive {
+                // Negative subgoals yield no size information (Appendix D).
+                continue;
+            }
+            let args = &lit.atom.args;
+            let key = lit.atom.key();
+            match (&*key.name, key.arity) {
+                ("=", 2) => {
+                    // Unification: equal terms have equal sizes. (The build
+                    // order — `ea` before `eb` — fixes fresh-variable
+                    // numbering and must not change.)
+                    let ea = size_expr(&args[0], &mut var_of, &mut next, &mut sys);
+                    let eb = size_expr(&args[1], &mut var_of, &mut next, &mut sys);
+                    sys.push(Constraint::eq(ea, eb));
+                }
+                ("is", 2) => {
+                    // The left argument becomes an integer constant, which
+                    // has size 0 under either norm.
+                    let ea = size_expr(&args[0], &mut var_of, &mut next, &mut sys);
+                    sys.push(Constraint::eq(ea, LinExpr::zero()));
+                }
+                (op, 2) if argus_logic::modes::TEST_BUILTINS.contains(&op) => {
+                    // Comparisons supply no size contribution (paper, Ex.
+                    // 5.1: "the subgoal X =< Y does not supply any
+                    // contribution").
+                }
+                _ => {
+                    // Ordinary subgoal: allocate argument-size vars, equate
+                    // with term sizes; the predicate's polyhedron is
+                    // instantiated on them at evaluation.
+                    let base = next;
+                    next += key.arity;
+                    for (j, t) in args.iter().enumerate() {
+                        let e = size_expr(t, &mut var_of, &mut next, &mut sys);
+                        sys.push(Constraint::eq(LinExpr::var(base + j), e));
+                        sys.push(Constraint::nonneg(base + j));
+                    }
+                    let top = (0..key.arity).map(|j| Constraint::nonneg(base + j));
+                    let top = top.map(|c| IntRow::of_constraint(&c)).collect();
+                    callees.push(Callee { at: sys.len(), key, base, top });
+                }
+            }
+        }
         RulePolys {
-            head: polys(&rule.head.args),
-            body: rule
-                .body
-                .iter()
-                .map(|lit| if lit.positive { polys(&lit.atom.args) } else { Vec::new() })
-                .collect(),
+            head_arity,
+            keep: (0..head_arity).collect(),
+            fixed: sys.constraints().iter().map(IntRow::of_constraint).collect(),
+            callees,
         }
     }
 }
 
-/// [`rule_poly_instrumented`] on the rule's precomputed size polynomials —
-/// the fixpoint body.
+/// [`rule_poly_instrumented`] on the rule's prebuilt rows — the fixpoint
+/// body. FM receives the fixed rows with each callee's relation rows,
+/// renamed onto its argument-size variables, spliced in at their place:
+/// the system the construction writes, already in integer form.
 fn rule_poly_of(
-    rule: &Rule,
     polys: &RulePolys,
     env: &SizeRelations,
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
 ) -> Poly {
-    let head_arity = rule.head.args.len();
-    let mut next: Var = head_arity;
-    let mut var_of: BTreeMap<Sym, Var> = BTreeMap::new();
-    let mut sys = ConstraintSystem::new();
-
-    let size_expr = |poly: &SizePolynomial,
-                     var_of: &mut BTreeMap<Sym, Var>,
-                     next: &mut Var,
-                     sys: &mut ConstraintSystem| {
-        let mut e = LinExpr::constant(Rat::from_int(poly.constant as i64));
-        for (name, coeff) in &poly.coeffs {
-            let v = *var_of.entry(*name).or_insert_with(|| {
-                let v = *next;
-                *next += 1;
-                // Logical-variable sizes are nonnegative (§2.2).
-                sys.push(Constraint::nonneg(v));
-                v
-            });
-            e.add_term(v, Rat::from_int(*coeff as i64));
+    let head_arity = polys.head_arity;
+    let mut relations = Vec::with_capacity(polys.callees.len());
+    for callee in &polys.callees {
+        let approx = env.get(&callee.key);
+        if approx.is_some_and(Poly::is_empty) {
+            // The subgoal is (currently) underivable: this rule
+            // contributes nothing.
+            return Poly::empty(head_arity);
         }
-        e
-    };
-
-    // Head argument-size equations: x_i = size(t_i), x_i >= 0.
-    for (i, sp) in polys.head.iter().enumerate() {
-        let e = size_expr(sp, &mut var_of, &mut next, &mut sys);
-        sys.push(Constraint::eq(LinExpr::var(i), e));
-        sys.push(Constraint::nonneg(i));
+        relations.push(approx);
     }
-
-    // Subgoal contributions.
-    for (lit, lit_polys) in rule.body.iter().zip(&polys.body) {
-        if !lit.positive {
-            // Negative subgoals yield no size information (Appendix D).
-            continue;
-        }
-        let key = lit.atom.key();
-        match (&*key.name, key.arity) {
-            ("=", 2) => {
-                // Unification: equal terms have equal sizes. (The build
-                // order — `ea` before `eb` — fixes fresh-variable numbering
-                // and must not change.)
-                let ea = size_expr(&lit_polys[0], &mut var_of, &mut next, &mut sys);
-                let eb = size_expr(&lit_polys[1], &mut var_of, &mut next, &mut sys);
-                sys.push(Constraint::eq(ea, eb));
-            }
-            ("is", 2) => {
-                // The left argument becomes an integer constant, which has
-                // size 0 under either norm.
-                let ea = size_expr(&lit_polys[0], &mut var_of, &mut next, &mut sys);
-                sys.push(Constraint::eq(ea, LinExpr::zero()));
-            }
-            (op, 2) if argus_logic::modes::TEST_BUILTINS.contains(&op) => {
-                // Comparisons supply no size contribution (paper, Ex. 5.1:
-                // "the subgoal X =< Y does not supply any contribution").
-            }
-            _ => {
-                // Ordinary subgoal: allocate argument-size vars, equate with
-                // term sizes, and instantiate the predicate's polyhedron.
-                let approx = env.get_or_top(&key);
-                if approx.is_empty() {
-                    // The subgoal is (currently) underivable: this rule
-                    // contributes nothing.
-                    return Poly::empty(head_arity);
-                }
-                let base = next;
-                next += key.arity;
-                for (j, sp) in lit_polys.iter().enumerate() {
-                    let e = size_expr(sp, &mut var_of, &mut next, &mut sys);
-                    sys.push(Constraint::eq(LinExpr::var(base + j), e));
-                    sys.push(Constraint::nonneg(base + j));
-                }
-                let map: BTreeMap<Var, Var> = (0..key.arity).map(|j| (j, base + j)).collect();
-                for c in approx.constraints().constraints() {
-                    sys.push(c.rename(&map));
-                }
-            }
+    let mut rows = Vec::with_capacity(polys.fixed.len());
+    let mut done = 0;
+    for (callee, approx) in polys.callees.iter().zip(relations) {
+        rows.extend_from_slice(&polys.fixed[done..callee.at]);
+        done = callee.at;
+        match approx {
+            Some(approx) => rows.extend(approx.int_rows().iter().map(|r| r.shifted(callee.base))),
+            None => rows.extend_from_slice(&callee.top),
         }
     }
+    rows.extend_from_slice(&polys.fixed[done..]);
 
     // Project onto the head dimensions; exceeding the caller's row cap
     // falls back to the sound top element (sizes nonnegative, nothing more).
-    let keep: BTreeSet<Var> = (0..head_arity).collect();
-    match fm::project_onto_with(&sys, &keep, cfg, stats) {
+    match fm::project_int_rows_with(rows, &polys.keep, cfg, stats) {
         Ok(FmResult::Projected(projected)) => Poly::from_constraints(head_arity, projected.dedup()),
         Ok(FmResult::Infeasible) => Poly::empty(head_arity),
         Err(_) => Poly::nonneg_universe(head_arity),
@@ -416,8 +452,7 @@ fn infer_scc_inner(
                 if rule.last.as_ref().is_some_and(|(v, _)| *v == seen) {
                     continue;
                 }
-                let rp =
-                    rule_poly_of(&program.rules[rule.index], &rule.polys, rels, rule_cfg, stats);
+                let rp = rule_poly_of(&rule.polys, rels, rule_cfg, stats);
                 if rule.last.as_ref().is_none_or(|(_, poly)| *poly != rp) {
                     first_changed.get_or_insert(k);
                 }
@@ -484,11 +519,10 @@ struct MemberFold {
     prefix: Vec<Poly>,
 }
 
-/// One rule of a recursive member: its size polynomials, the SCC members
+/// One rule of a recursive member: its prebuilt rows, the SCC members
 /// its positive body atoms read (by slot), and its last polyhedron with
 /// the member versions it was computed from.
 struct RuleEval {
-    index: usize,
     polys: RulePolys,
     reads: Vec<usize>,
     last: Option<(Vec<u64>, Poly)>,
@@ -512,7 +546,7 @@ impl MemberFold {
                     .filter_map(|lit| slot.get(&lit.atom.key()).copied())
                     .collect();
                 let polys = RulePolys::of(rule, norm);
-                RuleEval { index, polys, reads: reads.into_iter().collect(), last: None }
+                RuleEval { polys, reads: reads.into_iter().collect(), last: None }
             })
             .collect();
         MemberFold { rules, prefix: Vec::new() }
