@@ -378,6 +378,59 @@ fn sizerel_snapshot_on_high_arity() {
     check_golden("sizerel/high_arity.txt", &sizerel_snapshot(&program));
 }
 
+/// The larger fixpoints, pinned by digest: one Fnv64 line per
+/// `scale_case` program, raw and query-adorned, under each norm. A line
+/// digests the rendered [`infer_size_relations`] text, every SCC's
+/// work-state rows with its members' empty and minimal flags from the
+/// per-SCC pass, and every `FmStats` counter of the whole-program
+/// fixpoint at each FM tier. The programs are too large to pin as text.
+#[test]
+fn sizerel_digests_on_larger_scale_cases() {
+    use argus::linear::fm::{FmConfig, FmStats, FmTier};
+    use argus::logic::hash::Fnv64;
+    use argus::logic::Norm;
+    fn digest(program: &Program, norm: Norm) -> u64 {
+        let options = InferOptions { norm, ..InferOptions::default() };
+        let mut h = Fnv64::new();
+        h.write_str(&infer_size_relations(program, &options).to_string());
+        per_scc_sizes(program, &options, |members, recursive, work| {
+            h.write(&[u8::from(recursive)]);
+            for p in members {
+                let poly = work.get(p).expect("inferred");
+                h.write_str(&p.to_string());
+                h.write(&[u8::from(poly.is_empty()), u8::from(poly.is_minimal())]);
+                h.write_str(&poly.to_string());
+            }
+        });
+        for tier in FmTier::ALL {
+            let mut stats = FmStats::default();
+            argus::sizerel::infer_size_relations_instrumented(
+                program,
+                &options,
+                &FmConfig::tiered(tier),
+                &mut stats,
+            );
+            for (name, v) in stats.counters() {
+                h.write_str(name);
+                h.write_u64(v);
+            }
+        }
+        h.finish()
+    }
+    let mut text = String::new();
+    for (seed, clauses) in [(0xA11CE, 250), (0xA11CE, 2000), (7919, 250), (1, 2000)] {
+        let case = argus::fuzz::gen::scale_case(seed, clauses);
+        let adorned = argus::logic::adorn_program(&case.program, &case.query, case.adornment);
+        for (form, program) in [("raw", &case.program), ("adorned", &adorned.program)] {
+            for norm in [Norm::StructuralSize, Norm::ListLength] {
+                let d = digest(program, norm);
+                text.push_str(&format!("{seed:#x}/{clauses} {form} {norm:?}: {d:016x}\n"));
+            }
+        }
+    }
+    check_golden("sizerel/scale_digests.txt", &text);
+}
+
 /// Every [`argus::linear::fm::FmStats`] counter of the whole-program
 /// fixpoint, per corpus entry (raw and query-adorned) and for the
 /// 250-clause `scale_case`. The relation goldens above pin FM's output
