@@ -71,7 +71,12 @@ fn main() {
         });
         log.row(&[format!("simplex feasibility, {nvars} vars"), format!("{ms_sx:.2}")]);
         let ms_fm = time_ms(|| {
-            let _ = fm::project_onto_capped(&sys, &BTreeSet::new(), 50_000);
+            let _ = fm::project_onto_with(
+                &sys,
+                &BTreeSet::new(),
+                &fm::FmConfig::capped(50_000),
+                &mut fm::FmStats::default(),
+            );
         });
         log.row(&[format!("FM feasibility, {nvars} vars"), format!("{ms_fm:.2}")]);
     }

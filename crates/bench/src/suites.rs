@@ -36,7 +36,14 @@ impl Scale {
 /// a cap is needed to keep the bench finite at all — which is itself the
 /// measured result (simplex keeps scaling where FM falls off a cliff).
 fn fm_satisfiable_capped(sys: &ConstraintSystem) -> Option<bool> {
-    match fm::project_onto_capped(sys, &BTreeSet::new(), 50_000).ok()? {
+    match fm::project_onto_with(
+        sys,
+        &BTreeSet::new(),
+        &fm::FmConfig::capped(50_000),
+        &mut fm::FmStats::default(),
+    )
+    .ok()?
+    {
         fm::FmResult::Projected(rest) => Some(rest.simplify_trivial().is_some()),
         fm::FmResult::Infeasible => Some(false),
     }
@@ -106,7 +113,12 @@ pub fn fm_suite(scale: Scale) -> Vec<Sample> {
         let sys = workload::random_feasible_system(&mut r, nvars, nvars * 2, 3);
         let keep: BTreeSet<usize> = [0usize].into_iter().collect();
         out.push(bench_case("fm", &format!("eliminate-vars/{nvars}"), 1, scale.iters(), || {
-            black_box(fm::project_onto_capped(black_box(&sys), &keep, 100_000))
+            black_box(fm::project_onto_with(
+                black_box(&sys),
+                &keep,
+                &fm::FmConfig::capped(100_000),
+                &mut fm::FmStats::default(),
+            ))
         }));
     }
     let nrows_list: &[usize] = match scale {
@@ -118,7 +130,12 @@ pub fn fm_suite(scale: Scale) -> Vec<Sample> {
         let sys = workload::random_feasible_system(&mut r, 4, nrows, 3);
         let keep: BTreeSet<usize> = [0usize, 1].into_iter().collect();
         out.push(bench_case("fm", &format!("rows/{nrows}"), 1, scale.iters(), || {
-            black_box(fm::project_onto_capped(black_box(&sys), &keep, 100_000))
+            black_box(fm::project_onto_with(
+                black_box(&sys),
+                &keep,
+                &fm::FmConfig::capped(100_000),
+                &mut fm::FmStats::default(),
+            ))
         }));
     }
     out

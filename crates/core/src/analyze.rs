@@ -806,21 +806,10 @@ fn restrict_to_binary_orders(rels: &SizeRelations) -> SizeRelations {
             out.insert(p.clone(), poly.clone());
             continue;
         }
-        let kept: Vec<argus_linear::Constraint> = poly
-            .constraints()
-            .constraints()
-            .iter()
-            .filter(|c| {
-                let canon = c.canonicalized();
-                let nvars = canon.expr.terms().count();
-                nvars <= 2 && canon.expr.terms().all(|(_, k)| k == &Rat::one() || k == &-Rat::one())
-            })
-            .cloned()
-            .collect();
-        out.insert(
-            p.clone(),
-            argus_linear::Poly::from_constraints(p.arity, ConstraintSystem::from_constraints(kept)),
-        );
+        let kept = poly.rows().iter().filter(|row| {
+            row.coeffs.len() <= 2 && row.coeffs.iter().all(|(_, k)| k.abs().is_one())
+        });
+        out.insert(p.clone(), argus_linear::Poly::from_rows(p.arity, kept.cloned().collect()));
     }
     out
 }

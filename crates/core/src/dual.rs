@@ -202,7 +202,7 @@ pub fn project_pair_with(
             // would have exposed a contradiction as a constant row; the
             // feasibility check in `minimize_rows` restores one verdict
             // for every tier.
-            Ok(FmResult::Projected(out)) => minimize_rows(&out.dedup()),
+            Ok(FmResult::Projected(out)) => minimize_rows(&out),
         };
         (ProjectionEntry { result, stats: st }, timed_out)
     };
@@ -242,9 +242,10 @@ pub fn project_pair_with(
 /// ([`simplex::irredundant`]) leaves an irredundant description, which for
 /// the full-dimensional systems this path produces is unique — the final
 /// normalization step that makes every redundancy tier emit identical
-/// bytes.
+/// bytes. The kept rows are a subsequence of FM's deduplicated output, so
+/// they are deduplicated too.
 fn minimize_rows(sys: &ConstraintSystem) -> Option<ConstraintSystem> {
-    simplex::irredundant(sys, &mut simplex::LpStats::default()).map(|s| s.dedup())
+    simplex::irredundant(sys, &mut simplex::LpStats::default())
 }
 
 /// The θ-feasibility problem for a whole SCC: the conjunction of all pairs'

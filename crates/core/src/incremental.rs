@@ -35,18 +35,21 @@
 //! `$ARGUS_CACHE_DIR`, `$XDG_CACHE_HOME/argus`, or `~/.cache/argus`) is a
 //! fixed header — magic, schema version, payload length, FNV-1a64 checksum
 //! — followed by the full canonical key and the entry body. Readers verify
-//! all four plus the key bytes; *any* mismatch (truncation, bit flips, a
+//! all four plus the key bytes; any mismatch (truncation, bit flips, a
 //! foreign schema, a 64-bit filename collision) is silently a miss, never
-//! an error and never a wrong answer. Writers create a temp file and
-//! `rename` it into place, so concurrent writers — multiple CLI runs, or a
-//! CLI run racing `argus serve` — can share a directory without torn
-//! entries.
+//! an error. These checks stop torn and bit-flipped files only: an entry
+//! written on purpose, with a valid checksum and a forged body, is read
+//! back as is and can change a verdict, because nothing re-checks the
+//! decoded result on a disk hit (ROADMAP, "check every disk hit"). Writers
+//! create a temp file and `rename` it into place, so concurrent writers —
+//! multiple CLI runs, or a CLI run racing `argus serve` — can share a
+//! directory without torn entries.
 
 use crate::analyze::{BlameKind, PairBlame, SccAnalysis, SccOutcome, SccStats};
 use crate::lexico::LexicographicProof;
 use crate::theta::ThetaSpace;
 use argus_linear::fm::FmStats;
-use argus_linear::{Constraint, ConstraintSystem, LinExpr, Poly, Rat, Rel};
+use argus_linear::{Constraint, ConstraintSystem, IntRow, LinExpr, Poly, Rat, Rel};
 use argus_logic::hash::{hash_rule, Fnv64};
 use argus_logic::modes::ModeMap;
 use argus_logic::{PredKey, Rule};
@@ -125,16 +128,15 @@ pub(crate) fn poly_digest(p: &Poly) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(p.dim());
     h.write(&[u8::from(p.is_empty())]);
-    let rows = p.constraints().constraints();
-    h.write_usize(rows.len());
-    for c in rows {
-        h.write(&[match c.rel {
+    h.write_usize(p.rows().len());
+    for row in p.rows() {
+        h.write(&[match row.rel {
             Rel::Le => 0x01,
             Rel::Eq => 0x02,
         }]);
-        h.write_str(&c.expr.constant_term().to_string());
-        for (v, k) in c.expr.terms() {
-            h.write_usize(v);
+        h.write_str(&row.constant.to_string());
+        for (v, k) in &row.coeffs {
+            h.write_usize(*v);
             h.write_str(&k.to_string());
         }
     }
@@ -396,10 +398,24 @@ impl Enc {
             self.constraint(c);
         }
     }
+    /// A polyhedron's rows in [`Enc::sys`]'s layout: an integer `Rat`
+    /// prints as its `BigInt`, so the bytes are those of `p.to_system()`.
     fn poly(&mut self, p: &Poly) {
         self.usize(p.dim());
         self.u8(u8::from(p.is_empty()));
-        self.sys(p.constraints());
+        self.usize(p.rows().len());
+        for row in p.rows() {
+            self.u8(match row.rel {
+                Rel::Le => 1,
+                Rel::Eq => 2,
+            });
+            self.str(&row.constant.to_string());
+            self.usize(row.coeffs.len());
+            for (v, k) in &row.coeffs {
+                self.usize(*v);
+                self.str(&k.to_string());
+            }
+        }
     }
 }
 
@@ -486,7 +502,8 @@ impl<'a> Dec<'a> {
         if sys.vars().iter().any(|&v| v >= dim) {
             return None;
         }
-        Some(Poly::from_raw_parts(dim, sys, empty))
+        let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
+        Some(Poly::from_raw_parts(dim, rows, empty))
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()

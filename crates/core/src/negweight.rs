@@ -121,7 +121,7 @@ pub fn positive_cycle_constraints(
     // Eliminate the π's; keep only δ variables.
     let keep: BTreeSet<Var> = deltas.vars().collect();
     match fm::project_onto(&sys, &keep) {
-        FmResult::Projected(out) => out.dedup(),
+        FmResult::Projected(out) => out,
         FmResult::Infeasible => {
             // π's can always be pushed low enough unless a πii ≥ 1 row has
             // no path support; that manifests as constraints on δ, not

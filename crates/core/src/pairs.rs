@@ -207,11 +207,11 @@ pub fn build_pair_with_norm(
                 // Argument-size expressions of this subgoal.
                 let arg_exprs: Vec<LinExpr> =
                     lit.atom.args.iter().map(|t| alpha.size_expr(t)).collect();
-                for c in poly.constraints().constraints() {
+                for c in poly.rows() {
                     // Substitute dims by argument expressions.
-                    let mut row = LinExpr::constant(c.expr.constant_term().clone());
-                    for (dim, coeff) in c.expr.terms() {
-                        row = row.add_scaled(&arg_exprs[dim], coeff);
+                    let mut row = LinExpr::constant(Rat::from(c.constant.clone()));
+                    for (dim, coeff) in &c.coeffs {
+                        row = row.add_scaled(&arg_exprs[*dim], &Rat::from(coeff.clone()));
                     }
                     match c.rel {
                         Rel::Eq => c_rows.push(row),

@@ -10,10 +10,22 @@
 //! integral), with equalities sign-fixed on the leading coefficient. The
 //! form is exactly [`Constraint::canonicalized`], so structurally equal
 //! rows are `==`/hash-equal for free and FM combination runs on integers.
+//!
+//! [`dedup`] is the one deduplication rule for systems of such rows: FM
+//! applies it to every projection's output, `Poly` to the rows it builds,
+//! and [`crate::ConstraintSystem::dedup`] through a conversion.
 
 use crate::bigint::BigInt;
 use crate::expr::{Constraint, LinExpr, Rel, Var};
 use crate::rat::Rat;
+
+#[cfg(test)]
+thread_local! {
+    /// Unit-test instrumentation: counts [`IntRow::of_constraint`] calls,
+    /// so the tests can pin that the integer-row paths convert nothing.
+    pub(crate) static OF_CONSTRAINT_CALLS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
 
 /// A linear row `Σ coeffs·v + constant REL 0` in canonical integer form:
 /// coefficients sorted by variable, none zero, content gcd 1 (including
@@ -33,6 +45,8 @@ impl IntRow {
     /// round-trips through [`IntRow::to_constraint`] to exactly
     /// [`Constraint::canonicalized`].
     pub fn of_constraint(c: &Constraint) -> IntRow {
+        #[cfg(test)]
+        OF_CONSTRAINT_CALLS.with(|n| n.set(n.get() + 1));
         // Common denominator over coefficients and the constant.
         let mut lcm = c.expr.constant_term().denom().clone();
         for (_, k) in c.expr.terms() {
@@ -70,6 +84,11 @@ impl IntRow {
         Constraint { expr, rel: self.rel }
     }
 
+    /// `v ≥ 0`, that is `−v ≤ 0`.
+    pub fn nonneg(v: Var) -> IntRow {
+        IntRow { coeffs: vec![(v, BigInt::neg_one())], constant: BigInt::zero(), rel: Rel::Le }
+    }
+
     /// The row with every variable `v` renamed to `v + by`. The renaming
     /// keeps the variables' order, so the result is the canonical form of
     /// the renamed row: `of_constraint(c).shifted(by)` equals
@@ -100,7 +119,7 @@ impl IntRow {
 
     /// Divide by the content gcd (coefficients and constant) and re-fix the
     /// equality sign. Assumes `coeffs` is sorted and zero-free.
-    fn normalized(mut self) -> IntRow {
+    pub(crate) fn normalized(mut self) -> IntRow {
         if self.coeffs.is_empty() {
             self.constant = sign_unit(&self.constant);
             return self.sign_fixed();
@@ -301,6 +320,28 @@ impl IntRow {
     }
 }
 
+/// The one deduplication rule for canonical rows: the equalities in
+/// order, each once; then the `≤` rows sorted by coefficients, one per
+/// coefficient vector, with the tightest (largest) constant. A constant
+/// `≤` row is dropped when it is trivially true and kept, in order among
+/// the equalities, when it is contradictory.
+pub fn dedup(rows: impl IntoIterator<Item = IntRow>) -> Vec<IntRow> {
+    let mut out: Vec<IntRow> = Vec::new();
+    let mut les: Vec<IntRow> = Vec::new();
+    for row in rows {
+        match row.rel {
+            Rel::Eq if out.contains(&row) => {}
+            Rel::Le if row.coeffs.is_empty() && !row.constant.is_positive() => {}
+            Rel::Le if !row.coeffs.is_empty() => les.push(row),
+            _ => out.push(row),
+        }
+    }
+    les.sort_unstable_by(|x, y| x.coeffs.cmp(&y.coeffs).then_with(|| y.constant.cmp(&x.constant)));
+    les.dedup_by(|later, tightest| later.coeffs == tightest.coeffs);
+    out.extend(les);
+    out
+}
+
 /// Binary-free Euclid on machine words for the fast combination kernel.
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -415,6 +456,32 @@ mod tests {
         assert!(!small, "2^63 coefficient cannot stay in i64");
         assert_eq!(got, a.linear_comb_big(&one, &b, &one, 0));
         assert_eq!(got.coeff(1), Some(&(&BigInt::from(big) + &BigInt::from(big))));
+    }
+
+    #[test]
+    fn dedup_orders_and_keeps_the_tightest() {
+        let row = |terms: &[(Var, i64)], constant: i64, rel: Rel| {
+            let coeffs = terms.iter().map(|&(v, k)| (v, BigInt::from(k))).collect();
+            IntRow { coeffs, constant: BigInt::from(constant), rel }
+        };
+        let rows = [
+            row(&[(1, 1)], -5, Rel::Le),
+            row(&[(0, 1), (1, -1)], 0, Rel::Eq),
+            row(&[], -1, Rel::Le), // trivially true: dropped
+            row(&[(0, -1)], 0, Rel::Le),
+            row(&[], 1, Rel::Le), // contradictory: kept among the equalities
+            row(&[(1, 1)], -3, Rel::Le),
+            row(&[(0, 1), (1, -1)], 0, Rel::Eq),
+            row(&[(0, 1)], 2, Rel::Eq),
+        ];
+        let want = [
+            row(&[(0, 1), (1, -1)], 0, Rel::Eq),
+            row(&[], 1, Rel::Le),
+            row(&[(0, 1)], 2, Rel::Eq),
+            row(&[(0, -1)], 0, Rel::Le),
+            row(&[(1, 1)], -3, Rel::Le),
+        ];
+        assert_eq!(dedup(rows), want);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! relations are needed: the paper's decrease conditions are of the form
 //! `θᵀx ≥ θᵀy + δ`, never strict.
 
+use crate::canon::IntRow;
 use crate::rat::Rat;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -463,6 +464,11 @@ impl ConstraintSystem {
         ConstraintSystem { constraints }
     }
 
+    /// The system of canonical integer rows, in order.
+    pub fn of_rows(rows: &[IntRow]) -> ConstraintSystem {
+        ConstraintSystem { constraints: rows.iter().map(IntRow::to_constraint).collect() }
+    }
+
     /// Add one constraint.
     pub fn push(&mut self, c: Constraint) {
         self.constraints.push(c);
@@ -528,50 +534,11 @@ impl ConstraintSystem {
         Some(ConstraintSystem { constraints: out })
     }
 
-    /// Canonicalize every row and remove exact duplicates and directly
-    /// dominated inequalities (same direction vector, weaker constant).
+    /// Canonicalize every row and deduplicate by [`crate::canon::dedup`]:
+    /// equalities in order, then one `≤` row per direction, the tightest.
     pub fn dedup(&self) -> ConstraintSystem {
-        // Key: the variable part of the canonical direction + relation.
-        // For Le rows with identical variable parts, keep the tightest
-        // (largest constant, since expr + const <= 0 means vars <= -const).
-        let mut eqs: Vec<Constraint> = Vec::new();
-        let mut les: BTreeMap<Vec<(Var, Rat)>, Rat> = BTreeMap::new();
-        for c in &self.constraints {
-            let canon = c.canonicalized();
-            match canon.rel {
-                Rel::Eq => {
-                    if !eqs.contains(&canon) {
-                        eqs.push(canon);
-                    }
-                }
-                Rel::Le => {
-                    let key: Vec<(Var, Rat)> =
-                        canon.expr.terms().map(|(v, c)| (v, c.clone())).collect();
-                    if key.is_empty() {
-                        // Constant row: keep only if false-ish; handled by
-                        // simplify_trivial, keep as-is to stay faithful.
-                        if canon.expr.constant_term().is_positive() {
-                            eqs.push(canon); // contradictory row, keep it
-                        }
-                        continue;
-                    }
-                    let cst = canon.expr.constant_term().clone();
-                    les.entry(key)
-                        .and_modify(|old| {
-                            if cst > *old {
-                                *old = cst.clone();
-                            }
-                        })
-                        .or_insert(cst);
-                }
-            }
-        }
-        let mut out = eqs;
-        for (key, cst) in les {
-            let expr = LinExpr::from_terms(key, cst);
-            out.push(Constraint { expr, rel: Rel::Le });
-        }
-        ConstraintSystem { constraints: out }
+        let rows = self.constraints.iter().map(IntRow::of_constraint);
+        ConstraintSystem::of_rows(&crate::canon::dedup(rows))
     }
 }
 

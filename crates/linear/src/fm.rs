@@ -47,7 +47,7 @@
 //! oracle.
 
 use crate::bigint::BigInt;
-use crate::canon::IntRow;
+use crate::canon::{self, IntRow};
 use crate::expr::{ConstraintSystem, Rel, Var};
 use crate::simplex;
 use std::cmp::Ordering;
@@ -55,19 +55,21 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Outcome of a Fourier–Motzkin elimination round.
+/// Outcome of a Fourier–Motzkin elimination round: the projected rows as
+/// a [`ConstraintSystem`] or, from [`project_int_rows_with`], as canonical
+/// [`IntRow`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FmResult {
+pub enum FmResult<S = ConstraintSystem> {
     /// The projected system (the variable no longer occurs).
-    Projected(ConstraintSystem),
+    Projected(S),
     /// Elimination exposed a contradictory constant constraint: the input
     /// system is unsatisfiable.
     Infeasible,
 }
 
-impl FmResult {
+impl<S> FmResult<S> {
     /// Unwrap the projected system, panicking on infeasibility.
-    pub fn expect_projected(self) -> ConstraintSystem {
+    pub fn expect_projected(self) -> S {
         match self {
             FmResult::Projected(s) => s,
             FmResult::Infeasible => panic!("system became infeasible during elimination"),
@@ -75,7 +77,7 @@ impl FmResult {
     }
 
     /// The projected system, or `None` if infeasible.
-    pub fn projected(self) -> Option<ConstraintSystem> {
+    pub fn projected(self) -> Option<S> {
         match self {
             FmResult::Projected(s) => Some(s),
             FmResult::Infeasible => None,
@@ -834,26 +836,6 @@ fn eliminate_round(
     Ok(RoundOut::Rows(red.take_out(rows)))
 }
 
-/// Render surviving rows back to a [`ConstraintSystem`]: equalities first
-/// in derivation order, then inequalities sorted by canonical form — the
-/// same shape [`ConstraintSystem::dedup`] produces.
-fn rows_to_system(rows: Vec<DRow>) -> ConstraintSystem {
-    let mut eqs: Vec<IntRow> = Vec::new();
-    let mut les: Vec<IntRow> = Vec::new();
-    for d in rows {
-        match d.row.rel {
-            Rel::Eq => eqs.push(d.row),
-            Rel::Le => les.push(d.row),
-        }
-    }
-    les.sort_by(|x, y| x.coeffs.cmp(&y.coeffs).then_with(|| x.constant.cmp(&y.constant)));
-    let mut out = ConstraintSystem::new();
-    for r in eqs.iter().chain(les.iter()) {
-        out.push(r.to_constraint());
-    }
-    out
-}
-
 // ------------------------------------------------------------------ driver
 
 /// Project `sys` onto `keep`: eliminate every variable not in `keep`.
@@ -864,19 +846,6 @@ pub fn project_onto(sys: &ConstraintSystem, keep: &BTreeSet<Var>) -> FmResult {
     let mut stats = FmStats::default();
     project_onto_with(sys, keep, &FmConfig::default(), &mut stats)
         .expect("uncapped projection cannot overflow")
-}
-
-/// Like [`project_onto`] but gives up (returning [`FmBlowup`]) if any
-/// intermediate system exceeds `max_rows` rows. Callers use this to bound
-/// FM's worst-case doubly-exponential blowup and fall back to a sound
-/// over-approximation.
-pub fn project_onto_capped(
-    sys: &ConstraintSystem,
-    keep: &BTreeSet<Var>,
-    max_rows: usize,
-) -> Result<FmResult, FmBlowup> {
-    let mut stats = FmStats::default();
-    project_onto_with(sys, keep, &FmConfig::capped(max_rows), &mut stats)
 }
 
 /// How a variable still to be eliminated occurs in the current rows.
@@ -902,6 +871,11 @@ impl Occurrences {
 }
 
 /// [`project_onto`] with explicit configuration and counters.
+///
+/// Gives up (returning [`FmBlowup`]) once an intermediate system exceeds
+/// `cfg.max_rows` rows ([`FmConfig::capped`]): callers bound FM's
+/// worst-case doubly-exponential blowup this way and fall back to a sound
+/// over-approximation.
 pub fn project_onto_with(
     sys: &ConstraintSystem,
     keep: &BTreeSet<Var>,
@@ -909,28 +883,31 @@ pub fn project_onto_with(
     stats: &mut FmStats,
 ) -> Result<FmResult, FmBlowup> {
     let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
-    project_int_rows_with(rows, keep, cfg, stats)
+    Ok(match project_int_rows_with(rows, keep, cfg, stats)? {
+        FmResult::Projected(rows) => FmResult::Projected(ConstraintSystem::of_rows(&rows)),
+        FmResult::Infeasible => FmResult::Infeasible,
+    })
 }
 
-/// [`project_onto_with`] on a system already in canonical integer form:
-/// `rows[i]` is `IntRow::of_constraint` of the system's `i`-th row. The
-/// result, the bailouts and every counter are those of
-/// [`project_onto_with`] on that system; no row is converted.
+/// [`project_onto_with`] on a system already in canonical integer form,
+/// returning the projected rows in that form; no row is converted. The
+/// surviving rows go through [`canon::dedup`]: equalities in derivation
+/// order, then inequalities sorted by coefficients, the tightest of each.
 pub fn project_int_rows_with(
     rows: Vec<IntRow>,
     keep: &BTreeSet<Var>,
     cfg: &FmConfig,
     stats: &mut FmStats,
-) -> Result<FmResult, FmBlowup> {
+) -> Result<FmResult<Vec<IntRow>>, FmBlowup> {
     Ok(match project_rows(rows, keep, cfg, stats)? {
-        RoundOut::Rows(rows) => FmResult::Projected(rows_to_system(rows)),
+        RoundOut::Rows(rows) => FmResult::Projected(canon::dedup(rows.into_iter().map(|d| d.row))),
         RoundOut::Infeasible => FmResult::Infeasible,
     })
 }
 
 /// The elimination loop of [`project_int_rows_with`], with one reducer
 /// for every round: the surviving rows in survivor order, before
-/// [`rows_to_system`] sorts them.
+/// [`canon::dedup`] orders them.
 fn project_rows(
     rows: Vec<IntRow>,
     keep: &BTreeSet<Var>,
@@ -1221,7 +1198,7 @@ mod tests {
     fn capped_elimination_reports_offending_count() {
         let sys = dense_system(3, 5, 12);
         let keep: BTreeSet<Var> = BTreeSet::new();
-        match project_onto_capped(&sys, &keep, 4) {
+        match project_onto_with(&sys, &keep, &FmConfig::capped(4), &mut FmStats::default()) {
             Err(blowup) => {
                 assert!(blowup.rows > 4, "offending count must exceed the cap: {blowup}");
                 assert_eq!(blowup.max_rows, 4);

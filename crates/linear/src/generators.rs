@@ -39,8 +39,7 @@
 
 use crate::bigint::{BigInt, Sign};
 use crate::canon::IntRow;
-use crate::expr::{Constraint, LinExpr, Rel};
-use crate::rat::Rat;
+use crate::expr::Rel;
 
 #[cfg(test)]
 thread_local! {
@@ -169,7 +168,7 @@ impl Generators {
     /// rows never define a facet, and of two rows on one facet (positive
     /// multiples of each other) the later one is kept. That is exactly
     /// what an in-order leave-one-out redundancy pass keeps.
-    pub fn facets(&self, rows: &[Constraint]) -> Option<Vec<bool>> {
+    pub fn facets(&self, rows: &[IntRow]) -> Option<Vec<bool>> {
         if self.is_empty() {
             return None;
         }
@@ -182,7 +181,7 @@ impl Generators {
                 }
             }
         }
-        let constant = |c: &Constraint| c.expr.is_constant();
+        let constant = |c: &IntRow| c.coeffs.is_empty();
         for (c, bits) in rows.iter().zip(&rays_of[1..]) {
             if !constant(c) && (c.rel == Rel::Eq || bits.len() == all) {
                 return None;
@@ -205,16 +204,17 @@ impl Generators {
     }
 
     /// The rows of the closed convex hull of the nonempty polyhedra over
-    /// `0..dim` that `parts` generate: its implicit equalities (`=` rows)
-    /// and one `≤` row per facet, with no redundant row. `None` when the
-    /// conversion gives up, as [`Generators::of`] does.
+    /// `0..dim` that `parts` generate, in canonical integer form: its
+    /// implicit equalities (`=` rows) and one `≤` row per facet, with no
+    /// redundant row. `None` when the conversion gives up, as
+    /// [`Generators::of`] does.
     ///
     /// The hull's homogenized cone is generated by every part's rays and
     /// lines, and its facets are the extreme rays of the polar cone. The
     /// polar ray of `t ≥ 0` (present when the hull is unbounded) is the one
     /// whose facet saturates no ray with `t > 0`; at `t = 1` it reads
     /// `-1 ≤ 0`, so it is dropped.
-    pub fn hull_rows(dim: usize, parts: &[&Generators]) -> Option<Vec<Constraint>> {
+    pub fn hull_rows(dim: usize, parts: &[&Generators]) -> Option<Vec<IntRow>> {
         debug_assert!(parts.iter().all(|g| !g.is_empty()), "hull of an empty part");
         let width = dim + 1;
         let lines: Vec<&Vec<i64>> = parts.iter().flat_map(|g| &g.lines).collect();
@@ -238,8 +238,9 @@ impl Generators {
             }
         }
         let row = |a: &[i64], rel: Rel| {
-            let terms = a[..dim].iter().enumerate().map(|(v, &k)| (v, Rat::from_int(k)));
-            Constraint { expr: LinExpr::from_terms(terms, Rat::from_int(a[dim])), rel }
+            let terms = a[..dim].iter().enumerate().filter(|&(_, &k)| k != 0);
+            let coeffs = terms.map(|(v, &k)| (v, BigInt::from(k))).collect();
+            IntRow { coeffs, constant: BigInt::from(a[dim]), rel }.normalized()
         };
         let eqs = polar.lines.iter().map(|a| row(a, Rel::Eq));
         let facets = polar.rays.iter().zip(&polar.sat);

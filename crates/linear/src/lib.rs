@@ -15,7 +15,7 @@
 //!   reduce its dual system (Eq. 8) to constraints on the θ vectors (Eq. 9).
 //! * [`simplex`] — a two-phase exact primal simplex (Bland's rule) used to
 //!   decide feasibility of the final θ system, and for implication tests.
-//! * [`Poly`] — closed convex polyhedra (meet, project, hull, widening),
+//! * [`Poly`] — closed convex polyhedra (hull, widening, inclusion),
 //!   the abstract domain behind inter-argument size-relation inference.
 //! * [`farkas`] — Farkas refutation certificates solved on the simplex, so
 //!   infeasibility claims are independently checkable.

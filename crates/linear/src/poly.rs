@@ -3,10 +3,11 @@
 //! This is the abstract domain used by `argus-sizerel` to infer the
 //! inter-argument size relations the paper imports from \[VG90\] (e.g.
 //! `append: a1 + a2 = a3`). Dimensions are `0..dim`, each standing for one
-//! argument-size variable. Operations:
+//! argument-size variable. A polyhedron holds its rows in one form, as
+//! canonical integer rows ([`IntRow`]), the form Fourier–Motzkin and the
+//! generators take; a reader that needs `Rat` rows converts them with
+//! [`Poly::to_system`]. Operations:
 //!
-//! * meet (conjunction) — concatenate constraints;
-//! * projection — Fourier–Motzkin ([`crate::fm`]);
 //! * emptiness — no generator with `t > 0` ([`crate::generators`]), or an
 //!   exact LP ([`crate::simplex`]);
 //! * implication and inclusion — from the polyhedron's generators
@@ -23,8 +24,8 @@
 //!   fixpoint termination;
 //! * minimization — the facet-defining rows, read off the generators'
 //!   saturation sets when the polyhedron is full-dimensional, by LP
-//!   redundancy removal ([`simplex::irredundant`]) when it has implicit
-//!   equalities.
+//!   redundancy removal ([`simplex::irredundant_mask`]) when it has
+//!   implicit equalities.
 //!
 //! Implication batches against one fixed system (widening, inclusion, the
 //! weak join) test each row against that system's generators, solving no
@@ -37,15 +38,14 @@
 //! A polyhedron converts its rows to generators at most once: the first
 //! operation that needs them fills a cache that clones share, and
 //! emptiness, implication, inclusion, hulls, widening and minimization
-//! all read it. A second cache holds the rows in canonical integer form
-//! ([`Poly::int_rows`]), the form Fourier–Motzkin and the generators take
-//! them in.
+//! all read it.
 //!
 //! The hull computed this way is the *closure* of the convex hull, which is
 //! the correct over-approximation for abstract interpretation.
 
-use crate::canon::IntRow;
-use crate::expr::{Constraint, ConstraintSystem, LinExpr, Var};
+use crate::bigint::BigInt;
+use crate::canon::{self, IntRow};
+use crate::expr::{Constraint, ConstraintSystem, Rel, Var};
 use crate::fm::{self, FmResult};
 use crate::generators::Generators;
 use crate::rat::Rat;
@@ -69,11 +69,12 @@ pub const GENERATOR_DIM_MAX: usize = 6;
 /// A closed convex polyhedron over dimensions `0..dim`.
 ///
 /// An explicitly-empty polyhedron is represented by `empty = true`; the
-/// constraint system is then irrelevant.
+/// rows are then irrelevant.
 #[derive(Clone)]
 pub struct Poly {
     dim: usize,
-    sys: ConstraintSystem,
+    /// The constraint rows in canonical integer form, in order.
+    rows: Arc<[IntRow]>,
     empty: bool,
     /// The rows are known to be exactly what [`Poly::minimized`] returns
     /// for them: deduplicated and irredundant. Set by the LP path of
@@ -87,26 +88,24 @@ pub struct Poly {
     /// may share it, because the generators' order and the hull rows read
     /// off them depend on how the rows are written, not only on the set.
     gens: OnceLock<Option<Arc<Generators>>>,
-    /// The rows in canonical integer form, `IntRow::of_constraint` of
-    /// each, filled on first use.
-    int_rows: OnceLock<Arc<[IntRow]>>,
 }
 
 impl PartialEq for Poly {
     fn eq(&self, other: &Poly) -> bool {
-        self.dim == other.dim && self.sys == other.sys && self.empty == other.empty
+        self.dim == other.dim && self.rows == other.rows && self.empty == other.empty
     }
 }
 
 impl Eq for Poly {}
 
-/// The fields a derived `Debug` printed before the caches existed: the
-/// caches are derived data and never part of any output.
+/// The rows print as their `Rat` system, `sys`, so `{:?}` output matches
+/// that of the `Rat` rows; the generator cache is derived data and never
+/// part of any output.
 impl fmt::Debug for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Poly")
             .field("dim", &self.dim)
-            .field("sys", &self.sys)
+            .field("sys", &self.to_system())
             .field("empty", &self.empty)
             .field("minimal", &self.minimal)
             .finish()
@@ -114,38 +113,39 @@ impl fmt::Debug for Poly {
 }
 
 impl Poly {
-    /// A polyhedron with empty caches.
-    fn new(dim: usize, sys: ConstraintSystem, empty: bool, minimal: bool) -> Poly {
-        Poly { dim, sys, empty, minimal, gens: OnceLock::new(), int_rows: OnceLock::new() }
+    /// A polyhedron with an empty cache.
+    fn new(dim: usize, rows: impl Into<Arc<[IntRow]>>, empty: bool, minimal: bool) -> Poly {
+        Poly { dim, rows: rows.into(), empty, minimal, gens: OnceLock::new() }
     }
 
     /// The full space ℚⁿ, restricted by nothing (note: *not* restricted to
     /// nonnegatives; callers wanting size semantics should use
     /// [`Poly::nonneg_universe`]).
     pub fn universe(dim: usize) -> Poly {
-        Poly::new(dim, ConstraintSystem::new(), false, false)
+        Poly::new(dim, [], false, false)
     }
 
     /// The nonnegative orthant `xᵢ ≥ 0` for all dimensions — the natural
     /// starting point for argument sizes, which are sizes of terms and hence
     /// nonnegative (paper §2.2).
     pub fn nonneg_universe(dim: usize) -> Poly {
-        let mut sys = ConstraintSystem::new();
-        for v in 0..dim {
-            sys.push(Constraint::nonneg(v));
-        }
-        Poly::new(dim, sys, false, false)
+        Poly::new(dim, (0..dim).map(IntRow::nonneg).collect::<Vec<_>>(), false, false)
     }
 
     /// The empty polyhedron.
     pub fn empty(dim: usize) -> Poly {
-        Poly::new(dim, ConstraintSystem::new(), true, false)
+        Poly::new(dim, [], true, false)
     }
 
-    /// Build from constraints (variables must be `< dim`).
+    /// Build from constraints (variables must be `< dim`), each converted
+    /// to canonical integer form.
     pub fn from_constraints(dim: usize, sys: ConstraintSystem) -> Poly {
-        debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        let mut p = Poly::new(dim, sys, false, false);
+        Poly::from_rows(dim, sys.constraints().iter().map(IntRow::of_constraint).collect())
+    }
+
+    /// Build from canonical integer rows (variables must be `< dim`).
+    pub fn from_rows(dim: usize, rows: Vec<IntRow>) -> Poly {
+        let mut p = Poly::from_raw_parts(dim, rows, false);
         if p.compute_is_empty() {
             p.empty = true;
         }
@@ -153,15 +153,15 @@ impl Poly {
     }
 
     /// Reassemble a polyhedron from parts previously observed via
-    /// [`Poly::dim`], [`Poly::constraints`] and [`Poly::is_empty`],
-    /// trusting `empty` instead of re-running the feasibility LP. Intended
+    /// [`Poly::dim`], [`Poly::rows`] and [`Poly::is_empty`],
+    /// trusting `empty` instead of deciding emptiness again. Intended
     /// for deserializing polyhedra this library produced (e.g. the
     /// incremental analyzer's on-disk cache); handing it an inconsistent
     /// `empty` flag yields a polyhedron that misreports emptiness. Its
-    /// caches start empty.
-    pub fn from_raw_parts(dim: usize, sys: ConstraintSystem, empty: bool) -> Poly {
-        debug_assert!(sys.vars().iter().all(|&v| v < dim));
-        Poly::new(dim, sys, empty, false)
+    /// cache starts empty.
+    pub fn from_raw_parts(dim: usize, rows: Vec<IntRow>, empty: bool) -> Poly {
+        debug_assert!(rows.iter().all(|r| r.coeffs.iter().all(|&(v, _)| v < dim)));
+        Poly::new(dim, rows, empty, false)
     }
 
     /// Number of dimensions.
@@ -169,17 +169,15 @@ impl Poly {
         self.dim
     }
 
-    /// The constraints (meaningless if [`Poly::is_empty`]).
-    pub fn constraints(&self) -> &ConstraintSystem {
-        &self.sys
+    /// The rows in canonical integer form, in order (meaningless if
+    /// [`Poly::is_empty`]).
+    pub fn rows(&self) -> &[IntRow] {
+        &self.rows
     }
 
-    /// The constraints in canonical integer form, in order: each row's
-    /// `IntRow::of_constraint`, converted once per polyhedron and shared
-    /// by its clones.
-    pub fn int_rows(&self) -> &[IntRow] {
-        self.int_rows
-            .get_or_init(|| self.sys.constraints().iter().map(IntRow::of_constraint).collect())
+    /// The rows as a `Rat` constraint system, converted on each call.
+    pub fn to_system(&self) -> ConstraintSystem {
+        ConstraintSystem::of_rows(&self.rows)
     }
 
     /// True iff the polyhedron has no points.
@@ -197,13 +195,13 @@ impl Poly {
     fn compute_is_empty(&self) -> bool {
         match self.generators() {
             Some(gens) => gens.is_empty(),
-            None => simplex::feasible_point(&self.sys, &BTreeSet::new()).is_none(),
+            None => simplex::feasible_point(&self.to_system(), &BTreeSet::new()).is_none(),
         }
     }
 
     /// Membership test.
     pub fn contains_point(&self, point: &BTreeMap<Var, Rat>) -> bool {
-        !self.empty && self.sys.holds_at(point)
+        !self.empty && self.to_system().holds_at(point)
     }
 
     /// A sample point, if nonempty.
@@ -211,19 +209,8 @@ impl Poly {
         if self.empty {
             None
         } else {
-            simplex::feasible_point(&self.sys, &BTreeSet::new())
+            simplex::feasible_point(&self.to_system(), &BTreeSet::new())
         }
-    }
-
-    /// Intersection.
-    pub fn meet(&self, other: &Poly) -> Poly {
-        assert_eq!(self.dim, other.dim, "dimension mismatch in meet");
-        if self.empty || other.empty {
-            return Poly::empty(self.dim);
-        }
-        let mut sys = self.sys.clone();
-        sys.extend(&other.sys);
-        Poly::from_constraints(self.dim, sys.dedup())
     }
 
     /// Inclusion test: `self ⊆ other`.
@@ -235,11 +222,11 @@ impl Poly {
         if other.empty {
             return false;
         }
-        if other.sys.is_empty() {
+        if other.rows.is_empty() {
             return true;
         }
         let implier = Implier::new(self);
-        other.rows().all(|row| implier.implies(row))
+        other.rows.iter().all(|row| implier.implies(row))
     }
 
     /// Does every point of the polyhedron satisfy `c`? An empty polyhedron
@@ -249,46 +236,12 @@ impl Poly {
         if self.empty {
             return true;
         }
-        c.expr.vars().all(|v| v < self.dim)
-            && Implier::new(self).implies((c, &IntRow::of_constraint(c)))
+        c.expr.vars().all(|v| v < self.dim) && Implier::new(self).implies(&IntRow::of_constraint(c))
     }
 
     /// Semantic equality (mutual inclusion).
     pub fn same_set(&self, other: &Poly) -> bool {
         self.includes_in(other) && other.includes_in(self)
-    }
-
-    /// Project onto a subset of dimensions, *keeping the dimension count*:
-    /// constraints on dropped dimensions are existentially quantified away
-    /// and the dropped dimensions become unconstrained.
-    pub fn forget(&self, drop: &BTreeSet<Var>) -> Poly {
-        if self.empty {
-            return self.clone();
-        }
-        let keep: BTreeSet<Var> = (0..self.dim).filter(|v| !drop.contains(v)).collect();
-        match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly::new(self.dim, sys, false, false),
-            FmResult::Infeasible => Poly::empty(self.dim),
-        }
-    }
-
-    /// Project onto the first `new_dim` dimensions, dropping the rest and
-    /// shrinking the space.
-    pub fn project_prefix(&self, new_dim: usize) -> Poly {
-        assert!(new_dim <= self.dim);
-        if self.empty {
-            return Poly::empty(new_dim);
-        }
-        let keep: BTreeSet<Var> = (0..new_dim).collect();
-        match fm::project_onto(&self.sys, &keep) {
-            FmResult::Projected(sys) => Poly::new(new_dim, sys, false, false),
-            FmResult::Infeasible => Poly::empty(new_dim),
-        }
-    }
-
-    /// Rename dimensions through `map` (entries absent map to themselves).
-    pub fn rename(&self, map: &BTreeMap<Var, Var>, new_dim: usize) -> Poly {
-        Poly::new(new_dim, self.sys.rename(map), self.empty, false)
     }
 
     /// Closed convex hull of the union (the abstract `join`), with the
@@ -323,9 +276,7 @@ impl Poly {
             Some(rows) if rows.len() > cfg.max_rows => self.weak_join(other),
             // Irredundant, so `minimized` would return the deduplicated
             // rows unchanged.
-            Some(rows) => {
-                Poly::new(self.dim, ConstraintSystem::from_constraints(rows).dedup(), false, true)
-            }
+            Some(rows) => Poly::new(self.dim, canon::dedup(rows), false, true),
             None => self.lifted_hull(other, cfg, stats),
         }
     }
@@ -333,7 +284,7 @@ impl Poly {
     /// The rows of the closed hull of two nonempty polyhedra, from their
     /// generators; `None` where [`Poly::generators`] gives none or a
     /// conversion gives up.
-    fn generator_hull(&self, other: &Poly) -> Option<Vec<Constraint>> {
+    fn generator_hull(&self, other: &Poly) -> Option<Vec<IntRow>> {
         let (a, b) = (self.generators()?, other.generators()?);
         if a.is_empty() || b.is_empty() {
             // Only a `from_raw_parts` flag can disagree with the rows;
@@ -357,52 +308,42 @@ impl Poly {
         let z0 = 2 * n;
         let s1 = 3 * n;
         let s2 = 3 * n + 1;
-
-        let mut big = ConstraintSystem::new();
-        // x_i = y_i + z_i
-        for i in 0..n {
-            big.push(Constraint::eq(
-                LinExpr::var(i),
-                &LinExpr::var(y0 + i) + &LinExpr::var(z0 + i),
-            ));
-        }
-        // σ1 + σ2 = 1, σ ≥ 0
-        big.push(Constraint::eq(
-            &LinExpr::var(s1) + &LinExpr::var(s2),
-            LinExpr::constant(Rat::one()),
-        ));
-        big.push(Constraint::nonneg(s1));
-        big.push(Constraint::nonneg(s2));
-        // Scaled copies: for a constraint Σa·x + c REL 0 of self,
-        // emit Σa·y + c·σ1 REL 0 (homogenization).
-        let scale_into = |sys: &ConstraintSystem, base: Var, sigma: Var| {
-            let mut out = Vec::new();
-            for c in sys.constraints() {
-                let mut e = LinExpr::zero();
-                for (v, a) in c.expr.terms() {
-                    e.add_term(base + v, a.clone());
-                }
-                e.add_term(sigma, c.expr.constant_term().clone());
-                out.push(Constraint { expr: e, rel: c.rel });
-            }
-            out
+        let row = |coeffs: Vec<(Var, i64)>, constant: i64, rel: Rel| IntRow {
+            coeffs: coeffs.into_iter().map(|(v, k)| (v, BigInt::from(k))).collect(),
+            constant: BigInt::from(constant),
+            rel,
         };
-        for c in scale_into(&self.sys, y0, s1) {
-            big.push(c);
-        }
-        for c in scale_into(&other.sys, z0, s2) {
-            big.push(c);
-        }
+
+        // x_i = y_i + z_i
+        let mut big: Vec<IntRow> =
+            (0..n).map(|i| row(vec![(i, 1), (y0 + i, -1), (z0 + i, -1)], 0, Rel::Eq)).collect();
+        // σ1 + σ2 = 1, σ ≥ 0
+        big.push(row(vec![(s1, 1), (s2, 1)], -1, Rel::Eq));
+        big.push(IntRow::nonneg(s1));
+        big.push(IntRow::nonneg(s2));
+        // Scaled copies: for a row Σa·x + c REL 0 of self, emit
+        // Σa·y + c·σ1 REL 0 (homogenization). σ comes after every y and z,
+        // so the lifted row is canonical as written.
+        let lift = |row: &IntRow, base: Var, sigma: Var| {
+            let mut lifted = row.shifted(base);
+            if !lifted.constant.is_zero() {
+                let c = std::mem::take(&mut lifted.constant);
+                lifted.coeffs.push((sigma, c));
+            }
+            lifted
+        };
+        big.extend(self.rows.iter().map(|r| lift(r, y0, s1)));
+        big.extend(other.rows.iter().map(|r| lift(r, z0, s2)));
 
         let keep: BTreeSet<Var> = (0..n).collect();
         // The row cap guards against FM's blowup; past it, fall back to the
         // cheap weak join, which is sound (it contains the hull) and still
         // keeps the invariants that appear as rows of either argument.
-        match fm::project_onto_with(&big, &keep, cfg, stats) {
-            Ok(FmResult::Projected(sys)) => {
+        match fm::project_int_rows_with(big, &keep, cfg, stats) {
+            Ok(FmResult::Projected(rows)) => {
                 // The hull contains both operands, and neither is empty, so
                 // it is not empty either: no feasibility LP on the result.
-                let hull = Poly::new(n, sys.dedup(), false, false);
+                let hull = Poly::new(n, rows, false, false);
                 debug_assert!(!hull.compute_is_empty(), "hull of nonempty operands is empty");
                 hull
             }
@@ -424,11 +365,8 @@ impl Poly {
         if other.empty {
             return self.clone();
         }
-        let mut rows = ConstraintSystem::new();
-        for c in self.rows_implied_by(other).chain(other.rows_implied_by(self)) {
-            rows.push(c.clone());
-        }
-        Poly::new(self.dim, rows.dedup(), false, false)
+        let rows = self.rows_implied_by(other).chain(other.rows_implied_by(self)).cloned();
+        Poly::new(self.dim, canon::dedup(rows), false, false)
     }
 
     /// Standard widening: keep those constraints of `self` (the previous
@@ -441,7 +379,7 @@ impl Poly {
     /// fixpoint engine widens against the next iterate without joining
     /// first. The kept rows are a subset of `self`'s, in order, so a
     /// [`Poly::is_minimal`] `self` gives a minimal result. A widening that
-    /// keeps every row is `self` again, caches included.
+    /// keeps every row is `self` again, cache included.
     pub fn widen(&self, other: &Poly) -> Poly {
         assert_eq!(self.dim, other.dim, "dimension mismatch in widen");
         if self.empty {
@@ -450,23 +388,18 @@ impl Poly {
         if other.empty {
             return self.clone();
         }
-        let kept: Vec<Constraint> = self.rows_implied_by(other).cloned().collect();
-        if kept.len() == self.sys.len() {
+        let kept: Vec<IntRow> = self.rows_implied_by(other).cloned().collect();
+        if kept.len() == self.rows.len() {
             return self.clone();
         }
-        Poly::new(self.dim, ConstraintSystem::from_constraints(kept), false, self.minimal)
+        Poly::new(self.dim, kept, false, self.minimal)
     }
 
     /// The rows of `self`, in order, that `other`'s system implies, all
     /// answered against `other`'s generators.
-    fn rows_implied_by<'a>(&'a self, other: &'a Poly) -> impl Iterator<Item = &'a Constraint> {
+    fn rows_implied_by<'a>(&'a self, other: &'a Poly) -> impl Iterator<Item = &'a IntRow> {
         let implier = Implier::new(other);
-        self.rows().filter(move |&row| implier.implies(row)).map(|(c, _)| c)
-    }
-
-    /// Each row with its canonical integer form.
-    fn rows(&self) -> impl Iterator<Item = (&Constraint, &IntRow)> {
-        self.sys.constraints().iter().zip(self.int_rows())
+        self.rows.iter().filter(move |row| implier.implies(row))
     }
 
     /// The generators of this polyhedron's rows, from the cache (converted
@@ -475,15 +408,15 @@ impl Poly {
     fn generators(&self) -> Option<&Generators> {
         self.gens
             .get_or_init(|| {
-                let gens = (self.dim <= GENERATOR_DIM_MAX)
-                    .then(|| Generators::of(self.dim, self.int_rows()));
+                let gens =
+                    (self.dim <= GENERATOR_DIM_MAX).then(|| Generators::of(self.dim, &self.rows));
                 gens.flatten().map(Arc::new)
             })
             .as_deref()
     }
 
     /// Remove redundant constraints (each one implied by the others) to get
-    /// a small canonical-ish representation: dedup, then what
+    /// a small canonical-ish representation: [`canon::dedup`], then what
     /// [`simplex::irredundant`]'s in-order leave-one-out pass keeps.
     ///
     /// On a full-dimensional polyhedron within [`GENERATOR_DIM_MAX`] that
@@ -502,37 +435,30 @@ impl Poly {
         if self.empty || self.minimal {
             return self.clone();
         }
-        let deduped = self.sys.dedup();
+        let deduped = canon::dedup(self.rows.iter().cloned());
         if deduped.len() > 160 {
             return Poly::new(self.dim, deduped, false, false);
         }
-        let fresh = if deduped == self.sys {
-            None
-        } else {
-            Some(Poly::new(self.dim, deduped, false, false))
-        };
+        let fresh =
+            (deduped[..] != self.rows[..]).then(|| Poly::new(self.dim, deduped, false, false));
         let source = fresh.as_ref().unwrap_or(self);
-        if let Some(gens) = source.generators() {
-            if gens.is_empty() {
-                return Poly::empty(self.dim);
-            }
-            if let Some(keep) = gens.facets(source.sys.constraints()) {
-                if keep.iter().all(|&k| k) {
-                    return match fresh {
-                        Some(p) => Poly { minimal: true, ..p },
-                        None => Poly { minimal: true, ..self.clone() },
-                    };
-                }
-                let rows = source.sys.constraints().iter().zip(keep).filter(|&(_, k)| k);
-                let sys =
-                    ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect());
-                return Poly::new(self.dim, sys, false, true);
-            }
+        let keep = match source.generators() {
+            Some(gens) if gens.is_empty() => return Poly::empty(self.dim),
+            Some(gens) => gens.facets(&source.rows),
+            None => None,
+        };
+        let keep = match keep {
+            Some(keep) => keep,
+            None => match simplex::irredundant_mask(&source.to_system(), &mut Default::default()) {
+                Some(keep) => keep,
+                None => return Poly::empty(self.dim),
+            },
+        };
+        if keep.iter().all(|&k| k) {
+            return Poly { minimal: true, ..fresh.unwrap_or_else(|| self.clone()) };
         }
-        match simplex::irredundant(&source.sys, &mut simplex::LpStats::default()) {
-            Some(sys) => Poly::new(self.dim, sys, false, true),
-            None => Poly::empty(self.dim),
-        }
+        let rows = source.rows.iter().zip(keep).filter(|&(_, k)| k).map(|(r, _)| r.clone());
+        Poly::new(self.dim, rows.collect::<Vec<_>>(), false, true)
     }
 }
 
@@ -541,22 +467,21 @@ impl Poly {
 /// one [`simplex::is_implied`] LP per row against its system.
 enum Implier<'a> {
     Generators(&'a Generators),
-    Lp(&'a ConstraintSystem),
+    Lp(ConstraintSystem),
 }
 
 impl Implier<'_> {
     fn new(p: &Poly) -> Implier<'_> {
         match p.generators() {
             Some(gens) => Implier::Generators(gens),
-            None => Implier::Lp(&p.sys),
+            None => Implier::Lp(p.to_system()),
         }
     }
 
-    /// Is the row, given with its canonical integer form, implied?
-    fn implies(&self, (c, row): (&Constraint, &IntRow)) -> bool {
+    fn implies(&self, row: &IntRow) -> bool {
         match self {
             Implier::Generators(gens) => gens.implies(row),
-            Implier::Lp(sys) => simplex::is_implied(sys, &BTreeSet::new(), c),
+            Implier::Lp(sys) => simplex::is_implied(sys, &BTreeSet::new(), &row.to_constraint()),
         }
     }
 }
@@ -565,10 +490,10 @@ impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.empty {
             write!(f, "⊥ (empty, dim {})", self.dim)
-        } else if self.sys.is_empty() {
+        } else if self.rows.is_empty() {
             write!(f, "⊤ (universe, dim {})", self.dim)
         } else {
-            write!(f, "{}", self.sys)
+            write!(f, "{}", self.to_system())
         }
     }
 }
@@ -576,6 +501,7 @@ impl fmt::Display for Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::LinExpr;
 
     fn r(n: i64, d: i64) -> Rat {
         Rat::new(n.into(), d.into())
@@ -604,23 +530,6 @@ mod tests {
         sys.push(Constraint::ge(LinExpr::var(0), LinExpr::constant(r(1, 1))));
         sys.push(Constraint::le(LinExpr::var(0), LinExpr::constant(r(0, 1))));
         assert!(Poly::from_constraints(1, sys).is_empty());
-    }
-
-    #[test]
-    fn meet_boxes() {
-        let a = bbox(0, 2, 0, 2);
-        let b = bbox(1, 3, 1, 3);
-        let m = a.meet(&b);
-        assert!(m.contains_point(&pt(&[(0, 1), (1, 2)])));
-        assert!(!m.contains_point(&pt(&[(0, 0), (1, 0)])));
-        assert!(m.includes_in(&a) && m.includes_in(&b));
-    }
-
-    #[test]
-    fn meet_disjoint_is_empty() {
-        let a = bbox(0, 1, 0, 1);
-        let b = bbox(2, 3, 2, 3);
-        assert!(a.meet(&b).is_empty());
     }
 
     #[test]
@@ -666,26 +575,9 @@ mod tests {
         };
         let h = mk(1).hull(&mk(5));
         let eq = Constraint::eq(LinExpr::var(0), LinExpr::var(1));
-        assert!(simplex::is_implied(h.constraints(), &BTreeSet::new(), &eq));
+        assert!(simplex::is_implied(&h.to_system(), &BTreeSet::new(), &eq));
         assert!(h.contains_point(&pt(&[(0, 3), (1, 3)])));
         assert!(!h.contains_point(&pt(&[(0, 3), (1, 4)])));
-    }
-
-    #[test]
-    fn forget_drops_dimension_information() {
-        let a = bbox(1, 2, 5, 6);
-        let f = a.forget(&[1].into_iter().collect());
-        assert!(f.contains_point(&pt(&[(0, 1), (1, 100)])));
-        assert!(!f.contains_point(&pt(&[(0, 0), (1, 5)])));
-    }
-
-    #[test]
-    fn project_prefix_shrinks_space() {
-        let a = bbox(1, 2, 5, 6);
-        let p = a.project_prefix(1);
-        assert_eq!(p.dim(), 1);
-        assert!(p.contains_point(&pt(&[(0, 2)])));
-        assert!(!p.contains_point(&pt(&[(0, 3)])));
     }
 
     #[test]
@@ -733,7 +625,7 @@ mod tests {
         sys.push(Constraint::nonneg(0));
         let p = Poly::from_constraints(1, sys);
         let m = p.minimized();
-        assert_eq!(m.constraints().len(), 2);
+        assert_eq!(m.rows().len(), 2);
         assert!(m.same_set(&p));
     }
 
@@ -777,20 +669,21 @@ mod tests {
             }
             // The LP answers, one implication LP per row.
             let implied = |of: &Poly, by: &Poly| -> Vec<Constraint> {
-                let rows = of.constraints().constraints().iter();
-                rows.filter(|c| simplex::is_implied(by.constraints(), &BTreeSet::new(), c))
+                let (rows, by) = (of.to_system(), by.to_system());
+                rows.constraints()
+                    .iter()
+                    .filter(|c| simplex::is_implied(&by, &BTreeSet::new(), c))
                     .cloned()
                     .collect()
             };
             assert!(inside && !outside);
-            assert_eq!(widened.constraints().constraints(), &implied(&old, &new)[..]);
+            assert_eq!(widened.to_system().constraints(), &implied(&old, &new)[..]);
             let mut both = implied(&old, &new);
             both.extend(implied(&new, &old));
-            assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup());
-            let reference =
-                simplex::irredundant(&old.constraints().dedup(), &mut Default::default());
-            assert_eq!(Some(min.constraints().clone()), reference);
-            assert_eq!(min.constraints().len(), 2 * dim + 1, "dim {dim}:\n{min}");
+            assert_eq!(weak.to_system(), ConstraintSystem::from_constraints(both).dedup());
+            let reference = simplex::irredundant(&old.to_system().dedup(), &mut Default::default());
+            assert_eq!(Some(min.to_system()), reference);
+            assert_eq!(min.rows().len(), 2 * dim + 1, "dim {dim}:\n{min}");
         }
     }
 
@@ -813,7 +706,7 @@ mod tests {
     #[test]
     fn emptiness_solves_no_lp_within_the_dimension_bound() {
         let contradiction = |dim: usize| {
-            let mut sys = cut_box(dim, 2).constraints().clone();
+            let mut sys = cut_box(dim, 2).to_system();
             sys.push(Constraint::ge(LinExpr::var(0), LinExpr::constant(r(3, 1))));
             sys
         };
@@ -845,7 +738,8 @@ mod tests {
         for dim in [2, GENERATOR_DIM_MAX] {
             // Deduplicated rows, as the fixpoint writes them, so that
             // `minimized` converts no other system; no conversion yet.
-            let fixed = |hi| Poly::from_raw_parts(dim, cut_box(dim, hi).sys.dedup(), false);
+            let fixed =
+                |hi| Poly::from_raw_parts(dim, canon::dedup(cut_box(dim, hi).rows.to_vec()), false);
             let (a, b) = (fixed(2), fixed(3));
             let (copies, n) = conversions(|| {
                 let mut copies = Vec::new();
@@ -874,9 +768,46 @@ mod tests {
             });
             assert_eq!(n, 0, "dim {dim}: clones share the conversion");
             // Deciding emptiness fills the cache too.
-            let (p, n) = conversions(|| Poly::from_constraints(dim, b.sys.clone()));
+            let (p, n) = conversions(|| Poly::from_rows(dim, b.rows.to_vec()));
             let (_, again) = conversions(|| (p.includes_in(&a), a.widen(&p), p.minimized()));
             assert_eq!((n, again), (1, 0), "dim {dim}");
+        }
+    }
+
+    /// The `IntRow::of_constraint` calls `f` makes.
+    fn row_conversions<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let count = || crate::canon::OF_CONSTRAINT_CALLS.with(|c| c.get());
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn integer_rows_in_convert_no_constraint() {
+        let cfg = fm::FmConfig::capped(HULL_ROW_CAP);
+        // Both hull routes: generators within the bound, the λ-lift FM
+        // projection and the LP implication tests past it.
+        for dim in [3, GENERATOR_DIM_MAX + 1] {
+            let (lo, hi) = (cut_box(dim, 2).rows.to_vec(), cut_box(dim, 5).rows.to_vec());
+            let mut flat = lo.clone();
+            flat.push(IntRow::of_constraint(&Constraint::eq(LinExpr::var(0), LinExpr::var(1))));
+            let (_, n) = row_conversions(|| {
+                let (a, b) = (Poly::from_rows(dim, lo.clone()), Poly::from_rows(dim, hi.clone()));
+                // Implicit equalities send `minimized` to its LP route.
+                let flat = Poly::from_rows(dim, flat.clone());
+                let mut stats = fm::FmStats::default();
+                let hull = a.hull_with(&b, &cfg, &mut stats);
+                assert_eq!(stats.rows_in > 0, dim > GENERATOR_DIM_MAX, "dim {dim}");
+                assert!(hull.same_set(&b) && a.includes_in(&b) && !b.includes_in(&a));
+                a.widen(&b);
+                b.widen(&a);
+                a.weak_join(&flat);
+                a.minimized();
+                assert!(flat.minimized().is_minimal());
+                let keep: BTreeSet<Var> = (0..dim - 1).collect();
+                fm::project_int_rows_with(hi.clone(), &keep, &cfg, &mut stats).unwrap();
+            });
+            assert_eq!(n, 0, "dim {dim}");
         }
     }
 
@@ -885,14 +816,5 @@ mod tests {
         let p = Poly::nonneg_universe(2);
         assert!(p.contains_point(&pt(&[(0, 0), (1, 5)])));
         assert!(!p.contains_point(&pt(&[(0, -1), (1, 0)])));
-    }
-
-    #[test]
-    fn rename_dims() {
-        let a = bbox(1, 2, 5, 6);
-        let map: BTreeMap<Var, Var> = [(0, 1), (1, 0)].into_iter().collect();
-        let swapped = a.rename(&map, 2);
-        assert!(swapped.contains_point(&pt(&[(0, 5), (1, 1)])));
-        assert!(!swapped.contains_point(&pt(&[(0, 1), (1, 5)])));
     }
 }

@@ -167,6 +167,13 @@ pub struct LpStats {
 /// and a dual infeasibility means "not implied" without a second LP.
 /// Implication LPs are counted into `stats`.
 pub fn irredundant(sys: &ConstraintSystem, stats: &mut LpStats) -> Option<ConstraintSystem> {
+    let kept = irredundant_mask(sys, stats)?;
+    let rows = sys.constraints().iter().zip(kept).filter(|&(_, k)| k);
+    Some(ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect()))
+}
+
+/// The rows [`irredundant`] keeps, as a keep mask over `sys`'s rows.
+pub fn irredundant_mask(sys: &ConstraintSystem, stats: &mut LpStats) -> Option<Vec<bool>> {
     let free = BTreeSet::new();
     feasible_point(sys, &free)?;
     let rows = sys.constraints();
@@ -188,8 +195,7 @@ pub fn irredundant(sys: &ConstraintSystem, stats: &mut LpStats) -> Option<Constr
             kept[i] = true;
         }
     }
-    let rows = rows.iter().zip(kept).filter(|&(_, k)| k);
-    Some(ConstraintSystem::from_constraints(rows.map(|(c, _)| c.clone()).collect()))
+    Some(kept)
 }
 
 /// Does the conjunction of `rows` imply `candidate`? `vars` lists (sorted)

@@ -81,10 +81,11 @@ fn gen_pair(r: &mut Rng64, dim: usize, max_rows: usize) -> (Poly, Poly) {
 
 /// The rows of `of` that `by`'s system implies, one LP per row.
 fn implied_rows(of: &Poly, by: &Poly) -> Vec<Constraint> {
-    of.constraints()
+    let by = by.to_system();
+    of.to_system()
         .constraints()
         .iter()
-        .filter(|c| simplex::is_implied(by.constraints(), &BTreeSet::new(), c))
+        .filter(|c| simplex::is_implied(&by, &BTreeSet::new(), c))
         .cloned()
         .collect()
 }
@@ -191,7 +192,7 @@ fn widen_identity_holds_when_hull_exceeds_row_cap() {
         let exact = old.hull_with(&new, &roomy, &mut stats);
         assert_eq!(stats.rows_in, 0, "FM ran; old:\n{old}\nnew:\n{new}");
         if joined != exact {
-            assert!(exact.constraints().len() > HULL_ROW_CAP);
+            assert!(exact.rows().len() > HULL_ROW_CAP);
             assert_eq!(joined, old.weak_join(&new));
             over_cap += 1;
         }
@@ -231,7 +232,7 @@ fn hull_emptiness_is_exact_without_an_lp() {
         for hull in [a.hull(&b), a.hull_with(&b, &over_cap, &mut FmStats::default())] {
             assert_eq!(hull.is_empty(), a.is_empty() && b.is_empty(), "a:\n{a}\nb:\n{b}");
             if !hull.is_empty() {
-                let rows_alone = Poly::from_constraints(dim, hull.constraints().clone());
+                let rows_alone = Poly::from_constraints(dim, hull.to_system());
                 assert_eq!(hull.is_empty(), rows_alone.is_empty(), "a:\n{a}\nb:\n{b}");
             }
             for p in [&a, &b] {
@@ -248,7 +249,7 @@ fn padded(p: &Poly, dim: usize) -> Poly {
     if p.is_empty() {
         return Poly::empty(dim);
     }
-    Poly::from_constraints(dim, p.constraints().clone())
+    Poly::from_constraints(dim, p.to_system())
 }
 
 /// The generator hull and the Benoy–King λ-lift projected by FM describe
@@ -287,16 +288,16 @@ fn generator_hull_matches_lifted_fm_hull() {
             if exact.is_empty() {
                 continue;
             }
-            if !a.is_empty() && !b.is_empty() && exact.constraints().len() <= 40 {
-                let fresh = Poly::from_raw_parts(dim, exact.constraints().clone(), false);
+            if !a.is_empty() && !b.is_empty() && exact.rows().len() <= 40 {
+                let fresh = Poly::from_raw_parts(dim, exact.rows().to_vec(), false);
                 assert_eq!(fresh.minimized(), exact, "{ctx}\nhull:\n{exact}");
             }
 
             let (wa, wb) = (padded(&a, wide), padded(&b, wide));
             let lifted = wa.hull_with(&wb, &roomy, &mut stats);
             assert!(stats.rows_in > 0 || a.is_empty() || b.is_empty(), "{ctx}");
-            assert!(lifted.constraints().vars().iter().all(|&v| v < dim), "{ctx}\n{lifted}");
-            let lifted_here = Poly::from_constraints(dim, lifted.constraints().clone());
+            assert!(lifted.to_system().vars().iter().all(|&v| v < dim), "{ctx}\n{lifted}");
+            let lifted_here = Poly::from_constraints(dim, lifted.to_system());
             assert!(exact.includes_in(&lifted_here), "{ctx}\nhull:\n{exact}\nfm:\n{lifted}");
             if lifted_here.includes_in(&exact) {
                 same += 1;
@@ -370,14 +371,14 @@ fn probe_batches_match_per_row_lps() {
             continue;
         }
         let widened = old.widen(&new);
-        assert_eq!(widened.constraints().constraints(), &implied_rows(&old, &new)[..]);
+        assert_eq!(widened.to_system().constraints(), &implied_rows(&old, &new)[..]);
         assert_eq!(widened.is_minimal(), old.is_minimal());
-        let rows = new.constraints().len();
+        let rows = new.rows().len();
         assert_eq!(old.includes_in(&new), implied_rows(&new, &old).len() == rows);
         let mut both = implied_rows(&old, &new);
         both.extend(implied_rows(&new, &old));
         let weak = old.weak_join(&new);
-        assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup());
+        assert_eq!(weak.to_system(), ConstraintSystem::from_constraints(both).dedup());
     }
 }
 
@@ -396,14 +397,14 @@ fn minimized_matches_lp_reference() {
         let m = p.minimized();
         assert!(m.is_minimal());
         assert_eq!(
-            m.constraints().constraints(),
-            &reference_minimized(p.constraints())[..],
+            m.to_system().constraints(),
+            &reference_minimized(&p.to_system())[..],
             "p:\n{p}"
         );
 
         let new = gen_poly(&mut r, dim, 9);
         let w = m.widen(&new);
-        let fresh = Poly::from_raw_parts(dim, w.constraints().clone(), w.is_empty());
+        let fresh = Poly::from_raw_parts(dim, w.rows().to_vec(), w.is_empty());
         assert!(!fresh.is_minimal());
         assert_eq!(fresh.minimized(), w, "m:\n{m}\nnew:\n{new}");
     }
@@ -488,9 +489,9 @@ fn dims_across_the_bound() -> std::ops::RangeInclusive<usize> {
 /// equals plain redundancy removal.
 fn assert_matches_primal_lp(old: &Poly, new: &Poly) {
     let implied = |of: &Poly, by: &Poly| -> Vec<Constraint> {
-        let by = by.constraints();
-        let rows = of.constraints().constraints().iter();
-        rows.filter(|c| primal_implies(by, &BTreeSet::new(), c)).cloned().collect()
+        let (by, of) = (by.to_system(), of.to_system());
+        let rows = of.constraints().iter();
+        rows.filter(|c| primal_implies(&by, &BTreeSet::new(), c)).cloned().collect()
     };
     for p in [old, new] {
         if p.is_empty() {
@@ -499,8 +500,8 @@ fn assert_matches_primal_lp(old: &Poly, new: &Poly) {
         let m = p.minimized();
         assert!(m.is_minimal(), "p:\n{p}");
         assert_eq!(
-            m.constraints().constraints(),
-            &reference_minimized(p.constraints())[..],
+            m.to_system().constraints(),
+            &reference_minimized(&p.to_system())[..],
             "p:\n{p}"
         );
     }
@@ -508,14 +509,14 @@ fn assert_matches_primal_lp(old: &Poly, new: &Poly) {
         return;
     }
     let ctx = format!("old:\n{old}\nnew:\n{new}");
-    assert_eq!(old.widen(new).constraints().constraints(), &implied(old, new)[..], "{ctx}");
-    let all = |of: &Poly, by: &Poly| implied(of, by).len() == of.constraints().len();
+    assert_eq!(old.widen(new).to_system().constraints(), &implied(old, new)[..], "{ctx}");
+    let all = |of: &Poly, by: &Poly| implied(of, by).len() == of.rows().len();
     assert_eq!(old.includes_in(new), all(new, old), "{ctx}");
     assert_eq!(new.includes_in(old), all(old, new), "{ctx}");
     let mut both = implied(old, new);
     both.extend(implied(new, old));
     let weak = old.weak_join(new);
-    assert_eq!(weak.constraints(), &ConstraintSystem::from_constraints(both).dedup(), "{ctx}");
+    assert_eq!(weak.to_system(), ConstraintSystem::from_constraints(both).dedup(), "{ctx}");
 }
 
 /// A random row whose coefficient vector is orthogonal to `line`, so the
@@ -642,12 +643,12 @@ fn gen_fold_prefix(r: &mut Rng64, dim: usize) -> Poly {
     let mut acc = operand(r);
     while rows.len() < 100 {
         acc = acc.hull(&operand(r));
-        if acc.constraints().len() < 2 {
+        if acc.rows().len() < 2 {
             // Joined up to (nearly) the universe: start a new fold.
             acc = operand(r);
             continue;
         }
-        let base = acc.constraints().constraints().to_vec();
+        let base = acc.to_system().constraints().to_vec();
         for c in &base {
             rows.push(c.clone());
             if c.rel == Rel::Le && r.bool() {
@@ -672,7 +673,7 @@ fn gen_fold_prefix(r: &mut Rng64, dim: usize) -> Poly {
 fn gen_eq_candidates(r: &mut Rng64, p: &Poly) -> Poly {
     let dim = p.dim();
     let mut sys = ConstraintSystem::new();
-    for c in p.constraints().constraints().iter().filter(|c| c.rel == Rel::Eq) {
+    for c in p.to_system().constraints().iter().filter(|c| c.rel == Rel::Eq) {
         sys.push(c.clone());
     }
     for _ in 0..3 {
@@ -696,7 +697,7 @@ fn fold_prefix_systems_match_primal_lp() {
     for dim in dims_across_the_bound() {
         let p = gen_fold_prefix(&mut r, dim);
         assert!(!p.is_empty(), "p:\n{p}");
-        reduced += usize::from(p.minimized().constraints().len() < p.constraints().len());
+        reduced += usize::from(p.minimized().rows().len() < p.rows().len());
         let eqs = gen_eq_candidates(&mut r, &p);
         assert_matches_primal_lp(&p, &eqs);
     }
@@ -705,7 +706,7 @@ fn fold_prefix_systems_match_primal_lp() {
 
 /// A copy of `p` with empty caches.
 fn uncached(p: &Poly) -> Poly {
-    Poly::from_raw_parts(p.dim(), p.constraints().clone(), p.is_empty())
+    Poly::from_raw_parts(p.dim(), p.rows().to_vec(), p.is_empty())
 }
 
 /// The answers of every cache-reading operation on `(old, new)`: both
@@ -756,8 +757,8 @@ fn cached_answers_match_a_fresh_copy() {
                     (old, new)
                 }
             };
-            let mut probes: Vec<Constraint> = old.constraints().constraints().to_vec();
-            probes.extend(new.constraints().constraints().iter().cloned());
+            let mut probes: Vec<Constraint> = old.to_system().constraints().to_vec();
+            probes.extend(new.to_system().constraints().iter().cloned());
             probes.push(random_row(&mut r, dim, None, Rel::Le));
             probes.push(random_row(&mut r, dim, None, Rel::Eq));
             probes.push(Constraint::nonneg(dim));
@@ -797,8 +798,10 @@ fn fm_on_int_rows_matches_fm_on_the_system() {
                 [(sys.clone(), &keep, rows(0)), (sys.rename(&map), &keep_shifted, rows(by))]
             {
                 let (mut want, mut got) = (FmStats::default(), FmStats::default());
-                let expected = fm::project_onto_with(&system, keep, &cfg, &mut want);
-                let projected = fm::project_int_rows_with(rows, keep, &cfg, &mut got);
+                let expected = fm::project_onto_with(&system, keep, &cfg, &mut want)
+                    .map(fm::FmResult::projected);
+                let projected = fm::project_int_rows_with(rows, keep, &cfg, &mut got)
+                    .map(|out| out.projected().map(|rows| ConstraintSystem::of_rows(&rows)));
                 let ctx = format!("{tier:?}, keep {keep:?}:\n{system}");
                 assert_eq!(projected, expected, "{ctx}");
                 assert_eq!(got.counters(), want.counters(), "{ctx}");

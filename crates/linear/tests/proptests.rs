@@ -528,18 +528,6 @@ mod poly_props {
     }
 
     #[test]
-    fn meet_included_in_both() {
-        let mut r = Rng64::new(0x12);
-        for _ in 0..24 {
-            let a = gen_poly(&mut r, 2);
-            let b = gen_poly(&mut r, 2);
-            let m = a.meet(&b);
-            assert!(m.includes_in(&a));
-            assert!(m.includes_in(&b));
-        }
-    }
-
-    #[test]
     fn widen_is_upper_bound() {
         let mut r = Rng64::new(0x13);
         for _ in 0..24 {

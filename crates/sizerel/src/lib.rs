@@ -136,10 +136,9 @@ impl SizeRelations {
                 }
                 let rows: Vec<String> = poly
                     .minimized()
-                    .constraints()
-                    .constraints()
+                    .rows()
                     .iter()
-                    .map(|c| pool.render_constraint(c))
+                    .map(|row| pool.render_constraint(&row.to_constraint()))
                     .collect();
                 format!("{p}: {}", rows.join(";  "))
             }
@@ -280,8 +279,7 @@ impl RulePolys {
                         sys.push(Constraint::eq(LinExpr::var(base + j), e));
                         sys.push(Constraint::nonneg(base + j));
                     }
-                    let top = (0..key.arity).map(|j| Constraint::nonneg(base + j));
-                    let top = top.map(|c| IntRow::of_constraint(&c)).collect();
+                    let top = (0..key.arity).map(|j| IntRow::nonneg(base + j)).collect();
                     callees.push(Callee { at: sys.len(), key, base, top });
                 }
             }
@@ -322,7 +320,7 @@ fn rule_poly_of(
         rows.extend_from_slice(&polys.fixed[done..callee.at]);
         done = callee.at;
         match approx {
-            Some(approx) => rows.extend(approx.int_rows().iter().map(|r| r.shifted(callee.base))),
+            Some(approx) => rows.extend(approx.rows().iter().map(|r| r.shifted(callee.base))),
             None => rows.extend_from_slice(&callee.top),
         }
     }
@@ -331,7 +329,7 @@ fn rule_poly_of(
     // Project onto the head dimensions; exceeding the caller's row cap
     // falls back to the sound top element (sizes nonnegative, nothing more).
     match fm::project_int_rows_with(rows, &polys.keep, cfg, stats) {
-        Ok(FmResult::Projected(projected)) => Poly::from_constraints(head_arity, projected.dedup()),
+        Ok(FmResult::Projected(projected)) => Poly::from_rows(head_arity, projected),
         Ok(FmResult::Infeasible) => Poly::empty(head_arity),
         Err(_) => Poly::nonneg_universe(head_arity),
     }
@@ -481,8 +479,8 @@ fn infer_scc_inner(
             // `new` does not imply has a point of `new` outside `old`).
             let next = if iteration >= options.widening_delay {
                 let widened = old.widen(new);
-                let grew = widened.constraints().len() < old.constraints().len()
-                    || old.is_empty() && !new.is_empty();
+                let grew =
+                    widened.rows().len() < old.rows().len() || old.is_empty() && !new.is_empty();
                 grew.then_some(widened)
             } else if new.includes_in(old) {
                 None

@@ -209,7 +209,7 @@ fn sizerel_snapshot(program: &Program) -> String {
             let state = if poly.is_empty() { "empty" } else { "rows" };
             out.push_str(&format!("{p}{}: {state}\n", if recursive { " (rec)" } else { "" }));
             if !poly.is_empty() {
-                for c in poly.constraints().constraints() {
+                for c in poly.to_system().constraints() {
                     out.push_str(&format!("  {c}\n"));
                 }
             }
