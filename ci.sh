@@ -34,16 +34,19 @@ echo "==> cargo test"
 cargo test --workspace --release -q "${CARGO_FLAGS[@]}"
 
 echo "==> fuzz smoke"
-# Differential/metamorphic soundness harness over a fixed seed set, at two
-# parallelism settings; the reports must match byte for byte. Any
+# Differential/metamorphic soundness harness over a fixed seed set, at
+# three parallelism settings; the reports must match byte for byte. Auto
+# (`--jobs 0`) fans an analysis out only where its work estimate pays, so
+# the explicit `--jobs 2` leg keeps threads under the comparison. Any
 # violation exits nonzero (and writes a reproducer under
 # tests/golden/fuzz-repros/ for the regression suite to replay).
 for seed in 1 42; do
-    ./target/release/argus fuzz --seed "$seed" --cases 500 --jobs 0 --json \
-        > "/tmp/argus-fuzz-$seed-j0.json"
-    ./target/release/argus fuzz --seed "$seed" --cases 500 --jobs 1 --json \
-        > "/tmp/argus-fuzz-$seed-j1.json"
+    for jobs in 0 1 2; do
+        ./target/release/argus fuzz --seed "$seed" --cases 500 --jobs "$jobs" --json \
+            > "/tmp/argus-fuzz-$seed-j$jobs.json"
+    done
     cmp "/tmp/argus-fuzz-$seed-j0.json" "/tmp/argus-fuzz-$seed-j1.json"
+    cmp "/tmp/argus-fuzz-$seed-j2.json" "/tmp/argus-fuzz-$seed-j1.json"
 done
 
 echo "==> infer smoke"

@@ -83,10 +83,13 @@ pub struct AnalysisOptions {
     /// sizes at once.
     pub restrict_imports_to_binary_orders: bool,
     /// Worker threads for the level-scheduled SCC pipeline and the
-    /// per-pair projection probes. `0` (the default) means one per
-    /// available core; `1` forces the fully sequential path. The analysis
-    /// result — report text, certificates, JSON — is byte-identical at
-    /// every setting.
+    /// per-pair projection probes. `0` (the default) is auto: a fan-out
+    /// uses one worker per available core only when its deterministic work
+    /// estimate reaches `par::FAN_OUT_MIN_WORK`, and otherwise
+    /// runs inline on the calling thread. `1` forces the fully sequential
+    /// path; `2` or more always fans out with that many workers. The
+    /// analysis result — report text, certificates, JSON — is
+    /// byte-identical at every setting.
     pub parallelism: usize,
     /// Fourier–Motzkin redundancy tier for the per-pair dual projections
     /// (debug knob; the analysis result is byte-identical at every tier,
@@ -670,8 +673,9 @@ fn decide(
 
     // 4. SCCs bottom-up, scheduled by topological level. The size
     // relations every SCC imports (§6.2) were inferred globally above, so
-    // SCCs on the same level share only immutable inputs and fan out
-    // across the worker pool. Results land in per-SCC slots and are
+    // SCCs on the same level share only immutable inputs and may fan out
+    // across workers (under auto, only when the level's rule–subgoal pairs
+    // promise enough work). Results land in per-SCC slots and are
     // emitted in the sequential path's exact bottom-up order, so the
     // report (and everything derived from it) is byte-identical at any
     // parallelism.
@@ -693,7 +697,14 @@ fn decide(
                 reachable && has_rules
             })
             .collect();
-        let workers = crate::par::effective_workers(options.parallelism, jobs.len());
+        let workers = crate::par::gated_workers(options.parallelism, jobs.len(), || {
+            let pairs: usize = jobs
+                .iter()
+                .flat_map(|&id| graph.scc_rules(&program, id))
+                .map(|rule| graph.recursive_subgoals(rule).len())
+                .sum();
+            pairs as u64 * PAIR_WORK
+        });
         let memo = scc_memo.zip(rel_digests.as_ref());
         let results = crate::par::par_map_indexed(&jobs, workers, |_, &scc_id| {
             analyze_one_scc(&graph, &program, scc_id, &modes, &rels, options, cache, memo)
@@ -730,6 +741,12 @@ fn decide(
         incremental: scc_memo.map(|_| incremental),
     }
 }
+
+/// Estimated sequential work of one rule–subgoal pair in a topological
+/// level's SCC fan-out, in [`crate::par::FAN_OUT_MIN_WORK`]'s unit: levels
+/// of one-pair SCCs took 10–13 µs per pair in sequence (8, 32 and 96
+/// SCCs). A nonrecursive SCC has no pairs and costs next to nothing.
+const PAIR_WORK: u64 = 12;
 
 /// Analyze one SCC end-to-end: nonrecursive short-circuit, the θ search,
 /// and the optional lexicographic fallback. Reads only shared immutable
@@ -935,12 +952,15 @@ fn theta_search(
     cache: &ProjectionCache,
 ) -> SccAnalysis {
     // Build every pair's Eq. (9) system sequentially (the w base advances
-    // pair by pair), then fan the expensive Fourier–Motzkin projections
-    // across the worker pool. The sequential path stops at the first failed
+    // pair by pair), then fan the Fourier–Motzkin projections across
+    // workers (under auto, only when Σ rows × eliminated variables promises
+    // enough work). The sequential path stops at the first failed
     // projection, so the results are truncated at the first `None` —
     // identical `projected` prefix, identical outcome.
     let systems = eq9_systems(pairs.iter().map(|p| (p, plan.term(p))), &space, plan.w_base);
-    let workers = crate::par::effective_workers(options.parallelism, systems.len());
+    let workers = crate::par::gated_workers(options.parallelism, systems.len(), || {
+        systems.iter().map(|(sys, w)| (sys.len() * w.len()) as u64).sum()
+    });
     let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
         let mut st = FmStats::default();
         let r = project_pair_with(sys, w, cfg, cache, &mut st);

@@ -51,7 +51,7 @@ use crate::certificate::verify_report;
 use crate::incremental::SccCache;
 use crate::json::json_str;
 use crate::pairs::ProjectionCache;
-use crate::par::{effective_workers, par_map_indexed};
+use crate::par::{gated_workers, par_map_indexed};
 use argus_logic::{adorn_program, Adornment, DepGraph, Dnf, PredKey, Program};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -212,6 +212,16 @@ pub fn infer_conditions(program: &Program, options: &BackwardsOptions) -> Infere
     infer_conditions_for(program, &program.idb_predicates(), options)
 }
 
+/// Estimated sequential work per lattice probe per program rule in a
+/// level's predicate fan-out, in [`crate::par::FAN_OUT_MIN_WORK`]'s unit.
+/// Each probe is a whole analysis, so a level's estimate is its
+/// predicates' lattice sizes (2^arity, or 1 past the arity cap) × the
+/// program's rules × this weight. On the corpus the measured cost ran
+/// 4–394 µs per probe-rule; 16 fans out every level that paid
+/// (`appendix_a1`: 320, 2.13 → 1.86 ms) and keeps `even_odd` inline (192;
+/// 0.46 ms, 0.2 ms slower fanned out).
+const PROBE_RULE_WORK: u64 = 16;
+
 /// Infer termination conditions for the requested predicates only.
 ///
 /// Non-IDB members of `preds` (EDB predicates, builtins, unknown keys)
@@ -243,7 +253,13 @@ pub fn infer_conditions_for(
             continue;
         }
         level_preds.sort();
-        let workers = effective_workers(options.analysis.parallelism, level_preds.len());
+        let workers = gated_workers(options.analysis.parallelism, level_preds.len(), || {
+            let probes: u64 = level_preds
+                .iter()
+                .map(|p| if p.arity > options.max_arity { 1 } else { 1u64 << p.arity.min(32) })
+                .sum();
+            probes.saturating_mul(program.rules.len() as u64).saturating_mul(PROBE_RULE_WORK)
+        });
         let results = par_map_indexed(&level_preds, workers, |_, pred| {
             infer_pred(program, pred, &table, options, &shared)
         });

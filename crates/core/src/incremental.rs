@@ -498,12 +498,34 @@ impl<'a> Dec<'a> {
             1 => true,
             _ => return None,
         };
-        let sys = self.sys()?;
-        if sys.vars().iter().any(|&v| v >= dim) {
-            return None;
+        let n = self.len()?;
+        let mut rows = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            rows.push(self.int_row(dim)?);
         }
-        let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
         Some(Poly::from_raw_parts(dim, rows, empty))
+    }
+    /// One row of [`Enc::poly`], parsed straight to integers. A row that is
+    /// not canonical, or names a variable `≥ dim`, is malformed: `Poly`
+    /// holds canonical rows only.
+    fn int_row(&mut self, dim: usize) -> Option<IntRow> {
+        let rel = match self.u8()? {
+            1 => Rel::Le,
+            2 => Rel::Eq,
+            _ => return None,
+        };
+        let constant = self.str()?.parse().ok()?;
+        let n = self.len()?;
+        let mut coeffs = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let v = self.usize()?;
+            if v >= dim {
+                return None;
+            }
+            coeffs.push((v, self.str()?.parse().ok()?));
+        }
+        let row = IntRow { coeffs, constant, rel };
+        row.is_canonical().then_some(row)
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -1096,6 +1118,95 @@ mod tests {
         assert_eq!((bytes.len(), Fnv64::digest(&bytes)), (263, 0x3a3c_fa3c_feee_ef9d));
         let decoded = decode_theta_entry(&bytes, &scc.members, &[], &report.modes).unwrap();
         assert_eq!((decoded.stats.fm, decoded.stats.projections), (scc.stats.fm, 1));
+    }
+
+    /// A size entry of one predicate whose work and final polyhedra are
+    /// both the single row `(rel, constant, coeffs)`, written field by
+    /// field in [`Enc::poly`]'s layout so any row can be forged.
+    fn one_row_size_entry(rel: u8, constant: &str, coeffs: &[(usize, &str)]) -> Vec<u8> {
+        let mut e = Enc::new(TAG_SIZE);
+        e.usize(1);
+        e.pred(&PredKey::new("p", 2));
+        for _ in 0..2 {
+            e.usize(2);
+            e.u8(0);
+            e.usize(1);
+            e.u8(rel);
+            e.str(constant);
+            e.usize(coeffs.len());
+            for (v, k) in coeffs {
+                e.usize(*v);
+                e.str(k);
+            }
+        }
+        e.0
+    }
+
+    #[test]
+    fn a_non_canonical_memo_row_is_a_miss() {
+        let canonical = one_row_size_entry(1, "-3", &[(0, "2"), (1, "-1")]);
+        let decoded = decode_size_entry(&canonical).expect("a canonical row decodes");
+        assert_eq!(encode_size_entry(&decoded), canonical);
+        let forged = [
+            ("non-integer", one_row_size_entry(1, "-3/2", &[(0, "2"), (1, "-1")])),
+            ("unsorted", one_row_size_entry(1, "-3", &[(1, "-1"), (0, "2")])),
+            ("repeated variable", one_row_size_entry(1, "-3", &[(0, "2"), (0, "-1")])),
+            ("zero coefficient", one_row_size_entry(1, "-3", &[(0, "2"), (1, "0")])),
+            ("gcd 2", one_row_size_entry(1, "-4", &[(0, "2"), (1, "-2")])),
+            ("constant row beyond ±1", one_row_size_entry(1, "3", &[])),
+            ("negative equality", one_row_size_entry(2, "3", &[(0, "-2"), (1, "1")])),
+            ("negative constant equality", one_row_size_entry(2, "-1", &[])),
+            ("variable past the arity", one_row_size_entry(1, "-3", &[(0, "2"), (2, "-1")])),
+        ];
+        for (what, bytes) in forged {
+            assert!(decode_size_entry(&bytes).is_none(), "{what}");
+        }
+    }
+
+    /// The row decode of the memo before it parsed integers: each row as
+    /// a `Rat` constraint, converted by [`IntRow::of_constraint`].
+    fn reference_poly(d: &mut Dec<'_>) -> Option<Poly> {
+        let dim = d.usize()?;
+        let empty = d.u8()? == 1;
+        let sys = d.sys()?;
+        let rows = sys.constraints().iter().map(IntRow::of_constraint).collect();
+        Some(Poly::from_raw_parts(dim, rows, empty))
+    }
+
+    #[test]
+    fn every_corpus_size_entry_decodes_to_equal_polys() {
+        let memo = SccCache::unbounded();
+        for entry in argus_corpus::corpus() {
+            let program = entry.program().expect("corpus entry parses");
+            let (query, adornment) = entry.query_key();
+            let options = crate::AnalysisOptions { parallelism: 1, ..Default::default() };
+            crate::analyze::analyze_with_caches(
+                &program,
+                &query,
+                adornment,
+                &options,
+                None,
+                Some(&memo),
+            );
+        }
+        let inner = memo.inner.lock().expect("memo lock");
+        let bodies: Vec<&[u8]> = inner.map.values().flatten().map(|e| &*e.body).collect();
+        let mut polys = 0;
+        for body in bodies.into_iter().filter(|b| b[0] == TAG_SIZE) {
+            let decoded = decode_size_entry(body).expect("a memo entry decodes");
+            assert_eq!(encode_size_entry(&decoded), body, "re-encodes to the same bytes");
+            let mut d = Dec::new(body);
+            d.u8();
+            let n = d.len().unwrap();
+            assert_eq!(n, decoded.len());
+            for (p, work, fin) in &decoded {
+                assert_eq!(d.pred().as_ref(), Some(p));
+                assert_eq!(reference_poly(&mut d).as_ref(), Some(work));
+                assert_eq!(reference_poly(&mut d).as_ref(), Some(fin));
+                polys += 2;
+            }
+        }
+        assert!(polys > 100, "the corpus writes size entries ({polys} polyhedra)");
     }
 
     /// The on-disk entry format: the file name and checksum are `Fnv64`

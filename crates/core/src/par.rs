@@ -1,11 +1,20 @@
 //! A tiny deterministic fork-join helper for the analysis pipeline.
 //!
 //! The analyzer's parallel units (SCCs at one topological level, θ
-//! projection probes within an SCC) are pure functions of immutable shared
-//! inputs, so parallelism here is just a work-stealing index over a slice
-//! plus a deterministic merge: results are reassembled **in input order**,
-//! which makes every downstream artifact (reports, certificates, JSON)
+//! projection probes within an SCC, predicates at one level of the
+//! backwards inference) are pure functions of immutable shared inputs, so
+//! parallelism here is just a work-stealing index over a slice plus a
+//! deterministic merge: results are reassembled **in input order**, which
+//! makes every downstream artifact (reports, certificates, JSON)
 //! byte-identical to a sequential run regardless of thread scheduling.
+//!
+//! Each fan-out starts its own scoped threads, and a spawn plus join costs
+//! tens of microseconds. So under auto (`parallelism: 0`) an analysis
+//! fan-out asks `gated_workers`, which runs it inline on the calling
+//! thread unless the caller's deterministic work estimate reaches
+//! `FAN_OUT_MIN_WORK`. An explicit worker count of 2 or more always fans
+//! out. The decision depends only on the input, never on timing, and the
+//! output bytes do not depend on it at all.
 //!
 //! `std::thread::scope` keeps lifetimes simple (no `'static` bounds, no
 //! channels) and propagates worker panics to the caller.
@@ -31,6 +40,34 @@ pub fn available_cores() -> usize {
 pub fn effective_workers(requested: usize, items: usize) -> usize {
     let base = if requested == 0 { available_cores() } else { requested };
     base.clamp(1, items.max(1))
+}
+
+/// The estimated sequential work, in microseconds on the 2-core reference
+/// host, from which auto fans an analysis call out; below it the items run
+/// inline. Each call site converts its own deterministic measure to this
+/// unit (θ: Σ rows × eliminated variables of the Eq. (9) systems, about
+/// 1 µs each).
+///
+/// Measured once, sequential against two workers (medians of 24–54 runs):
+/// the θ projections of `mutual_fib_ring`-shaped rings broke even at an
+/// estimate of 120 (281 µs vs 283 µs) and paid from 382 (607 → 518 µs),
+/// while `mergesort`'s 180 lost (83 → 116 µs); a level of 8 one-pair SCCs
+/// lost (80 → 115 µs) and one of 32 paid (430 → 325 µs). The threshold
+/// sits between those break-evens, above every corpus call but
+/// `mutual_fib_ring`'s θ projection (1 468).
+pub(crate) const FAN_OUT_MIN_WORK: u64 = 256;
+
+/// [`effective_workers`] for an analysis fan-out that pays only past
+/// [`FAN_OUT_MIN_WORK`]: under auto (`requested == 0`) it is one worker,
+/// the calling thread, while `work()` (the call's estimated sequential
+/// work in that constant's unit) stays below the threshold. `work` is only
+/// evaluated when auto has more than one item to place. An explicit
+/// request is taken literally, as in [`effective_workers`].
+pub(crate) fn gated_workers(requested: usize, items: usize, work: impl FnOnce() -> u64) -> usize {
+    if requested == 0 && items > 1 && work() < FAN_OUT_MIN_WORK {
+        return 1;
+    }
+    effective_workers(requested, items)
 }
 
 /// Map `f` over `items` with up to `workers` OS threads, returning results
@@ -150,6 +187,54 @@ mod tests {
             assert_eq!(effective_workers(0, n), first, "repeated calls agree");
             assert_eq!(first, cores.clamp(1, n), "clamped to {n} items");
         }
+    }
+
+    /// The thread ids that ran each of `n` items at `workers`. With two
+    /// or more workers the first two items meet at a barrier, so each is
+    /// claimed by a different share before either finishes.
+    fn item_threads(n: usize, workers: usize) -> Vec<std::thread::ThreadId> {
+        let items: Vec<usize> = (0..n).collect();
+        let barrier = std::sync::Barrier::new(2);
+        par_map_indexed(&items, workers, |i, _| {
+            if workers > 1 && i < 2 {
+                barrier.wait();
+            }
+            std::thread::current().id()
+        })
+    }
+
+    #[test]
+    fn auto_below_the_threshold_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for work in [0, 1, FAN_OUT_MIN_WORK - 1] {
+            let workers = gated_workers(0, 8, || work);
+            assert_eq!(workers, 1, "work={work}");
+            assert!(item_threads(8, workers).iter().all(|&t| t == caller), "work={work}");
+        }
+    }
+
+    #[test]
+    fn auto_at_the_threshold_reaches_a_second_thread() {
+        let caller = std::thread::current().id();
+        for work in [FAN_OUT_MIN_WORK, u64::MAX] {
+            let workers = gated_workers(0, 8, || work);
+            assert_eq!(workers, available_cores().min(8), "work={work}");
+            if workers > 1 {
+                assert!(item_threads(8, workers).iter().any(|&t| t != caller), "work={work}");
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_workers_always_fan_out() {
+        let caller = std::thread::current().id();
+        for requested in [2, 8] {
+            let workers = gated_workers(requested, 4, || 0);
+            assert_eq!(workers, requested.min(4));
+            assert!(item_threads(4, workers).iter().any(|&t| t != caller), "{requested}");
+        }
+        assert_eq!(gated_workers(1, 4, || u64::MAX), 1, "an explicit 1 stays sequential");
+        assert_eq!(gated_workers(0, 1, || unreachable!("one item needs no estimate")), 1);
     }
 
     #[test]

@@ -84,6 +84,26 @@ impl IntRow {
         Constraint { expr, rel: self.rel }
     }
 
+    /// Is the row in the canonical form [`IntRow::of_constraint`]
+    /// produces: coefficients strictly sorted by variable and none zero,
+    /// content gcd 1 (a constant row's constant in {−1, 0, 1}), and for an
+    /// equality a nonnegative leading coefficient (or constant)? For rows
+    /// read back from outside, such as a memo file.
+    pub fn is_canonical(&self) -> bool {
+        let sorted = self.coeffs.windows(2).all(|w| w[0].0 < w[1].0);
+        let content_one = if self.coeffs.is_empty() {
+            sign_unit(&self.constant) == self.constant
+        } else {
+            self.coeffs
+                .iter()
+                .try_fold(self.constant.abs(), |g, (_, k)| (!k.is_zero()).then(|| g.gcd(k)))
+                .is_some_and(|g| g.is_one())
+        };
+        let lead = self.coeffs.first().map_or(&self.constant, |(_, k)| k);
+        let sign_ok = self.rel == Rel::Le || !lead.is_negative();
+        sorted && content_one && sign_ok
+    }
+
     /// `v ≥ 0`, that is `−v ≤ 0`.
     pub fn nonneg(v: Var) -> IntRow {
         IntRow { coeffs: vec![(v, BigInt::neg_one())], constant: BigInt::zero(), rel: Rel::Le }
@@ -373,18 +393,24 @@ mod tests {
 
     #[test]
     fn round_trip_matches_canonicalized() {
+        let check = |c: &Constraint| {
+            let row = IntRow::of_constraint(c);
+            assert!(row.is_canonical(), "{row:?}");
+            assert_eq!(row.to_constraint(), c.canonicalized());
+        };
         // 2/3·x − 4/3·y + 2 ≤ 0 canonicalizes to x − 2y + 3 ≤ 0.
         let e = LinExpr::from_terms([(0, r(2, 3)), (1, r(-4, 3))], r(2, 1));
         for rel in [Rel::Le, Rel::Eq] {
-            let c = Constraint { expr: e.clone(), rel };
-            assert_eq!(IntRow::of_constraint(&c).to_constraint(), c.canonicalized());
+            check(&Constraint { expr: e.clone(), rel });
         }
         // Negative leading equality gets sign-flipped.
-        let c = Constraint { expr: LinExpr::from_terms([(0, r(-2, 1))], r(4, 1)), rel: Rel::Eq };
-        assert_eq!(IntRow::of_constraint(&c).to_constraint(), c.canonicalized());
+        check(&Constraint { expr: LinExpr::from_terms([(0, r(-2, 1))], r(4, 1)), rel: Rel::Eq });
         // Constant rows keep only the sign.
-        let c = Constraint { expr: LinExpr::constant(r(-7, 3)), rel: Rel::Le };
-        assert_eq!(IntRow::of_constraint(&c).to_constraint(), c.canonicalized());
+        for rel in [Rel::Le, Rel::Eq] {
+            for k in [r(-7, 3), r(0, 1), r(5, 1)] {
+                check(&Constraint { expr: LinExpr::constant(k), rel });
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,12 @@ const HOVER_MAX_ARITY: usize = 4;
 /// Server configuration.
 #[derive(Debug, Clone, Default)]
 pub struct LspOptions {
-    /// Worker threads for analysis (`0` = one per core).
+    /// Worker threads for analysis, as
+    /// [`argus_core::AnalysisOptions::parallelism`]: `0` is auto, which fans
+    /// an analysis out over one worker per core only where its estimated
+    /// work pays. With a query and any count but `1`, the lint's raw
+    /// analysis also runs on a second thread beside the syntactic passes
+    /// (under auto, when the machine has two cores).
     pub jobs: usize,
     /// Debounce window for coalescing `didChange` bursts, in
     /// milliseconds. `0` re-analyzes as soon as the message queue drains.

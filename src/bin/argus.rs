@@ -30,6 +30,13 @@
 //! re-analyzes the file whenever it changes and prints only the changed
 //! report lines.
 //!
+//! `--jobs N` sets the analysis worker count (`argus fuzz`: the case
+//! loop's, `argus serve`: its connection workers'). `1` is sequential and
+//! `2` or more always fans out; the default `0` is auto, which uses one
+//! worker per core only for the fan-outs whose estimated work pays for
+//! the threads and runs the rest inline. Output is byte-identical at
+//! every setting.
+//!
 //! Exit codes: 0 = proved / clean (or command succeeded), 2 = not proved
 //! (or lint produced warnings), 1 = usage/parse/lint error.
 
@@ -178,7 +185,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                 options.parallelism = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) => n,
                     None => {
-                        eprintln!("--jobs wants a thread count (0 = one per core)");
+                        eprintln!("--jobs wants a thread count (0 = auto)");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -352,7 +359,7 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                 options.parallelism = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) => n,
                     None => {
-                        eprintln!("--jobs wants a thread count (0 = one per core)");
+                        eprintln!("--jobs wants a thread count (0 = auto)");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -501,7 +508,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
                 options.analysis.parallelism = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) => n,
                     None => {
-                        eprintln!("--jobs wants a thread count (0 = one per core)");
+                        eprintln!("--jobs wants a thread count (0 = auto)");
                         return ExitCode::FAILURE;
                     }
                 };

@@ -11,6 +11,11 @@ fn render(report: &TerminationReport) -> (String, String) {
     (report.to_string(), report.to_json())
 }
 
+/// The worker counts every test here compares against the sequential
+/// `--jobs 1` run: auto (which fans out only where the estimated work
+/// pays, so mostly inline), and explicit fan-outs of 2 and 8.
+const JOBS: [usize; 3] = [0, 2, 8];
+
 fn analyze_with_jobs(
     entry: &argus::corpus::CorpusEntry,
     options: &AnalysisOptions,
@@ -20,14 +25,14 @@ fn analyze_with_jobs(
     render(&analyze(&program, &query, adornment, options))
 }
 
-/// Every corpus entry, default options: `--jobs 4` == `--jobs 1`, byte for
-/// byte, on both the Display text and the JSON report.
+/// Every corpus entry, default options: `--jobs 0/2/8` == `--jobs 1`, byte
+/// for byte, on both the Display text and the JSON report.
 #[test]
 fn corpus_reports_identical_across_worker_counts() {
     for entry in argus::corpus::corpus() {
         let seq =
             analyze_with_jobs(&entry, &AnalysisOptions { parallelism: 1, ..Default::default() });
-        for jobs in [2, 4] {
+        for jobs in JOBS {
             let par = analyze_with_jobs(
                 &entry,
                 &AnalysisOptions { parallelism: jobs, ..Default::default() },
@@ -52,9 +57,17 @@ fn variant_options_identical_across_worker_counts() {
         for variant in &variants {
             let seq =
                 analyze_with_jobs(&entry, &AnalysisOptions { parallelism: 1, ..variant.clone() });
-            let par =
-                analyze_with_jobs(&entry, &AnalysisOptions { parallelism: 4, ..variant.clone() });
-            assert_eq!(seq, par, "{}: variant {variant:?} differs at --jobs 4", entry.name);
+            for jobs in JOBS {
+                let par = analyze_with_jobs(
+                    &entry,
+                    &AnalysisOptions { parallelism: jobs, ..variant.clone() },
+                );
+                assert_eq!(
+                    seq, par,
+                    "{}: variant {variant:?} differs at --jobs {jobs}",
+                    entry.name
+                );
+            }
         }
     }
 }
@@ -105,14 +118,16 @@ fn stats_json_identical_across_worker_counts() {
             &AnalysisOptions { parallelism: 1, ..Default::default() },
         )
         .to_json_with(true);
-        let par = analyze(
-            &program,
-            &query,
-            adornment,
-            &AnalysisOptions { parallelism: 4, ..Default::default() },
-        )
-        .to_json_with(true);
-        assert_eq!(seq, par, "{}: stats JSON differs at --jobs 4", entry.name);
+        for jobs in JOBS {
+            let par = analyze(
+                &program,
+                &query,
+                adornment.clone(),
+                &AnalysisOptions { parallelism: jobs, ..Default::default() },
+            )
+            .to_json_with(true);
+            assert_eq!(seq, par, "{}: stats JSON differs at --jobs {jobs}", entry.name);
+        }
     }
 }
 
@@ -226,7 +241,7 @@ fn inference_json_identical_across_worker_counts() {
             },
         )
         .to_json();
-        for jobs in [2, 4] {
+        for jobs in JOBS {
             let par = infer_conditions(
                 &program,
                 &BackwardsOptions {
